@@ -42,12 +42,8 @@ from .montecarlo import (
     sample_poisson,
 )
 from .numerics import (
-    EigensolverError,
     LogFactorialTable,
     NumericalResourceError,
-    Spectrum,
-    SymmetricMatrix,
-    eigenvalues_symmetric,
     gaussian_upper_tail,
     log_poisson_pmf,
     poisson_tail_cutoff,
@@ -79,7 +75,6 @@ __all__ = [
     "ConfigurationError",
     "DecisionRule",
     "DiscriminationResult",
-    "EigensolverError",
     "EstimateResult",
     "Hypothesis",
     "LogFactorialTable",
@@ -88,9 +83,7 @@ __all__ = [
     "PulsePair",
     "SmallAlphaMode",
     "SmallAlphaSpectrum",
-    "Spectrum",
     "SplitterRangeError",
-    "SymmetricMatrix",
     "Table",
     "TrialConfig",
     "TruncatedOperator",
@@ -99,7 +92,6 @@ __all__ = [
     "build_rho_diff",
     "d_err_small_alpha",
     "decide",
-    "eigenvalues_symmetric",
     "figure_angle_sweep",
     "figure_homodyne_ratios",
     "figure_kennedy_ratios",

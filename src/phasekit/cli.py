@@ -147,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decision rule (default ml)")
     p.add_argument("--trials", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--random-common-phase", action="store_true",
-                   help="draw a shared optical phase per trial (statistics unchanged)")
     p.add_argument("--quote-tolerances", action="store_true")
 
     p = sub.add_parser("figure", help="emit the data table behind one figure")
@@ -239,14 +237,7 @@ def _cmd_montecarlo(args) -> str:
         splitter = kennedy_angle(pair)
     else:
         splitter = Beamsplitter(math.pi / 4.0)
-    cfg = TrialConfig(
-        pair,
-        splitter,
-        rule,
-        trials=args.trials,
-        seed=args.seed,
-        random_common_phase=args.random_common_phase,
-    )
+    cfg = TrialConfig(pair, splitter, rule, trials=args.trials, seed=args.seed)
     est = run_trials(cfg)
     lines = [
         f"error_rate = {format_value(est.error_rate)}",

@@ -1,13 +1,17 @@
 """Optimal discrimination of the phase-averaged two-mode states.
 
-Averaging the common optical phase away leaves two mixed states whose
-difference, written in the two-mode number basis, only connects states of
-equal total photon number and of opposite signal-photon parity. The
-difference operator is therefore assembled block by block in the total
-photon number, each block a small real symmetric matrix, and the minimum
-error probability follows from the trace norm
+Averaging the common optical phase away leaves two mixed states that are
+block diagonal in the total photon number N. Both states give sector N the
+same Poisson weight w_N = Poi(N; alpha^2 + beta^2), and inside it each is a
+pure state; the two pure states overlap in x_N = r^(2N), with
+r = (beta^2 - alpha^2) / (alpha^2 + beta^2). The minimum error probability
+is therefore a weighted sum of pure-state Helstrom terms,
 
-    P_err = 1/2 - 1/4 * sum over blocks of sum |eigenvalues|.
+    P_err = 1/2 * sum over N of w_N * x_N / (1 + sqrt(1 - x_N)),
+
+a sum of positive terms, so a tiny P keeps full relative precision.
+``build_rho_diff`` assembles the state difference explicitly, block by
+block in N, as an independent route for checking that sum.
 
 For weak signals the leading order in the signal amplitude admits a
 closed-form spectrum and a fast series for the distinguishability; both
@@ -21,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .model import DiscriminationResult, PulsePair
 from .numerics import (
+    NEG_INF,
     NumericalResourceError,
-    SymmetricMatrix,
-    eigenvalues_symmetric,
     log_factorial,
+    log_poisson_pmf_array,
     poisson_tail_cutoff,
     poisson_upper_tail,
 )
@@ -49,8 +52,9 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-10
 
-# beyond the Poisson cutoff in total photons; the operator's block masses
-# are close to, but not exactly, that Poisson law
+# sectors kept beyond the Poisson cutoff in total photons; the sector
+# weights are exactly Poisson, so the margin only pushes the neglected mass
+# far below tail_tol, at the cost of ten short terms
 TRUNCATION_SAFETY_MARGIN = 10
 
 DEFAULT_MAX_TOTAL_PHOTONS = 2048
@@ -76,22 +80,39 @@ class TruncationCeilingError(NumericalResourceError):
 class TruncatedOperator:
     """Difference of the two phase-averaged states on a truncated basis.
 
-    ``blocks[N]`` acts on the span of |n_ref> x |n_sig> with
-    n_ref + n_sig = N, indexed by n_ref = 0 .. N. Entries vanish unless the
-    signal parities of bra and ket differ, so every diagonal (and the total
-    trace) is exactly zero.
+    ``blocks[N]`` is a read-only array acting on the span of
+    |n_ref> x |n_sig> with n_ref + n_sig = N, indexed by n_ref = 0 .. N.
+    Entries vanish unless the signal parities of bra and ket differ, so
+    every diagonal (and the total trace) is exactly zero.
     """
 
     n_max: int
-    blocks: tuple[SymmetricMatrix, ...]
+    blocks: tuple[np.ndarray, ...]
     tail_bound: float
 
     def trace(self) -> float:
-        return sum(b.trace() for b in self.blocks)
+        return sum(float(np.trace(b)) for b in self.blocks)
 
     @staticmethod
     def block_basis(n_total: int) -> list[tuple[int, int]]:
         return [(n_ref, n_total - n_ref) for n_ref in range(n_total + 1)]
+
+
+def _truncation(
+    pair: PulsePair, tail_tol: float, max_total_photons: int
+) -> tuple[int, float]:
+    """Largest total photon number kept, and the Poisson mass beyond it."""
+    if not (0.0 < tail_tol < 1.0):
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    n_max = poisson_tail_cutoff(pair.total, tail_tol) + TRUNCATION_SAFETY_MARGIN
+    if n_max > max_total_photons:
+        raise TruncationCeilingError(n_max, max_total_photons)
+    return n_max, poisson_upper_tail(pair.total, n_max)
+
+
+def _read_only(block: np.ndarray) -> np.ndarray:
+    block.setflags(write=False)
+    return block
 
 
 def build_rho_diff(
@@ -106,18 +127,13 @@ def build_rho_diff(
     are formed in log space and exponentiated once; all entries are
     non-negative, so no sign bookkeeping survives to the caller.
     """
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    n_max = poisson_tail_cutoff(pair.total, tail_tol) + TRUNCATION_SAFETY_MARGIN
-    if n_max > max_total_photons:
-        raise TruncationCeilingError(n_max, max_total_photons)
-    tail_bound = poisson_upper_tail(pair.total, n_max)
+    n_max, tail_bound = _truncation(pair, tail_tol, max_total_photons)
     blocks = []
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         # the parity factor kills every entry carrying no signal photons and
         # the reference weight kills the rest
         for n_total in range(n_max + 1):
-            blocks.append(SymmetricMatrix(np.zeros((n_total + 1, n_total + 1))))
+            blocks.append(_read_only(np.zeros((n_total + 1, n_total + 1))))
         return TruncatedOperator(n_max, tuple(blocks), tail_bound)
     log_alpha = 0.5 * math.log(pair.alpha2)
     log_beta = 0.5 * math.log(pair.beta2)
@@ -133,8 +149,43 @@ def build_rho_diff(
         )
         u = np.exp(log_u)
         odd = (n_ref[:, None] + n_ref[None, :]) % 2 == 1
-        blocks.append(SymmetricMatrix(np.where(odd, np.outer(u, u), 0.0)))
+        blocks.append(_read_only(np.where(odd, np.outer(u, u), 0.0)))
     return TruncatedOperator(n_max, tuple(blocks), tail_bound)
+
+
+def _sectors(pair: PulsePair, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sector terms for N = 0 .. n_max; alpha^2 and beta^2 must be positive.
+
+    Returns the Helstrom errors w_N x_N / (2 (1 + sqrt(1 - x_N))), the
+    values w_N sqrt(1 - x_N) (half the trace norm of block N), and a bound
+    on the float rounding of each error.
+    """
+    ratio = 2.0 * min(pair.alpha2, pair.beta2) / pair.total  # 1 - |r|
+    # each form of ln|r| is accurate where the other one cancels
+    if ratio <= 0.5:
+        log_r = math.log1p(-ratio)
+    elif pair.alpha2 != pair.beta2:
+        log_r = math.log(abs(pair.beta2 - pair.alpha2) / pair.total)
+    else:
+        log_r = NEG_INF
+    ns = np.arange(n_max + 1)
+    log_x = np.zeros(n_max + 1)  # x_0 = r^0 = 1, also when r = 0
+    log_x[1:] = 2.0 * ns[1:] * log_r
+    log_w = log_poisson_pmf_array(n_max, pair.total)
+    root = np.sqrt(-np.expm1(log_x))
+    errors = 0.5 * np.exp(log_w + log_x) / (1.0 + root)
+    # every log-space term carries an absolute error of a few ulp of its
+    # largest part (ln|r| adds one ulp per unit of 2N), which exp turns into
+    # a relative error of the sector term
+    log_scale = (
+        ns * abs(math.log(pair.total))
+        + pair.total
+        + log_factorial(ns)
+        + np.where(np.isfinite(log_x), -log_x, 0.0)
+        + 2.0 * ns
+        + 2.0
+    )
+    return errors, np.exp(log_w) * root, 2.0 * _EPS * errors * log_scale
 
 
 def p_err_optimal(
@@ -142,35 +193,34 @@ def p_err_optimal(
     tail_tol: float = DEFAULT_TAIL_TOL,
     max_total_photons: int = DEFAULT_MAX_TOTAL_PHOTONS,
 ) -> DiscriminationResult:
-    """Minimum error probability via the trace norm of the state difference.
+    """Minimum error probability as a sum of per-sector pure-state terms.
 
-    Blocks are diagonalised independently and their absolute eigenvalue
-    sums combined in fixed block order. ``metadata['truncation_bound']``
-    bounds the error in P from the discarded basis states plus the
-    eigensolver's converged residuals.
+    Sectors N = 0 .. n_max are kept, n_max being the Poisson cutoff of
+    alpha^2 + beta^2 at ``tail_tol`` plus a safety margin; each dropped
+    sector would add at most half its weight. ``metadata['truncation_bound']``
+    bounds the error in P by half the dropped Poisson mass plus the float
+    rounding of the log-space terms. ``metadata['trace_norm']`` is the trace
+    norm of the truncated state difference.
     """
-    operator = build_rho_diff(pair, tail_tol, max_total_photons)
-
-    def block_term(block: SymmetricMatrix) -> tuple[float, float]:
-        if not block.values.any():
-            return 0.0, 0.0
-        spectrum = eigenvalues_symmetric(block)
-        off = float(np.sqrt((spectrum.residuals**2).sum()))
-        slack = block.dimension * (off + _EPS * block.frobenius_norm())
-        return spectrum.absolute_sum(), slack
-
-    terms = parallel_map(block_term, operator.blocks)
-    trace_norm = sum(t for t, _ in terms)
-    solver_slack = sum(s for _, s in terms)
-    p = 0.5 - 0.25 * trace_norm
-    bound = 0.5 * operator.tail_bound + 0.25 * solver_slack
+    n_max, tail_bound = _truncation(pair, tail_tol, max_total_photons)
+    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
+        # identical states: every sector is an exact tie
+        return DiscriminationResult.from_error_probability(
+            0.5,
+            "helstrom_truncated",
+            n_max=n_max,
+            tail_tol=tail_tol,
+            truncation_bound=0.5 * tail_bound,
+            trace_norm=0.0,
+        )
+    errors, half_norms, rounding = _sectors(pair, n_max)
     return DiscriminationResult.from_error_probability(
-        p,
+        math.fsum(errors),
         "helstrom_truncated",
-        n_max=operator.n_max,
+        n_max=n_max,
         tail_tol=tail_tol,
-        truncation_bound=bound,
-        trace_norm=trace_norm,
+        truncation_bound=0.5 * tail_bound + float(rounding.sum()),
+        trace_norm=2.0 * math.fsum(half_norms),
     )
 
 

@@ -60,19 +60,13 @@ class DecisionRule(Enum):
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Everything one simulation run depends on.
-
-    ``random_common_phase`` additionally draws a shared optical phase per
-    trial; port means are unchanged by it, so the statistics must match the
-    fixed-phase mode (a useful self-check, at the cost of extra draws).
-    """
+    """Everything one simulation run depends on."""
 
     pair: PulsePair
     splitter: Beamsplitter
     rule: DecisionRule
     trials: int = 1_000_000
     seed: int = 0
-    random_common_phase: bool = False
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -173,37 +167,12 @@ def _log_pmf_of_counts(counts: np.ndarray, mean: float) -> np.ndarray:
     return counts * math.log(mean) - mean - log_factorial(counts)
 
 
-def _signed_amplitudes(pair: PulsePair, splitter: Beamsplitter):
-    a, b, r, t = pair.alpha, pair.beta, splitter.r, splitter.t
-    eps = 8.0 * 2.220446049250313e-16
-
-    def snap(x: float, scale: float) -> float:
-        return 0.0 if abs(x) < eps * scale else x
-
-    return (
-        r * b + t * a,
-        snap(r * b - t * a, r * b + t * a),
-        snap(t * b - r * a, t * b + r * a),
-        t * b + r * a,
-    )
-
-
 def _simulate_block(
     cfg: TrialConfig, means: OutputMeans, rng: np.random.Generator, size: int
 ) -> int:
     hyp_plus = rng.random(size) < 0.5
-    if cfg.random_common_phase:
-        # the shared phase drops out of every modulus; drawing it realises
-        # the phase-averaged states without changing any statistics
-        phase = rng.random(size) * (2.0 * math.pi)
-        a1p, a1m, a2p, a2m = _signed_amplitudes(cfg.pair, cfg.splitter)
-        amp1 = np.where(hyp_plus, a1p, a1m)
-        amp2 = np.where(hyp_plus, a2p, a2m)
-        mean1 = (amp1 * np.cos(phase)) ** 2 + (amp1 * np.sin(phase)) ** 2
-        mean2 = (amp2 * np.cos(phase)) ** 2 + (amp2 * np.sin(phase)) ** 2
-    else:
-        mean1 = np.where(hyp_plus, means.n1_plus, means.n1_minus)
-        mean2 = np.where(hyp_plus, means.n2_plus, means.n2_minus)
+    mean1 = np.where(hyp_plus, means.n1_plus, means.n1_minus)
+    mean2 = np.where(hyp_plus, means.n2_plus, means.n2_minus)
     counts1 = _draw_counts(rng, mean1)
     counts2 = _draw_counts(rng, mean2)
 

@@ -1,52 +1,37 @@
-"""Poisson log-weights, Gaussian tails, and a dense symmetric eigensolver.
+"""Poisson log-weights, Poisson tail cutoffs and the Gaussian tail.
 
 Probability machinery works in log space so that products of Poisson
 weights survive strong reference pulses, and returns to linear space only
 for the final sums. Everything here is a pure function of its inputs; the
-shared factorial table is built once and then only read.
+shared factorial table is only ever replaced by a larger one.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NumericalResourceError",
-    "EigensolverError",
     "LogFactorialTable",
-    "SymmetricMatrix",
-    "Spectrum",
     "log_factorial",
     "log_poisson_pmf",
     "log_poisson_pmf_array",
     "poisson_tail_cutoff",
     "poisson_upper_tail",
     "gaussian_upper_tail",
-    "eigenvalues_symmetric",
 ]
 
 NEG_INF = float("-inf")
 
 _SQRT2 = math.sqrt(2.0)
-_EPS = np.finfo(float).eps
-
-JACOBI_SWEEP_BUDGET = 100
-JACOBI_STOP_FACTOR = 1e-12
 
 
 class NumericalResourceError(RuntimeError):
     """A computation exceeded its configured numerical budget."""
-
-
-class EigensolverError(NumericalResourceError):
-    """Jacobi sweeps ran out before the off-diagonal norm converged."""
-
-    def __init__(self, message: str, off_diagonal_norm: float) -> None:
-        super().__init__(message)
-        self.off_diagonal_norm = off_diagonal_norm
 
 
 @dataclass(frozen=True)
@@ -82,17 +67,27 @@ class LogFactorialTable:
 
 
 _shared_table = LogFactorialTable.build(256)
+_install_lock = threading.Lock()
 
 
 def log_factorial(n):
-    """ln(n!) for a scalar or integer array, served from a shared table."""
+    """ln(n!) for a scalar or integer array, served from a shared table.
+
+    Each call reads the table it indexes into a local, and a rebuilt table
+    replaces the shared one only when it is larger, so a call running
+    concurrently with another thread's rebuild never sees the table shrink.
+    """
     global _shared_table
     if np.min(n) < 0:
         raise ValueError("factorial argument must be non-negative")
     top = int(np.max(n))
-    if top > _shared_table.max_n:
-        _shared_table = LogFactorialTable.build(max(top, 2 * _shared_table.max_n))
-    return _shared_table.values[n]
+    table = _shared_table
+    if top > table.max_n:
+        table = LogFactorialTable.build(max(top, 2 * table.max_n))
+        with _install_lock:
+            if table.max_n > _shared_table.max_n:
+                _shared_table = table
+    return table.values[n]
 
 
 def log_poisson_pmf(n: int, mean: float) -> float:
@@ -164,118 +159,3 @@ def poisson_upper_tail(mean: float, n: int) -> float:
 def gaussian_upper_tail(x: float) -> float:
     """P[Z > x] for a standard normal Z, via the complementary error function."""
     return 0.5 * math.erfc(x / _SQRT2)
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Real symmetric matrix; entries are validated to match exactly."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError("matrix must be square with dimension >= 1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix must be exactly symmetric")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "values", a)
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.values))
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt((self.values * self.values).sum()))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in ascending order with per-eigenvalue residuals."""
-
-    eigenvalues: np.ndarray
-    residuals: np.ndarray
-    sweeps: int
-
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
-
-    def absolute_sum(self) -> float:
-        return float(np.abs(self.eigenvalues).sum())
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # computed from the off-diagonal entries themselves: subtracting the
-    # diagonal from the full Frobenius norm would cancel catastrophically
-    od = a.copy()
-    np.fill_diagonal(od, 0.0)
-    return float(np.sqrt((od * od).sum()))
-
-
-def eigenvalues_symmetric(matrix) -> Spectrum:
-    """All eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps stop once the off-diagonal Frobenius norm falls below
-    1e-12 times the matrix norm; the budget is 100 sweeps (the matrices in
-    this package converge in well under ten). Raises ``EigensolverError``
-    with the residual attached if the budget runs out.
-    """
-    if isinstance(matrix, SymmetricMatrix):
-        a = matrix.values.copy()
-    else:
-        a = SymmetricMatrix(np.asarray(matrix)).values.copy()
-    d = a.shape[0]
-    if d == 1:
-        return Spectrum(a[0, :1].copy(), np.zeros(1), 0)
-    fro = float(np.sqrt((a * a).sum()))
-    if fro == 0.0:
-        return Spectrum(np.zeros(d), np.zeros(d), 0)
-    stop = JACOBI_STOP_FACTOR * fro
-    # skipping pivots this small cannot leave the off-norm above `stop`
-    skip = stop / (2.0 * d)
-    sweeps = 0
-    while _off_diagonal_norm(a) > stop:
-        if sweeps >= JACOBI_SWEEP_BUDGET:
-            off = _off_diagonal_norm(a)
-            raise EigensolverError(
-                f"Jacobi did not converge in {JACOBI_SWEEP_BUDGET} sweeps: "
-                f"off-diagonal norm {off:.3e} vs target {stop:.3e}",
-                off,
-            )
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e100:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        sweeps += 1
-    od = a.copy()
-    np.fill_diagonal(od, 0.0)
-    residuals = np.sqrt((od * od).sum(axis=1))
-    eigenvalues = np.diagonal(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return Spectrum(eigenvalues[order], residuals[order], sweeps)

@@ -21,13 +21,11 @@ import math
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .model import (
     Beamsplitter,
     DiscriminationResult,
     PulsePair,
     homodyne_splitter,
-    kennedy_angle,
     output_means,
 )
 from .numerics import (
@@ -46,7 +44,6 @@ __all__ = [
     "p_homodyne_generalized",
     "p_beamsplitter_ml",
     "best_angle",
-    "kennedy_rule_error",
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -138,12 +135,6 @@ def p_homodyne_generalized(
     )
 
 
-def _log_pmf_pair(cut: int, mean_plus: float, mean_minus: float):
-    lp = log_poisson_pmf_array(cut, mean_plus)
-    lm = log_poisson_pmf_array(cut, mean_minus)
-    return lp, lm
-
-
 def p_beamsplitter_ml(
     pair: PulsePair, splitter: Beamsplitter, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> DiscriminationResult:
@@ -172,8 +163,10 @@ def p_beamsplitter_ml(
         poisson_tail_cutoff(means.n2_plus, tail_tol),
         poisson_tail_cutoff(means.n2_minus, tail_tol),
     )
-    l1p, l1m = _log_pmf_pair(n_cut, means.n1_plus, means.n1_minus)
-    l2p, l2m = _log_pmf_pair(m_cut, means.n2_plus, means.n2_minus)
+    l1p = log_poisson_pmf_array(n_cut, means.n1_plus)
+    l1m = log_poisson_pmf_array(n_cut, means.n1_minus)
+    l2p = log_poisson_pmf_array(m_cut, means.n2_plus)
+    l2m = log_poisson_pmf_array(m_cut, means.n2_minus)
     with np.errstate(invalid="ignore"):
         d1 = l1p - l1m
         d2 = l2p - l2m
@@ -241,12 +234,7 @@ def best_angle(
         return result.error_probability
 
     phis = np.linspace(0.0, math.pi / 4.0, grid_points)
-    values = parallel_map(
-        lambda phi: p_beamsplitter_ml(pair, Beamsplitter(phi), tail_tol), phis
-    )
-    for phi, result in zip(phis, values):
-        evaluated[float(phi)] = result
-    idx = int(np.argmin([r.error_probability for r in values]))
+    idx = int(np.argmin([evaluate(float(phi)) for phi in phis]))
     lo = float(phis[max(idx - 1, 0)])
     hi = float(phis[min(idx + 1, grid_points - 1)])
 
@@ -275,18 +263,3 @@ def best_angle(
         ),
     )
 
-
-def kennedy_rule_error(pair: PulsePair) -> DiscriminationResult:
-    """Error of the single-port click rule at the cancellation angle.
-
-    The dark-port rule guesses PLUS on silence and MINUS on any click; it
-    errs only when the MINUS pulse leaves the monitored port silent. This
-    is the same closed form as ``p_kennedy_generalized`` and is kept as an
-    explicit single-rule evaluation for dominance comparisons.
-    """
-    splitter = kennedy_angle(pair)
-    means = output_means(pair, splitter)
-    p = 0.5 * math.exp(-means.n2_minus)
-    return DiscriminationResult.from_error_probability(
-        p, "kennedy_single_port", phi=splitter.phi
-    )

@@ -16,7 +16,6 @@ from typing import IO
 import numpy as np
 
 from . import __version__
-from ._parallel import parallel_map
 from .helstrom import d_err_small_alpha, p_err_optimal
 from .model import Beamsplitter, PulsePair, SplitterRangeError, kennedy_angle
 from .receivers import (
@@ -177,7 +176,7 @@ def figure_homodyne_ratios(
             "ratio_d": ratio_d,
         }
 
-    rows = parallel_map(one, points)
+    rows = [one(point) for point in points]
     return Table(
         columns,
         rows,
@@ -198,12 +197,13 @@ def figure_angle_sweep(
         raise ValueError(f"n_angles must be at least 64, got {n_angles}")
     columns = ("kind", "phi_over_pi", "p_err")
     phis = np.linspace(0.0, math.pi / 4.0, n_angles)
-    values = parallel_map(
-        lambda phi: p_beamsplitter_ml(pair, Beamsplitter(float(phi)), tail_tol), phis
-    )
     rows = [
-        {"kind": "sweep", "phi_over_pi": float(phi) / math.pi, "p_err": res.error_probability}
-        for phi, res in zip(phis, values)
+        {
+            "kind": "sweep",
+            "phi_over_pi": float(phi) / math.pi,
+            "p_err": p_beamsplitter_ml(pair, Beamsplitter(float(phi)), tail_tol).error_probability,
+        }
+        for phi in phis
     ]
     try:
         ken_angle = kennedy_angle(pair)
@@ -256,7 +256,7 @@ def figure_optimal_ratio(
             exact = res.distinguishability / (2.0 * math.sqrt(cross_check_alpha2))
         return {"beta2": beta2, "d_ratio_series": series, "d_ratio_exact": exact}
 
-    rows = parallel_map(one, [float(b2) for b2 in beta2_grid])
+    rows = [one(float(b2)) for b2 in beta2_grid]
     return Table(
         columns,
         rows,

@@ -1,9 +1,9 @@
 """Independent high-precision oracles shared by the test modules.
 
-Each oracle recomputes an error probability from the port statistics at
-40 significant digits with mpmath, without touching ``phasekit``, and
-returns it as an ``mpf``. Strengths are taken exactly as the float inputs
-the program sees.
+Each oracle recomputes an error probability from the port statistics (or,
+for the optimum, from the photon-number sectors) at 40 significant digits
+with mpmath, without touching ``phasekit``, and returns it as an ``mpf``.
+Strengths are taken exactly as the float inputs the program sees.
 """
 
 import mpmath as mp
@@ -75,3 +75,21 @@ def oracle_ml(alpha2, beta2, phi, terms=80):
                 else:
                     err += (plus + minus) / 2
         return err / 2
+
+
+def oracle_optimal(alpha2, beta2):
+    """Helstrom bound of the phase-averaged states, summed over total photons.
+
+    Sector N has Poisson weight w_N at mean alpha^2 + beta^2 and holds two
+    pure states of squared overlap x_N = r^(2N), r = (beta^2 - alpha^2) /
+    (alpha^2 + beta^2); its error is w_N (1 - sqrt(1 - x_N)) / 2. The sum
+    runs far past the Poisson bulk, so no truncation is left at 40 digits.
+    """
+    with mp.workdps(DPS):
+        a2, b2 = mp.mpf(alpha2), mp.mpf(beta2)
+        total = a2 + b2
+        r2 = ((b2 - a2) / total) ** 2
+        n_top = int(total + 60 * mp.sqrt(total + 1) + 100)
+        return mp.fsum(
+            _pmf(total, n) * (1 - mp.sqrt(1 - r2**n)) for n in range(n_top)
+        ) / 2

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_optimal
 from phasekit.helstrom import (
     TruncationCeilingError,
+    _sectors,
     build_rho_diff,
     d_err_small_alpha,
     p_err_optimal,
@@ -15,8 +17,8 @@ from phasekit.helstrom import (
     small_alpha_spectrum,
 )
 from phasekit.model import PulsePair
-from phasekit.numerics import eigenvalues_symmetric, poisson_tail_cutoff
-from phasekit.receivers import p_min_pure
+from phasekit.numerics import log_poisson_pmf_array, poisson_tail_cutoff
+from phasekit.receivers import p_homodyne_generalized, p_kennedy_generalized, p_min_pure
 
 mp.mp.dps = 40
 
@@ -27,13 +29,13 @@ mp.mp.dps = 40
 def test_operator_vanishes_without_signal_or_reference():
     for pair in (PulsePair(0.0, 2.0), PulsePair(2.0, 0.0), PulsePair(0.0, 0.0)):
         op = build_rho_diff(pair)
-        assert all(not b.values.any() for b in op.blocks)
+        assert all(not b.any() for b in op.blocks)
 
 
 def test_single_photon_block_closed_form():
     pair = PulsePair(0.3, 1.7)
     op = build_rho_diff(pair)
-    block = op.blocks[1].values
+    block = op.blocks[1]
     expected = 2.0 * pair.alpha * pair.beta * math.exp(-pair.total)
     assert block[0, 1] == pytest.approx(expected, rel=1e-12)
     assert block[0, 0] == 0.0
@@ -43,10 +45,10 @@ def test_single_photon_block_closed_form():
 def test_blocks_are_traceless_and_parity_sparse():
     op = build_rho_diff(PulsePair(0.4, 1.2))
     assert op.trace() == 0.0
-    for n_total, block in enumerate(op.blocks):
+    for n_total, v in enumerate(op.blocks):
         basis = op.block_basis(n_total)
-        v = block.values
         assert v.shape == (n_total + 1, n_total + 1)
+        assert not v.flags.writeable
         for i, (_, sig_i) in enumerate(basis):
             for j, (_, sig_j) in enumerate(basis):
                 if (sig_i + sig_j) % 2 == 0:
@@ -82,7 +84,7 @@ def test_block_entries_match_four_index_oracle():
     op = build_rho_diff(pair)
     for n_total in range(5):
         basis = op.block_basis(n_total)
-        v = op.blocks[n_total].values
+        v = op.blocks[n_total]
         for i, (n, p) in enumerate(basis):
             for j, (m, q) in enumerate(basis):
                 expected = float(_entry_oracle(pair, n, m, p, q))
@@ -99,18 +101,16 @@ def test_blockwise_trace_norm_equals_assembled_matrix():
     for i, (n, p) in enumerate(basis):
         for j, (m, q) in enumerate(basis):
             dense[i, j] = float(_entry_oracle(pair, n, m, p, q))
-    assembled = eigenvalues_symmetric(dense).absolute_sum()
+    assembled = np.abs(np.linalg.eigvalsh(dense)).sum()
     op = build_rho_diff(pair)
-    blockwise = sum(
-        eigenvalues_symmetric(op.blocks[n]).absolute_sum() for n in range(n_top + 1)
-    )
+    blockwise = sum(np.abs(np.linalg.eigvalsh(op.blocks[n])).sum() for n in range(n_top + 1))
     assert abs(assembled - blockwise) < 1e-10
 
 
 def test_block_trace_norm_matches_bipartite_closed_form():
     # entries couple even to odd reference occupations through a product
     # weight, so each block is a rank-one bipartite form with trace norm
-    # 2 * |u_even| * |u_odd|; an independent check on the eigensolver route
+    # 2 * |u_even| * |u_odd|
     pair = PulsePair(0.2, 2.3)
     op = build_rho_diff(pair)
     for n_total in range(1, 12):
@@ -125,7 +125,7 @@ def test_block_trace_norm_matches_bipartite_closed_form():
         )
         u = np.exp(log_u)
         closed = 2.0 * np.linalg.norm(u[i % 2 == 0]) * np.linalg.norm(u[i % 2 == 1])
-        solved = eigenvalues_symmetric(op.blocks[n_total]).absolute_sum()
+        solved = np.abs(np.linalg.eigvalsh(op.blocks[n_total])).sum()
         assert solved == pytest.approx(closed, rel=1e-10, abs=1e-14)
 
 
@@ -133,7 +133,42 @@ def test_block_trace_norm_matches_bipartite_closed_form():
 
 
 def test_p_err_optimal_no_signal():
-    assert p_err_optimal(PulsePair(0.0, 1.0)).error_probability == 0.5
+    for pair in (PulsePair(0.0, 1.0), PulsePair(1.0, 0.0), PulsePair(0.0, 0.0)):
+        assert p_err_optimal(pair).error_probability == 0.5
+
+
+@pytest.mark.parametrize(
+    "alpha2,beta2",
+    [
+        (0.1, 1.0),
+        (0.1, 10.0),
+        (0.1, 100.0),
+        (0.1, 1000.0),
+        (5.0, 5.0),
+        (20.0, 30.0),
+        (1e-12, 1e-12),
+    ],
+)
+def test_p_err_optimal_against_oracle_within_truncation_bound(alpha2, beta2):
+    res = p_err_optimal(PulsePair(alpha2, beta2))
+    expected = oracle_optimal(alpha2, beta2)
+    assert abs(res.error_probability - float(expected)) <= res.metadata["truncation_bound"]
+
+
+@pytest.mark.parametrize("alpha2,beta2", [(0.3, 1.1), (2.0, 0.5), (0.7, 0.7)])
+def test_sector_errors_match_block_spectra(alpha2, beta2):
+    # block N is w_N times the difference of two pure projectors, so its
+    # Helstrom error is w_N / 2 - |B_N|_1 / 4
+    pair = PulsePair(alpha2, beta2)
+    op = build_rho_diff(pair)
+    errors, half_norms, _ = _sectors(pair, op.n_max)
+    weights = np.exp(log_poisson_pmf_array(op.n_max, pair.total))
+    for n_total, block in enumerate(op.blocks):
+        norm = np.abs(np.linalg.eigvalsh(block)).sum()
+        assert half_norms[n_total] == pytest.approx(norm / 2.0, rel=1e-12, abs=1e-300)
+        assert errors[n_total] == pytest.approx(
+            weights[n_total] / 2.0 - norm / 4.0, abs=1e-14 * weights[n_total]
+        )
 
 
 def test_p_err_optimal_approaches_pure_state_bound():
@@ -152,13 +187,13 @@ def test_p_err_optimal_metadata_and_convergence():
 
 
 def test_p_err_optimal_dominates_receivers_on_sample_points():
-    from phasekit.receivers import p_homodyne_generalized, p_kennedy_generalized
-
-    for alpha2, beta2 in [(0.05, 0.05), (0.1, 1.0), (0.5, 4.0), (4.0, 0.1)]:
+    # strong signals leave every P tiny, so the slack is relative
+    points = [(0.05, 0.05), (0.1, 1.0), (0.5, 4.0), (4.0, 0.1), (20.0, 30.0), (12.0, 40.0)]
+    for alpha2, beta2 in points:
         pair = PulsePair(alpha2, beta2)
         opt = p_err_optimal(pair).error_probability
-        assert opt <= p_kennedy_generalized(pair).error_probability + 1e-9
-        assert opt <= p_homodyne_generalized(pair).error_probability + 1e-9
+        assert opt <= p_kennedy_generalized(pair).error_probability * (1.0 + 1e-12)
+        assert opt <= p_homodyne_generalized(pair).error_probability * (1.0 + 1e-12)
 
 
 def test_small_alpha_consistency_improves_as_signal_weakens():

@@ -161,19 +161,6 @@ def test_ml_rule_agrees_with_analytic(alpha2, beta2):
     assert est.contains(p_beamsplitter_ml(pair, splitter).error_probability)
 
 
-def test_random_common_phase_leaves_statistics_unchanged():
-    pair = PulsePair(0.1, 1.0)
-    fixed = run_trials(TrialConfig(pair, homodyne_splitter(), DecisionRule.ML_JOINT,
-                                   trials=400_000, seed=11))
-    mixed = run_trials(TrialConfig(pair, homodyne_splitter(), DecisionRule.ML_JOINT,
-                                   trials=400_000, seed=11, random_common_phase=True))
-    # same distribution, different draws: the intervals must overlap
-    assert fixed.ci99_low <= mixed.ci99_high and mixed.ci99_low <= fixed.ci99_high
-    analytic = p_homodyne_generalized(pair).error_probability
-    assert fixed.contains(analytic)
-    assert mixed.contains(analytic)
-
-
 # ------------------------------------------------------------- decision rule
 
 

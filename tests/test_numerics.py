@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 import phasekit.numerics as numerics
 from phasekit.numerics import (
-    EigensolverError,
     LogFactorialTable,
-    Spectrum,
-    SymmetricMatrix,
-    eigenvalues_symmetric,
     gaussian_upper_tail,
     log_poisson_pmf,
     log_poisson_pmf_array,
@@ -50,6 +46,22 @@ def test_log_factorial_table_matches_loggamma():
     for k in (2, 17, 400, 5000):
         exact = mp.loggamma(k + 1)
         assert abs(t.values[k] - float(exact)) <= 4e-16 * float(exact) + 1e-15
+
+
+def test_log_factorial_never_shrinks_the_shared_table(monkeypatch):
+    # another thread installs a larger table while this call rebuilds; the
+    # rebuild must neither replace it nor be read in its place
+    monkeypatch.setattr(numerics, "_shared_table", LogFactorialTable.build(16))
+    real_build = LogFactorialTable.build
+    larger = real_build(4096)
+
+    def build_during_concurrent_install(max_n):
+        numerics._shared_table = larger
+        return real_build(max_n)
+
+    monkeypatch.setattr(LogFactorialTable, "build", staticmethod(build_during_concurrent_install))
+    assert numerics.log_factorial(40) == pytest.approx(math.lgamma(41), rel=1e-15)
+    assert numerics._shared_table is larger
 
 
 def test_log_factorial_rejects_negative():
@@ -163,100 +175,3 @@ def test_gaussian_upper_tail_reference_points(x):
 @settings(max_examples=80)
 def test_gaussian_upper_tail_symmetry(x):
     assert gaussian_upper_tail(x) + gaussian_upper_tail(-x) == pytest.approx(1.0, abs=1e-12)
-
-
-# --------------------------------------------------------------- eigensolver
-
-
-def test_symmetric_matrix_validation():
-    with pytest.raises(ValueError):
-        SymmetricMatrix(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
-    with pytest.raises(ValueError):
-        SymmetricMatrix(np.zeros((0, 0)))
-    with pytest.raises(ValueError):
-        SymmetricMatrix(np.array([[np.inf]]))
-    m = SymmetricMatrix(np.array([[1.0, 2.0], [2.0, 3.0]]))
-    assert m.dimension == 2
-    assert m.trace() == 4.0
-    with pytest.raises(ValueError):
-        m.values[0, 0] = 5.0
-
-
-def test_eigenvalues_one_by_one():
-    s = eigenvalues_symmetric(np.array([[3.5]]))
-    assert s.eigenvalues.tolist() == [3.5]
-    assert s.residuals.tolist() == [0.0]
-
-
-@given(st.floats(min_value=-10.0, max_value=10.0))
-@settings(max_examples=40)
-def test_eigenvalues_off_diagonal_pair(a):
-    s = eigenvalues_symmetric(np.array([[0.0, a], [a, 0.0]]))
-    assert s.eigenvalues[0] == pytest.approx(-abs(a), abs=1e-14)
-    assert s.eigenvalues[1] == pytest.approx(abs(a), abs=1e-14)
-
-
-def _charpoly_roots(a):
-    # Faddeev-LeVerrier coefficients, roots from the companion matrix: a
-    # genuinely different route than any similarity-transform diagonalisation
-    d = a.shape[0]
-    coeffs = [1.0]
-    m = np.zeros_like(a)
-    for k in range(1, d + 1):
-        m = a @ m + coeffs[-1] * np.eye(d)
-        coeffs.append(-np.trace(a @ m) / k)
-    return np.sort(np.roots(coeffs).real)
-
-
-def test_eigenvalues_random_matrix_against_charpoly():
-    rng = np.random.default_rng(2024)
-    a = rng.standard_normal((6, 6))
-    a = (a + a.T) / 2.0
-    s = eigenvalues_symmetric(a)
-    assert np.abs(s.eigenvalues - _charpoly_roots(a)).max() < 1e-9
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=25)
-def test_eigenvalues_invariant_under_permutation(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((5, 5))
-    a = (a + a.T) / 2.0
-    perm = rng.permutation(5)
-    p = np.eye(5)[perm]
-    w1 = eigenvalues_symmetric(a).eigenvalues
-    w2 = eigenvalues_symmetric(p @ a @ p.T).eigenvalues
-    assert np.abs(np.sort(w1) - np.sort(w2)).max() < 1e-9
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=25)
-def test_eigenvalues_preserve_trace_and_count(seed):
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 9))
-    a = rng.standard_normal((d, d))
-    a = (a + a.T) / 2.0
-    s = eigenvalues_symmetric(a)
-    assert len(s.eigenvalues) == d
-    assert len(s.residuals) == d
-    scale = max(1.0, abs(np.trace(a)))
-    assert abs(s.trace() - np.trace(a)) < 1e-10 * scale
-
-
-def test_eigenvalues_zero_matrix():
-    s = eigenvalues_symmetric(np.zeros((4, 4)))
-    assert np.all(s.eigenvalues == 0.0)
-    assert s.sweeps == 0
-
-
-def test_eigensolver_budget_exhaustion(monkeypatch):
-    monkeypatch.setattr(numerics, "JACOBI_SWEEP_BUDGET", 0)
-    with pytest.raises(EigensolverError) as err:
-        eigenvalues_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert err.value.off_diagonal_norm > 0.0
-
-
-def test_spectrum_absolute_sum():
-    s = Spectrum(np.array([-2.0, 3.0]), np.zeros(2), 1)
-    assert s.absolute_sum() == 5.0
-    assert s.trace() == 1.0

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_homodyne, oracle_ml
+from oracles import oracle_homodyne, oracle_kennedy, oracle_ml
 from phasekit.model import Beamsplitter, PulsePair, homodyne_splitter, kennedy_angle
 from phasekit.receivers import (
     best_angle,
-    kennedy_rule_error,
     p_beamsplitter_ml,
     p_homodyne_asymptotic,
     p_homodyne_generalized,
@@ -166,11 +165,9 @@ def test_ml_receiver_never_beaten_by_single_port_rule():
     for alpha2, beta2 in [(0.1, 1.0), (0.1, 10.0), (0.5, 2.0)]:
         pair = PulsePair(alpha2, beta2)
         ml = p_beamsplitter_ml(pair, kennedy_angle(pair)).error_probability
-        single = kennedy_rule_error(pair).error_probability
+        single = p_kennedy_generalized(pair).error_probability
         assert ml <= single + 1e-12
-        assert single == pytest.approx(
-            p_kennedy_generalized(pair).error_probability, rel=1e-14
-        )
+        assert single == pytest.approx(float(oracle_kennedy(alpha2, beta2)), rel=1e-14)
 
 
 def test_ml_receiver_degenerate_inputs():

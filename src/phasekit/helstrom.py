@@ -153,6 +153,17 @@ def build_rho_diff(
     return TruncatedOperator(n_max, tuple(blocks), tail_bound)
 
 
+def _log_abs_r(pair: PulsePair) -> float:
+    """ln|r| with r = (beta^2 - alpha^2) / (alpha^2 + beta^2); both must be positive."""
+    ratio = 2.0 * min(pair.alpha2, pair.beta2) / pair.total  # 1 - |r|
+    # each form of ln|r| is accurate where the other one cancels
+    if ratio <= 0.5:
+        return math.log1p(-ratio)
+    if pair.alpha2 != pair.beta2:
+        return math.log(abs(pair.beta2 - pair.alpha2) / pair.total)
+    return NEG_INF
+
+
 def _sectors(pair: PulsePair, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sector terms for N = 0 .. n_max; alpha^2 and beta^2 must be positive.
 
@@ -160,14 +171,7 @@ def _sectors(pair: PulsePair, n_max: int) -> tuple[np.ndarray, np.ndarray, np.nd
     values w_N sqrt(1 - x_N) (half the trace norm of block N), and a bound
     on the float rounding of each error.
     """
-    ratio = 2.0 * min(pair.alpha2, pair.beta2) / pair.total  # 1 - |r|
-    # each form of ln|r| is accurate where the other one cancels
-    if ratio <= 0.5:
-        log_r = math.log1p(-ratio)
-    elif pair.alpha2 != pair.beta2:
-        log_r = math.log(abs(pair.beta2 - pair.alpha2) / pair.total)
-    else:
-        log_r = NEG_INF
+    log_r = _log_abs_r(pair)
     ns = np.arange(n_max + 1)
     log_x = np.zeros(n_max + 1)  # x_0 = r^0 = 1, also when r = 0
     log_x[1:] = 2.0 * ns[1:] * log_r
@@ -197,10 +201,11 @@ def p_err_optimal(
 
     Sectors N = 0 .. n_max are kept, n_max being the Poisson cutoff of
     alpha^2 + beta^2 at ``tail_tol`` plus a safety margin; each dropped
-    sector would add at most half its weight. ``metadata['truncation_bound']``
-    bounds the error in P by half the dropped Poisson mass plus the float
-    rounding of the log-space terms. ``metadata['trace_norm']`` is the trace
-    norm of the truncated state difference.
+    sector N would add at most w_N x_N / 2, and x_N never grows with N.
+    ``metadata['truncation_bound']`` therefore bounds the error in P by half
+    the dropped Poisson mass times x_(n_max+1), plus the float rounding of
+    the log-space terms. ``metadata['trace_norm']`` is the trace norm of the
+    truncated state difference.
     """
     n_max, tail_bound = _truncation(pair, tail_tol, max_total_photons)
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
@@ -214,12 +219,13 @@ def p_err_optimal(
             trace_norm=0.0,
         )
     errors, half_norms, rounding = _sectors(pair, n_max)
+    x_next = math.exp(2.0 * (n_max + 1) * _log_abs_r(pair))
     return DiscriminationResult.from_error_probability(
         math.fsum(errors),
         "helstrom_truncated",
         n_max=n_max,
         tail_tol=tail_tol,
-        truncation_bound=0.5 * tail_bound + float(rounding.sum()),
+        truncation_bound=0.5 * tail_bound * x_next + float(rounding.sum()),
         trace_norm=2.0 * math.fsum(half_norms),
     )
 

@@ -140,21 +140,28 @@ def p_beamsplitter_ml(
 ) -> DiscriminationResult:
     """Maximum-likelihood decision over joint counts (n, m) behind a splitter.
 
-    For each outcome the guess goes to the hypothesis with the larger joint
-    Poisson likelihood; outcomes whose log-likelihoods differ by less than
-    ``TIE_LOG_BAND`` contribute half their mass to the error. A count at a
-    port that is dark under one hypothesis settles the decision outright
-    (its likelihood is exactly zero), with no log arithmetic involved.
+    Energy conservation cancels the Poisson constants, so the log-likelihood
+    ratio of an outcome is linear, ln L+ - ln L- = a*n + b*m, with
+    a = ln(n1+/n1-) >= 0 >= b = ln(n2+/n2-): the decision boundary is a line
+    through the origin of count space. Each row n therefore splits the
+    m-axis into three runs, PLUS on [0, k1), tie on [k1, k2) and MINUS from
+    k2 on, and its errors are two lookups into cumulative sums of the port-2
+    pmfs; the whole sum costs O(n_cut log m_cut). Outcomes whose scores lie
+    within ``TIE_LOG_BAND`` of zero count as ties and contribute half their
+    mass to the error. A port that is dark under one hypothesis gives an
+    infinite slope, so a count there settles the decision outright.
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
-        # every outcome is an exact tie: without both pulses there is no
-        # relative phase to read out
+    means = output_means(pair, splitter)
+    if means.n1_plus == means.n1_minus and means.n2_plus == means.n2_minus:
+        # identical port statistics under both hypotheses (no signal, no
+        # reference, or phi = 0): every outcome is an exact tie
         return DiscriminationResult.from_error_probability(
             0.5, "beamsplitter_ml", degenerate=True, phi=splitter.phi
         )
-    means = output_means(pair, splitter)
+    a = math.inf if means.n1_minus == 0.0 else math.log(means.n1_plus / means.n1_minus)
+    b = -math.inf if means.n2_plus == 0.0 else math.log(means.n2_plus / means.n2_minus)
     n_cut = max(
         poisson_tail_cutoff(means.n1_plus, tail_tol),
         poisson_tail_cutoff(means.n1_minus, tail_tol),
@@ -163,31 +170,23 @@ def p_beamsplitter_ml(
         poisson_tail_cutoff(means.n2_plus, tail_tol),
         poisson_tail_cutoff(means.n2_minus, tail_tol),
     )
-    l1p = log_poisson_pmf_array(n_cut, means.n1_plus)
-    l1m = log_poisson_pmf_array(n_cut, means.n1_minus)
-    l2p = log_poisson_pmf_array(m_cut, means.n2_plus)
-    l2m = log_poisson_pmf_array(m_cut, means.n2_minus)
-    with np.errstate(invalid="ignore"):
-        d1 = l1p - l1m
-        d2 = l2p - l2m
-    pmf1p, pmf1m = np.exp(l1p), np.exp(l1m)
-    pmf2p, pmf2m = np.exp(l2p), np.exp(l2m)
-    err_plus = 0.0
-    err_minus = 0.0
-    with np.errstate(invalid="ignore"):
-        for n in range(n_cut + 1):
-            # diff is NaN only for outcomes impossible under both hypotheses,
-            # which carry no mass and fall through every mask below
-            diff = d1[n] + d2
-            row_plus = pmf1p[n] * pmf2p
-            row_minus = pmf1m[n] * pmf2m
-            tie = np.abs(diff) <= TIE_LOG_BAND
-            err_plus += float(row_plus[diff < -TIE_LOG_BAND].sum()) + 0.5 * float(
-                row_plus[tie].sum()
-            )
-            err_minus += float(row_minus[diff > TIE_LOG_BAND].sum()) + 0.5 * float(
-                row_minus[tie].sum()
-            )
+    pmf1p = np.exp(log_poisson_pmf_array(n_cut, means.n1_plus))
+    pmf1m = np.exp(log_poisson_pmf_array(n_cut, means.n1_minus))
+    pmf2p = np.exp(log_poisson_pmf_array(m_cut, means.n2_plus))
+    pmf2m = np.exp(log_poisson_pmf_array(m_cut, means.n2_minus))
+    # scores a*n and -b*m, with the zero count scoring 0 rather than 0*inf
+    score1 = np.concatenate(([0.0], a * np.arange(1, n_cut + 1)))
+    score2 = np.concatenate(([0.0], -b * np.arange(1, m_cut + 1)))
+    k1 = np.searchsorted(score2, score1 - TIE_LOG_BAND, side="left")
+    k2 = np.searchsorted(score2, score1 + TIE_LOG_BAND, side="right")
+    # err+ takes mass from the upper end of port 2 and err- from the lower
+    # end, so tails are summed from the far end and heads from zero: each
+    # term keeps its relative precision when P is tiny. Half of the tie run
+    # [k1, k2) added to the decided run is the mean of the two lookups.
+    tail2p = np.concatenate((np.cumsum(pmf2p[::-1])[::-1], [0.0]))
+    head2m = np.concatenate(([0.0], np.cumsum(pmf2m)))
+    err_plus = 0.5 * float(pmf1p @ (tail2p[k1] + tail2p[k2]))
+    err_minus = 0.5 * float(pmf1m @ (head2m[k1] + head2m[k2]))
     p = 0.5 * (err_plus + err_minus)
     neglected = (
         max(0.0, 1.0 - float(pmf1p.sum()))

@@ -63,11 +63,12 @@ def oracle_ml(alpha2, beta2, phi, terms=80):
         a, b = mp.sqrt(mp.mpf(alpha2)), mp.sqrt(mp.mpf(beta2))
         r, t = mp.cos(mp.mpf(phi)), mp.sin(mp.mpf(phi))
         means = [(r * b + t * a) ** 2, (r * b - t * a) ** 2, (t * b - r * a) ** 2, (t * b + r * a) ** 2]
+        pmfs = [[_pmf(mean, n) for n in range(terms)] for mean in means]
         err = mp.mpf(0)
         for n in range(terms):
             for m in range(terms):
-                plus = _pmf(means[0], n) * _pmf(means[2], m)
-                minus = _pmf(means[1], n) * _pmf(means[3], m)
+                plus = pmfs[0][n] * pmfs[2][m]
+                minus = pmfs[1][n] * pmfs[3][m]
                 if plus > minus:
                     err += minus
                 elif minus > plus:

@@ -52,6 +52,12 @@ def test_bsclass_balanced_angle_matches_homodyne():
     assert abs(parse_scalars(a.stdout)["P"] - parse_scalars(b.stdout)["P"]) < 1e-12
 
 
+def test_bsclass_phi_zero_is_an_exact_tie():
+    proc = run_cli("bsclass", "--alpha2", "0.1", "--beta2", "1000", "--phi-over-pi", "0")
+    assert proc.returncode == 0
+    assert proc.stdout == b"P = 0.5\nD = 0\n"
+
+
 def test_optimum_small_alpha_method():
     proc = run_cli("optimum", "--alpha2", "0.0001", "--beta2", "1", "--method", "small-alpha")
     assert proc.returncode == 0

@@ -146,6 +146,7 @@ def test_p_err_optimal_no_signal():
         (0.1, 1000.0),
         (5.0, 5.0),
         (20.0, 30.0),
+        (12.0, 40.0),
         (1e-12, 1e-12),
     ],
 )
@@ -153,6 +154,14 @@ def test_p_err_optimal_against_oracle_within_truncation_bound(alpha2, beta2):
     res = p_err_optimal(PulsePair(alpha2, beta2))
     expected = oracle_optimal(alpha2, beta2)
     assert abs(res.error_probability - float(expected)) <= res.metadata["truncation_bound"]
+
+
+def test_truncation_bound_stays_relative_to_a_tiny_optimum():
+    # dropped sectors carry the factor x_N, which is far below 1 here, so
+    # half the dropped Poisson mass alone (1.8e-14) would dwarf P itself
+    res = p_err_optimal(PulsePair(12.0, 40.0))
+    assert res.error_probability == pytest.approx(2.30384903295e-17, rel=1e-11)
+    assert res.metadata["truncation_bound"] < 1e-12 * res.error_probability
 
 
 @pytest.mark.parametrize("alpha2,beta2", [(0.3, 1.1), (2.0, 0.5), (0.7, 0.7)])

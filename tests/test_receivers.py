@@ -171,8 +171,32 @@ def test_ml_receiver_never_beaten_by_single_port_rule():
 
 
 def test_ml_receiver_degenerate_inputs():
-    assert p_beamsplitter_ml(PulsePair(0.0, 3.0), Beamsplitter(0.2)).error_probability == 0.5
-    assert p_beamsplitter_ml(PulsePair(3.0, 0.0), Beamsplitter(0.2)).error_probability == 0.5
+    # no signal, no reference, or phi = 0: both hypotheses give the same port
+    # means; at phi = 0 summing the truncated pmfs instead would overshoot
+    # 1/2 at a strong reference
+    for pair, phi in [
+        (PulsePair(0.0, 3.0), 0.2),
+        (PulsePair(3.0, 0.0), 0.2),
+        (PulsePair(1e-6, 1e4), 0.0),
+    ]:
+        res = p_beamsplitter_ml(pair, Beamsplitter(phi))
+        assert res.error_probability == 0.5
+        assert res.metadata["degenerate"]
+
+
+@pytest.mark.parametrize("alpha2,beta2", [(20.0, 30.0), (12.0, 40.0)])
+def test_ml_receiver_keeps_relative_precision_at_tiny_error(alpha2, beta2):
+    # P is 3.3e-19 and 2.6e-12 at pi/4, so only a relative tolerance sees
+    # precision lost in the tie run or in a cumulative sum
+    pair = PulsePair(alpha2, beta2)
+    phi = 0.15 * math.pi
+    checks = [
+        (homodyne_splitter(), oracle_homodyne(alpha2, beta2, terms=120)),
+        (Beamsplitter(phi), oracle_ml(alpha2, beta2, phi, terms=120)),
+    ]
+    for splitter, expected in checks:
+        got = p_beamsplitter_ml(pair, splitter).error_probability
+        assert abs(got - float(expected)) <= 1e-12 * float(expected)
 
 
 def test_ml_receiver_metadata_bounds():
@@ -198,11 +222,13 @@ def test_best_angle_validation_and_degenerate():
 
 
 def test_best_angle_beats_both_special_angles():
-    pair = PulsePair(0.1, 1.0)
-    _, res = best_angle(pair, grid_points=64)
-    hom = p_homodyne_generalized(pair).error_probability
-    ken = p_kennedy_generalized(pair).error_probability
-    assert res.error_probability <= min(hom, ken) + 1e-9
+    # the grid starts at phi = 0, which must not raise at a strong reference
+    for beta2 in (1.0, 1e4):
+        pair = PulsePair(0.1, beta2)
+        _, res = best_angle(pair, grid_points=64)
+        hom = p_homodyne_generalized(pair).error_probability
+        ken = p_kennedy_generalized(pair).error_probability
+        assert res.error_probability <= min(hom, ken) + 1e-9
 
 
 def test_best_angle_is_deterministic():

@@ -2,7 +2,8 @@
 
 Trials draw a hypothesis fairly, Poisson counts per output port, and apply
 one of three decision rules. Counts with mean below 30 are sampled by
-inversion (sequential CDF search) against a single uniform draw; larger
+inverting a single uniform draw against the Poisson CDF, looked up in a
+guide table built once per run (indexed search, Chen & Asau 1974); larger
 means fall back to the generator's own Poisson sampler. Streams come from
 numpy's PCG64 seeded through ``SeedSequence(seed).spawn``, one child per
 fixed-size trial block, so runs are reproducible bit for bit and block
@@ -116,32 +117,76 @@ class EstimateResult:
         return self.ci99_low <= value <= self.ci99_high
 
 
-def _poisson_inverse(u: np.ndarray, mean) -> np.ndarray:
-    """Invert uniforms against the Poisson CDF (means < 30, scalar or vector)."""
-    counts = np.zeros(np.shape(u), dtype=np.int64)
-    pmf = np.exp(-np.asarray(mean, dtype=float))
-    cum = pmf.copy()
-    active = u > cum
-    top = float(np.max(mean))
-    # active trials die off geometrically; the cap only guards degenerate
-    # uniforms at the very edge of the CDF
-    cap = int(top + 50.0 * math.sqrt(top + 1.0) + 200.0)
-    k = 0
-    while bool(active.any()) and k < cap:
-        counts[active] += 1
-        k += 1
-        pmf = pmf * (mean / k)
-        cum = cum + pmf
-        active = u > cum
-    return counts
+def _inversion_cap(top: float) -> int:
+    # the largest count inversion returns for a block whose largest mean is
+    # ``top``; it only binds on uniforms above a CDF that saturates below 1
+    return int(top + 50.0 * math.sqrt(top + 1.0) + 200.0)
+
+
+# no block's cap exceeds this, so one CDF length serves all of them
+_CDF_LENGTH = _inversion_cap(_INVERSION_MEAN_LIMIT)
+
+# uniforms are multiples of 2**-53, so u * _GUIDE_BINS floors exactly
+_GUIDE_BINS = 1 << 16
+
+
+class _InversionTable:
+    """Poisson CDFs of one or two means, each with a guide for indexed search.
+
+    Row r holds ``cum[r, k]`` from the float recurrence pmf_0 = exp(-mean),
+    pmf_k = pmf_(k-1) * (mean / k), cum_k = cum_(k-1) + pmf_k, and
+    ``guide[r, b]``, the number of ``cum[r, k]`` below b / _GUIDE_BINS. A
+    uniform in bin b inverts to ``guide[r, b]`` unless a CDF step falls inside
+    the bin (``guide[r, b + 1]`` differs), in which case a binary search over
+    the row settles it.
+    """
+
+    def __init__(self, means) -> None:
+        col = np.asarray(means, dtype=float)[:, None]
+        # cumprod and cumsum accumulate left to right, one IEEE operation per
+        # step, exactly as the recurrence does; the far tail underflows to 0
+        with np.errstate(under="ignore"):
+            pmf = np.cumprod(
+                np.concatenate((np.exp(-col), col / np.arange(1, _CDF_LENGTH)), axis=1),
+                axis=1,
+            )
+        self.cum = np.cumsum(pmf, axis=1)
+        # cum never decreases, and with G = _GUIDE_BINS, cum < b / G exactly
+        # when floor(cum * G) < b (* G is exact), so guide[b] = k on the bins
+        # from floor(cum[k - 1] * G) + 1 up to floor(cum[k] * G)
+        starts = (self.cum * _GUIDE_BINS).astype(np.intp) + 1
+        counts = np.arange(_CDF_LENGTH + 1, dtype=np.int16)
+        self.guide = np.stack(
+            [np.repeat(counts, np.diff(row, prepend=0, append=_GUIDE_BINS + 1)) for row in starts]
+        )
+
+    def invert(self, u: np.ndarray, upper, cap: int) -> np.ndarray:
+        """min(first k with u <= cum[row, k], cap) for each uniform of ``u``.
+
+        ``u`` is one-dimensional. Uniforms where ``upper`` is true read row 1,
+        the others row 0; ``upper`` is a boolean array or one bool for all.
+        """
+        stride = _GUIDE_BINS + 1
+        b = (u * _GUIDE_BINS).astype(np.intp)
+        b += upper * stride
+        flat = self.guide.ravel()
+        counts = flat[b]
+        # flat[1:][b] is each bin's upper edge, without a b + 1 temporary
+        step = np.flatnonzero(flat[1:][b] != counts)
+        if step.size:
+            step_rows = b[step] // stride
+            for r, cum in enumerate(self.cum):
+                at = step[step_rows == r]
+                counts[at] = np.searchsorted(cum, u[at])
+        return np.minimum(counts, cap).astype(np.int64)
 
 
 def sample_poisson(mean: float, rng: np.random.Generator, size=None):
     """Poisson counts; a single int when ``size`` is None, else an array.
 
-    A zero mean returns 0 without consuming randomness. Means below 30 use
-    CDF inversion (one uniform per draw); larger means delegate to
-    ``rng.poisson``.
+    A zero mean returns 0 without consuming randomness. Means below 30 invert
+    one uniform per draw through a guide table over the Poisson CDF; larger
+    means delegate to ``rng.poisson``.
     """
     if mean < 0:
         raise ValueError(f"mean must be non-negative, got {mean}")
@@ -149,15 +194,21 @@ def sample_poisson(mean: float, rng: np.random.Generator, size=None):
         return 0 if size is None else np.zeros(size, dtype=np.int64)
     if mean < _INVERSION_MEAN_LIMIT:
         u = rng.random(1 if size is None else size)
-        counts = _poisson_inverse(u, mean)
-        return int(counts[0]) if size is None else counts
+        counts = _InversionTable([mean]).invert(u.ravel(), False, _inversion_cap(mean))
+        return int(counts[0]) if size is None else counts.reshape(u.shape)
     out = rng.poisson(mean, size=size)
     return int(out) if size is None else out
 
 
-def _draw_counts(rng: np.random.Generator, mean_vec: np.ndarray) -> np.ndarray:
-    if float(np.max(mean_vec)) < _INVERSION_MEAN_LIMIT:
-        return _poisson_inverse(rng.random(mean_vec.shape), mean_vec)
+def _draw_counts(
+    rng: np.random.Generator,
+    mean_vec: np.ndarray,
+    table: _InversionTable,
+    minus: np.ndarray,
+) -> np.ndarray:
+    top = float(np.max(mean_vec))
+    if top < _INVERSION_MEAN_LIMIT:
+        return table.invert(rng.random(mean_vec.shape), minus, _inversion_cap(top))
     return rng.poisson(mean_vec).astype(np.int64)
 
 
@@ -168,13 +219,18 @@ def _log_pmf_of_counts(counts: np.ndarray, mean: float) -> np.ndarray:
 
 
 def _simulate_block(
-    cfg: TrialConfig, means: OutputMeans, rng: np.random.Generator, size: int
+    cfg: TrialConfig,
+    means: OutputMeans,
+    tables: tuple[_InversionTable, _InversionTable],
+    rng: np.random.Generator,
+    size: int,
 ) -> int:
     hyp_plus = rng.random(size) < 0.5
+    minus = ~hyp_plus
     mean1 = np.where(hyp_plus, means.n1_plus, means.n1_minus)
     mean2 = np.where(hyp_plus, means.n2_plus, means.n2_minus)
-    counts1 = _draw_counts(rng, mean1)
-    counts2 = _draw_counts(rng, mean2)
+    counts1 = _draw_counts(rng, mean1, tables[0], minus)
+    counts2 = _draw_counts(rng, mean2, tables[1], minus)
 
     if cfg.rule is DecisionRule.KENNEDY_SINGLE_PORT:
         guess_plus = counts2 == 0
@@ -209,6 +265,12 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
     estimate is identical however the blocks are scheduled.
     """
     means = output_means(cfg.pair, cfg.splitter)
+    # one table per port, row 0 for PLUS trials and row 1 for MINUS trials;
+    # blocks only read them, so every block sees the same CDFs
+    tables = (
+        _InversionTable([means.n1_plus, means.n1_minus]),
+        _InversionTable([means.n2_plus, means.n2_minus]),
+    )
     n_blocks = (cfg.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     children = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
     sizes = [
@@ -217,7 +279,7 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
 
     def run_block(i: int) -> int:
         rng = np.random.Generator(np.random.PCG64(children[i]))
-        return _simulate_block(cfg, means, rng, sizes[i])
+        return _simulate_block(cfg, means, tables, rng, sizes[i])
 
     errors = sum(parallel_map(run_block, range(n_blocks)))
     return EstimateResult.from_counts(errors, cfg.trials, cfg.seed)

@@ -55,6 +55,19 @@ TIE_LOG_BAND = 1e-12
 ANGLE_TOL = 1e-6
 
 
+def _mass_accounting(*pmfs: np.ndarray) -> tuple[float, float]:
+    """Tail mass the truncated pmfs drop, and their rounding excess above 1.
+
+    A truncated pmf sums to at most 1 in exact arithmetic. At large means the
+    log-pmf rounding can push the float sum above 1 (by 7.9e-12 at mean 1e4);
+    the error bound must cover that excess on top of the truncation budget.
+    """
+    totals = [float(pmf.sum()) for pmf in pmfs]
+    neglected = sum(max(0.0, 1.0 - total) for total in totals)
+    excess = sum(max(0.0, total - 1.0) for total in totals)
+    return neglected, excess
+
+
 def p_min_pure(alpha2: float) -> DiscriminationResult:
     """Minimum error probability for the two pure signal states alone.
 
@@ -124,14 +137,14 @@ def p_homodyne_generalized(
     pmf_lo = np.exp(log_poisson_pmf_array(cut, mean_lo))
     cdf_hi = np.cumsum(pmf_hi)
     p = float(pmf_lo[1:] @ cdf_hi[:-1]) + 0.5 * float(pmf_hi @ pmf_lo)
-    neglected = max(0.0, 1.0 - float(pmf_hi.sum())) + max(0.0, 1.0 - float(pmf_lo.sum()))
+    neglected, excess = _mass_accounting(pmf_hi, pmf_lo)
     return DiscriminationResult.from_error_probability(
         p,
         "homodyne_generalized",
         tail_tol=tail_tol,
         cutoff=cut,
         neglected_mass=neglected,
-        error_bound=2.0 * tail_tol,
+        error_bound=2.0 * tail_tol + excess,
     )
 
 
@@ -188,12 +201,7 @@ def p_beamsplitter_ml(
     err_plus = 0.5 * float(pmf1p @ (tail2p[k1] + tail2p[k2]))
     err_minus = 0.5 * float(pmf1m @ (head2m[k1] + head2m[k2]))
     p = 0.5 * (err_plus + err_minus)
-    neglected = (
-        max(0.0, 1.0 - float(pmf1p.sum()))
-        + max(0.0, 1.0 - float(pmf1m.sum()))
-        + max(0.0, 1.0 - float(pmf2p.sum()))
-        + max(0.0, 1.0 - float(pmf2m.sum()))
-    )
+    neglected, excess = _mass_accounting(pmf1p, pmf1m, pmf2p, pmf2m)
     return DiscriminationResult.from_error_probability(
         p,
         "beamsplitter_ml",
@@ -202,7 +210,7 @@ def p_beamsplitter_ml(
         n_cut=n_cut,
         m_cut=m_cut,
         neglected_mass=neglected,
-        error_bound=4.0 * tail_tol,
+        error_bound=4.0 * tail_tol + excess,
         tie_log_band=TIE_LOG_BAND,
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from phasekit.montecarlo import (
     DecisionRule,
     EstimateResult,
     TrialConfig,
+    _InversionTable,
+    _draw_counts,
     decide,
     run_trials,
     sample_poisson,
@@ -66,6 +69,166 @@ def test_sample_poisson_scalar_reproducible():
     a = sample_poisson(2.5, np.random.default_rng(99))
     b = sample_poisson(2.5, np.random.default_rng(99))
     assert a == b
+
+
+# ------------------------------------------------- inversion exactness
+
+
+def _sequential_cdf_search(u, mean):
+    """Reference inversion: step k up while u exceeds the running CDF.
+
+    The per-count loop the guide-table sampler replaced; its counts are the
+    ones every seeded run is pinned to.
+    """
+    counts = np.zeros(np.shape(u), dtype=np.int64)
+    pmf = np.exp(-np.asarray(mean, dtype=float))
+    cum = pmf.copy()
+    active = u > cum
+    top = float(np.max(mean))
+    cap = int(top + 50.0 * math.sqrt(top + 1.0) + 200.0)
+    k = 0
+    while bool(active.any()) and k < cap:
+        counts[active] += 1
+        k += 1
+        pmf = pmf * (mean / k)
+        cum = cum + pmf
+        active = u > cum
+    return counts
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next uniforms are known."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert np.prod(size) == self.u.size
+        return self.u
+
+
+_LARGEST_UNIFORM = 1.0 - 2.0**-53
+
+
+def _edge_uniforms(*means):
+    """0, the largest uniform, steps of 1/4096, and every CDF value of each
+    mean with its two float neighbours, all inside [0, 1)."""
+    points = [0.0, _LARGEST_UNIFORM, *(np.arange(4096) / 4096)]
+    for mean in means:
+        pmf = cum = float(np.exp(-mean))
+        for k in range(1, 520):
+            points += [cum, math.nextafter(cum, 0.0), math.nextafter(cum, 2.0)]
+            pmf *= mean / k
+            cum += pmf
+    u = np.array(points)
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+INVERSION_MEANS = (0.0, 1e-9, 0.1, 0.5, 3.3, 10.0, 29.99)
+
+
+def test_edge_uniforms_reach_a_saturated_cdf():
+    # the CDFs of 0.1 and 29.99 stop below the largest uniform, so the top
+    # uniforms run to the count cap; 3.3 is a mean where math.exp(-mean)
+    # and numpy's exp differ in the last bit
+    assert _sequential_cdf_search(np.array([_LARGEST_UNIFORM]), 0.1)[0] == 252
+    assert _sequential_cdf_search(np.array([_LARGEST_UNIFORM]), 29.99)[0] == 508
+    assert math.exp(-3.3) != np.exp(-3.3)
+
+
+@pytest.mark.parametrize("mean", INVERSION_MEANS)
+def test_sample_poisson_matches_sequential_search(mean):
+    u = np.concatenate([_edge_uniforms(mean), np.random.default_rng(17).random(20_000)])
+    got = sample_poisson(mean, _FixedUniforms(u), size=u.size)
+    np.testing.assert_array_equal(got, _sequential_cdf_search(u, mean))
+
+
+def test_sample_poisson_keeps_the_requested_shape():
+    draws = sample_poisson(3.3, np.random.default_rng(5), size=(40, 50))
+    u = np.random.default_rng(5).random((40, 50))
+    assert draws.shape == (40, 50)
+    np.testing.assert_array_equal(draws, _sequential_cdf_search(u, 3.3))
+
+
+@pytest.mark.parametrize(
+    "mean_plus,mean_minus",
+    [(0.0, 0.5), (1e-9, 10.0), (3.3, 0.1), (29.99, 0.1), (10.0, 29.99), (0.5, 3.3)],
+)
+@pytest.mark.parametrize("hypotheses", ["mixed", "plus only", "minus only"])
+def test_block_draws_match_sequential_search(mean_plus, mean_minus, hypotheses):
+    edges = _edge_uniforms(mean_plus, mean_minus)
+    rng = np.random.default_rng(18)
+    u = np.concatenate([edges, edges, rng.random(20_000)])
+    if hypotheses == "mixed":
+        hyp_plus = np.concatenate(
+            [np.ones(edges.size, bool), np.zeros(edges.size, bool), rng.random(20_000) < 0.5]
+        )
+    else:
+        # a block holding one hypothesis caps its counts at that mean's cap
+        hyp_plus = np.full(u.size, hypotheses == "plus only")
+    mean_vec = np.where(hyp_plus, mean_plus, mean_minus)
+    table = _InversionTable([mean_plus, mean_minus])
+    got = _draw_counts(_FixedUniforms(u), mean_vec, table, ~hyp_plus)
+    np.testing.assert_array_equal(got, _sequential_cdf_search(u, mean_vec))
+
+
+# counts the sequential-search sampler produced; every seeded run stays on them
+GOLDEN_ERRORS = {
+    (DecisionRule.HOMODYNE_COMPARE, 1.0): 29888,
+    (DecisionRule.KENNEDY_SINGLE_PORT, 1.0): 34791,
+    (DecisionRule.ML_JOINT, 1.0): 30626,
+    (DecisionRule.HOMODYNE_COMPARE, 10.0): 26611,
+    (DecisionRule.KENNEDY_SINGLE_PORT, 10.0): 33730,
+    (DecisionRule.ML_JOINT, 10.0): 26303,
+    (DecisionRule.HOMODYNE_COMPARE, 100.0): 26241,
+    (DecisionRule.KENNEDY_SINGLE_PORT, 100.0): 33655,
+    (DecisionRule.ML_JOINT, 100.0): 26218,
+}
+
+
+@pytest.mark.parametrize("rule,beta2", list(GOLDEN_ERRORS))
+def test_run_trials_golden_errors(rule, beta2):
+    pair = PulsePair(0.1, beta2)
+    splitter = {
+        DecisionRule.HOMODYNE_COMPARE: homodyne_splitter(),
+        DecisionRule.KENNEDY_SINGLE_PORT: kennedy_angle(pair),
+        DecisionRule.ML_JOINT: Beamsplitter(0.15 * math.pi),
+    }[rule]
+    est = run_trials(TrialConfig(pair, splitter, rule, trials=100_000, seed=2024))
+    assert est.errors == GOLDEN_ERRORS[rule, beta2]
+
+
+def test_run_trials_golden_errors_partial_and_tiny_blocks():
+    ml = dict(pair=PulsePair(0.2, 4.0), splitter=Beamsplitter(0.15 * math.pi),
+              rule=DecisionRule.ML_JOINT)
+    # port 1 means 32.5 (PLUS) and 27.6 (MINUS) straddle the inversion limit
+    straddle = dict(pair=PulsePair(0.1, 60.0), splitter=homodyne_splitter(),
+                    rule=DecisionRule.HOMODYNE_COMPARE)
+    assert run_trials(TrialConfig(trials=70_001, seed=5, **ml)).errors == 13102
+    assert run_trials(TrialConfig(trials=70_001, seed=5, **straddle)).errors == 18507
+    assert [run_trials(TrialConfig(trials=3, seed=s, **ml)).errors for s in range(20)] == [
+        2, 2, 2, 0, 0, 0, 0, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 1
+    ]
+    assert [run_trials(TrialConfig(trials=3, seed=s, **straddle)).errors for s in range(20)] == [
+        1, 1, 1, 1, 2, 2, 0, 2, 0, 0, 2, 0, 2, 0, 1, 0, 0, 2, 0, 2
+    ]
+
+
+@pytest.mark.parametrize(
+    "mean,digest,head,scalar",
+    [
+        (0.5, "05bc1268b2e10f31", [1, 0, 1, 0, 1, 0, 0, 0], 0),
+        (10.0, "4aeb29a9995f4dc5", [14, 6, 11, 10, 11, 5, 5, 7], 7),
+        (29.9, "86ef668fd9110f8c", [37, 22, 32, 29, 32, 21, 21, 25], 24),
+        (80.0, "1438a67e8b21fc5b", [94, 85, 85, 60, 85, 78, 74, 93], 70),
+    ],
+)
+def test_sample_poisson_golden_draws(mean, digest, head, scalar):
+    draws = sample_poisson(mean, np.random.default_rng(31), size=100_000)
+    assert draws[:8].tolist() == head
+    raw = np.ascontiguousarray(draws, dtype="<i8").tobytes()
+    assert hashlib.sha256(raw).hexdigest()[:16] == digest
+    assert sample_poisson(mean, np.random.default_rng(32)) == scalar
 
 
 # ------------------------------------------------------------- configuration

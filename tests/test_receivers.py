@@ -1,12 +1,14 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_homodyne, oracle_kennedy, oracle_ml
-from phasekit.model import Beamsplitter, PulsePair, homodyne_splitter, kennedy_angle
+from phasekit.model import Beamsplitter, PulsePair, homodyne_splitter, kennedy_angle, output_means
+from phasekit.numerics import log_poisson_pmf_array
 from phasekit.receivers import (
     best_angle,
     p_beamsplitter_ml,
@@ -204,6 +206,35 @@ def test_ml_receiver_metadata_bounds():
     assert res.metadata["neglected_mass"] < 4e-12
     assert res.metadata["error_bound"] == 4e-12
 
+
+
+def _rounding_excess(cut, *means):
+    # how far each truncated pmf sums above 1, summed exactly
+    return sum(
+        max(0.0, math.fsum(np.exp(log_poisson_pmf_array(cut, mean))) - 1.0)
+        for mean in means
+    )
+
+
+def test_error_bound_covers_log_pmf_rounding_at_large_means():
+    # at beta^2 = 1e4 the rounded pmfs of some ports sum above 1; that excess
+    # is error the truncation budget alone does not cover
+    pair = PulsePair(0.1, 1e4)
+    splitter = Beamsplitter(0.15 * math.pi)
+    means = output_means(pair, splitter)
+    ml = p_beamsplitter_ml(pair, splitter).metadata
+    excess = _rounding_excess(ml["n_cut"], means.n1_plus, means.n1_minus) + _rounding_excess(
+        ml["m_cut"], means.n2_plus, means.n2_minus
+    )
+    assert excess > 1e-12
+    # the receiver sums each pmf pairwise, the test exactly: allow for that
+    assert ml["error_bound"] >= 4e-12 + excess * (1.0 - 1e-6)
+
+    hom = p_homodyne_generalized(pair).metadata
+    alpha, beta = pair.alpha, pair.beta
+    excess = _rounding_excess(hom["cutoff"], 0.5 * (beta + alpha) ** 2, 0.5 * (beta - alpha) ** 2)
+    assert excess > 0.0
+    assert hom["error_bound"] >= 2e-12 + excess * (1.0 - 1e-6)
 
 def test_ml_approaches_gaussian_limit_at_any_interior_angle():
     # convergence in the strong-reference limit is not uniform in the angle,

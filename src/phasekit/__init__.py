@@ -10,21 +10,14 @@ the parameter sweeps behind the numbered figure tables.
 __version__ = "0.1.0"
 
 from .helstrom import (
-    SmallAlphaMode,
-    SmallAlphaSpectrum,
-    TruncatedOperator,
     TruncationCeilingError,
-    build_rho_diff,
     d_err_small_alpha,
     p_err_optimal,
     small_alpha_series_cutoff,
-    small_alpha_spectrum,
 )
 from .model import (
     Beamsplitter,
-    ClickOutcome,
     DiscriminationResult,
-    Hypothesis,
     OutputMeans,
     PulsePair,
     SplitterRangeError,
@@ -37,7 +30,6 @@ from .montecarlo import (
     DecisionRule,
     EstimateResult,
     TrialConfig,
-    decide,
     run_trials,
     sample_poisson,
 )
@@ -71,27 +63,20 @@ from .scan import (
 __all__ = [
     "__version__",
     "Beamsplitter",
-    "ClickOutcome",
     "ConfigurationError",
     "DecisionRule",
     "DiscriminationResult",
     "EstimateResult",
-    "Hypothesis",
     "LogFactorialTable",
     "NumericalResourceError",
     "OutputMeans",
     "PulsePair",
-    "SmallAlphaMode",
-    "SmallAlphaSpectrum",
     "SplitterRangeError",
     "Table",
     "TrialConfig",
-    "TruncatedOperator",
     "TruncationCeilingError",
     "best_angle",
-    "build_rho_diff",
     "d_err_small_alpha",
-    "decide",
     "figure_angle_sweep",
     "figure_homodyne_ratios",
     "figure_kennedy_ratios",
@@ -113,7 +98,6 @@ __all__ = [
     "run_trials",
     "sample_poisson",
     "small_alpha_series_cutoff",
-    "small_alpha_spectrum",
     "write_csv",
     "write_json",
 ]

@@ -10,18 +10,16 @@ is therefore a weighted sum of pure-state Helstrom terms,
     P_err = 1/2 * sum over N of w_N * x_N / (1 + sqrt(1 - x_N)),
 
 a sum of positive terms, so a tiny P keeps full relative precision.
-``build_rho_diff`` assembles the state difference explicitly, block by
-block in N, as an independent route for checking that sum.
 
-For weak signals the leading order in the signal amplitude admits a
-closed-form spectrum and a fast series for the distinguishability; both
-routes are provided so they can cross-check each other.
+For weak signals the leading order in the signal amplitude has a
+closed-form spectrum, +/- lambda_n with
+lambda_n = 2 beta^(2n+1) alpha e^(-beta^2) / sqrt(n! (n+1)!), whose sum is a
+fast series for the distinguishability.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +38,7 @@ __all__ = [
     "DEFAULT_MAX_TOTAL_PHOTONS",
     "TRUNCATION_SAFETY_MARGIN",
     "TruncationCeilingError",
-    "TruncatedOperator",
-    "SmallAlphaMode",
-    "SmallAlphaSpectrum",
-    "build_rho_diff",
     "p_err_optimal",
-    "small_alpha_spectrum",
     "small_alpha_series_cutoff",
     "d_err_small_alpha",
 ]
@@ -74,83 +67,6 @@ class TruncationCeilingError(NumericalResourceError):
         )
         self.needed = needed
         self.ceiling = ceiling
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Difference of the two phase-averaged states on a truncated basis.
-
-    ``blocks[N]`` is a read-only array acting on the span of
-    |n_ref> x |n_sig> with n_ref + n_sig = N, indexed by n_ref = 0 .. N.
-    Entries vanish unless the signal parities of bra and ket differ, so
-    every diagonal (and the total trace) is exactly zero.
-    """
-
-    n_max: int
-    blocks: tuple[np.ndarray, ...]
-    tail_bound: float
-
-    def trace(self) -> float:
-        return sum(float(np.trace(b)) for b in self.blocks)
-
-    @staticmethod
-    def block_basis(n_total: int) -> list[tuple[int, int]]:
-        return [(n_ref, n_total - n_ref) for n_ref in range(n_total + 1)]
-
-
-def _truncation(
-    pair: PulsePair, tail_tol: float, max_total_photons: int
-) -> tuple[int, float]:
-    """Largest total photon number kept, and the Poisson mass beyond it."""
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    n_max = poisson_tail_cutoff(pair.total, tail_tol) + TRUNCATION_SAFETY_MARGIN
-    if n_max > max_total_photons:
-        raise TruncationCeilingError(n_max, max_total_photons)
-    return n_max, poisson_upper_tail(pair.total, n_max)
-
-
-def _read_only(block: np.ndarray) -> np.ndarray:
-    block.setflags(write=False)
-    return block
-
-
-def build_rho_diff(
-    pair: PulsePair,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    max_total_photons: int = DEFAULT_MAX_TOTAL_PHOTONS,
-) -> TruncatedOperator:
-    """Assemble the state difference blockwise in total photon number.
-
-    The basis keeps total photon numbers up to the Poisson cutoff of
-    alpha^2 + beta^2 at ``tail_tol`` plus a safety margin. Entry magnitudes
-    are formed in log space and exponentiated once; all entries are
-    non-negative, so no sign bookkeeping survives to the caller.
-    """
-    n_max, tail_bound = _truncation(pair, tail_tol, max_total_photons)
-    blocks = []
-    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
-        # the parity factor kills every entry carrying no signal photons and
-        # the reference weight kills the rest
-        for n_total in range(n_max + 1):
-            blocks.append(_read_only(np.zeros((n_total + 1, n_total + 1))))
-        return TruncatedOperator(n_max, tuple(blocks), tail_bound)
-    log_alpha = 0.5 * math.log(pair.alpha2)
-    log_beta = 0.5 * math.log(pair.beta2)
-    prefactor = 0.5 * math.log(2.0) - 0.5 * pair.total
-    for n_total in range(n_max + 1):
-        n_ref = np.arange(n_total + 1)
-        n_sig = n_total - n_ref
-        log_u = (
-            prefactor
-            + n_ref * log_beta
-            + n_sig * log_alpha
-            - 0.5 * (log_factorial(n_ref) + log_factorial(n_sig))
-        )
-        u = np.exp(log_u)
-        odd = (n_ref[:, None] + n_ref[None, :]) % 2 == 1
-        blocks.append(_read_only(np.where(odd, np.outer(u, u), 0.0)))
-    return TruncatedOperator(n_max, tuple(blocks), tail_bound)
 
 
 def _log_abs_r(pair: PulsePair) -> float:
@@ -207,7 +123,12 @@ def p_err_optimal(
     the log-space terms. ``metadata['trace_norm']`` is the trace norm of the
     truncated state difference.
     """
-    n_max, tail_bound = _truncation(pair, tail_tol, max_total_photons)
+    if not (0.0 < tail_tol < 1.0):
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    n_max = poisson_tail_cutoff(pair.total, tail_tol) + TRUNCATION_SAFETY_MARGIN
+    if n_max > max_total_photons:
+        raise TruncationCeilingError(n_max, max_total_photons)
+    tail_bound = poisson_upper_tail(pair.total, n_max)
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         # identical states: every sector is an exact tie
         return DiscriminationResult.from_error_probability(
@@ -230,34 +151,8 @@ def p_err_optimal(
     )
 
 
-@dataclass(frozen=True)
-class SmallAlphaMode:
-    """One +/- eigenvalue pair of the leading-order state difference."""
-
-    n: int
-    eigenvalue_plus: float
-    eigenvalue_minus: float
-
-    def vector(self, sign: int) -> tuple[tuple[tuple[int, int], float], ...]:
-        """Eigenvector components as ((n_ref, n_sig), coefficient) pairs."""
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        w = 1.0 / math.sqrt(2.0)
-        return (((self.n, 1), w), ((self.n + 1, 0), sign * w))
-
-
-@dataclass(frozen=True)
-class SmallAlphaSpectrum:
-    """Leading-order spectrum: lambda_n = 2 beta^(2n+1) alpha e^(-beta^2) / sqrt(n!(n+1)!)."""
-
-    modes: tuple[SmallAlphaMode, ...]
-    n_cut: int
-
-    def distinguishability(self) -> float:
-        return sum(m.eigenvalue_plus for m in self.modes)
-
-
 def _mode_magnitudes(pair: PulsePair, n_cut: int) -> np.ndarray:
+    """The weak-signal eigenvalue magnitudes lambda_n for n = 0 .. n_cut."""
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         return np.zeros(n_cut + 1)
     n = np.arange(n_cut + 1)
@@ -269,23 +164,6 @@ def _mode_magnitudes(pair: PulsePair, n_cut: int) -> np.ndarray:
         - 0.5 * (log_factorial(n) + log_factorial(n + 1))
     )
     return np.exp(logs)
-
-
-def small_alpha_spectrum(pair: PulsePair, n_cut: int) -> SmallAlphaSpectrum:
-    """Eigenvalue pairs of the weak-signal operator for n = 0 .. n_cut.
-
-    The optimal measurement projects onto (|n,1> +/- |n+1,0>)/sqrt(2);
-    those index pairs are exposed on each mode. Callers pick ``n_cut`` so
-    the neglected series tail is immaterial (``small_alpha_series_cutoff``
-    does that bookkeeping).
-    """
-    if n_cut < 0:
-        raise ValueError(f"n_cut must be non-negative, got {n_cut}")
-    lam = _mode_magnitudes(pair, n_cut)
-    modes = tuple(
-        SmallAlphaMode(n, float(lam[n]), -float(lam[n])) for n in range(n_cut + 1)
-    )
-    return SmallAlphaSpectrum(modes, n_cut)
 
 
 def small_alpha_series_cutoff(beta2: float, rel_tol: float = SERIES_REL_TOL) -> int:

@@ -1,4 +1,4 @@
-"""Pulse pairs, beamsplitters, click outcomes, and discrimination results.
+"""Pulse pairs, beamsplitters, port means, and discrimination results.
 
 Pulse strengths live as mean photon numbers (the natural experimental
 knobs); amplitudes are taken as the non-negative square roots on demand.
@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 __all__ = [
     "QUARTER_PI",
-    "Hypothesis",
     "SplitterRangeError",
     "PulsePair",
     "Beamsplitter",
     "OutputMeans",
-    "ClickOutcome",
     "DiscriminationResult",
     "homodyne_splitter",
     "kennedy_angle",
@@ -36,20 +33,6 @@ _EPS = 2.220446049250313e-16
 
 class SplitterRangeError(ValueError):
     """Requested splitter falls outside the closed one-parameter family."""
-
-
-class Hypothesis(Enum):
-    """Which of the two equally likely opposite phases was sent."""
-
-    PLUS = 0
-    MINUS = 1
-
-    @property
-    def sign(self) -> int:
-        return 1 if self is Hypothesis.PLUS else -1
-
-    def other(self) -> "Hypothesis":
-        return Hypothesis.MINUS if self is Hypothesis.PLUS else Hypothesis.PLUS
 
 
 @dataclass(frozen=True)
@@ -156,11 +139,6 @@ class OutputMeans:
         if abs(plus - minus) > 1e-12 * max(1.0, plus, minus):
             raise ValueError("a lossless splitter must conserve energy per hypothesis")
 
-    def under(self, hypothesis: Hypothesis) -> tuple[float, float]:
-        if hypothesis is Hypothesis.PLUS:
-            return self.n1_plus, self.n2_plus
-        return self.n1_minus, self.n2_minus
-
 
 def _squared_amplitude(diff: float, scale: float) -> float:
     # amplitudes cancelling below float resolution are a dark port,
@@ -186,20 +164,6 @@ def output_means(pair: PulsePair, splitter: Beamsplitter) -> OutputMeans:
     phase leaves every modulus, and hence every click statistic, unchanged.
     """
     return OutputMeans(*port_means(pair.alpha, pair.beta, splitter.r, splitter.t))
-
-
-@dataclass(frozen=True)
-class ClickOutcome:
-    """A pair of photon counts, one per detector."""
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        for name in ("n", "m"):
-            v = getattr(self, name)
-            if not isinstance(v, (int,)) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Stochastic oracle: simulate click statistics and estimate error rates.
 
 Trials draw a hypothesis fairly, Poisson counts per output port, and apply
-one of three decision rules. Counts with mean below 30 are sampled by
+one of three decision rules; the maximum-likelihood rule scores a trial with
+the analytic receiver's straight boundary a*n + b*m, so both routes share
+one rule and one tie band. Counts with mean below 30 are sampled by
 inverting a single uniform draw against the Poisson CDF, looked up in a
 guide table built once per run (indexed search, Chen & Asau 1974); larger
 means fall back to the generator's own Poisson sampler. Streams come from
@@ -22,14 +24,11 @@ from ._parallel import parallel_map
 from .model import (
     QUARTER_PI,
     Beamsplitter,
-    ClickOutcome,
-    Hypothesis,
     OutputMeans,
     PulsePair,
     output_means,
 )
-from .numerics import NEG_INF, log_factorial, log_poisson_pmf
-from .receivers import TIE_LOG_BAND
+from .receivers import TIE_LOG_BAND, _ml_score, _ml_slopes
 
 __all__ = [
     "ConfigurationError",
@@ -38,7 +37,6 @@ __all__ = [
     "EstimateResult",
     "sample_poisson",
     "run_trials",
-    "decide",
 ]
 
 # two-sided 99% normal quantile
@@ -130,27 +128,35 @@ _CDF_LENGTH = _inversion_cap(_INVERSION_MEAN_LIMIT)
 _GUIDE_BINS = 1 << 16
 
 
-class _InversionTable:
-    """Poisson CDFs of one or two means, each with a guide for indexed search.
+def _poisson_cdf(means) -> np.ndarray:
+    """One CDF row ``cum[r, 0 .. _CDF_LENGTH - 1]`` per mean.
 
-    Row r holds ``cum[r, k]`` from the float recurrence pmf_0 = exp(-mean),
-    pmf_k = pmf_(k-1) * (mean / k), cum_k = cum_(k-1) + pmf_k, and
-    ``guide[r, b]``, the number of ``cum[r, k]`` below b / _GUIDE_BINS. A
-    uniform in bin b inverts to ``guide[r, b]`` unless a CDF step falls inside
-    the bin (``guide[r, b + 1]`` differs), in which case a binary search over
-    the row settles it.
+    Rows follow the float recurrence pmf_0 = exp(-mean), pmf_k =
+    pmf_(k-1) * (mean / k), cum_k = cum_(k-1) + pmf_k: cumprod and cumsum
+    accumulate left to right, one IEEE operation per step, exactly as the
+    recurrence does. The far tail underflows to 0.
+    """
+    col = np.asarray(means, dtype=float)[:, None]
+    with np.errstate(under="ignore"):
+        pmf = np.cumprod(
+            np.concatenate((np.exp(-col), col / np.arange(1, _CDF_LENGTH)), axis=1),
+            axis=1,
+        )
+    return np.cumsum(pmf, axis=1)
+
+
+class _InversionTable:
+    """Poisson CDFs of two means, each with a guide for indexed search.
+
+    Row r holds the CDF ``cum[r]`` of ``_poisson_cdf`` and ``guide[r, b]``,
+    the number of ``cum[r, k]`` below b / _GUIDE_BINS. A uniform in bin b
+    inverts to ``guide[r, b]`` unless a CDF step falls inside the bin
+    (``guide[r, b + 1]`` differs), in which case a binary search over the
+    row settles it.
     """
 
     def __init__(self, means) -> None:
-        col = np.asarray(means, dtype=float)[:, None]
-        # cumprod and cumsum accumulate left to right, one IEEE operation per
-        # step, exactly as the recurrence does; the far tail underflows to 0
-        with np.errstate(under="ignore"):
-            pmf = np.cumprod(
-                np.concatenate((np.exp(-col), col / np.arange(1, _CDF_LENGTH)), axis=1),
-                axis=1,
-            )
-        self.cum = np.cumsum(pmf, axis=1)
+        self.cum = _poisson_cdf(means)
         # cum never decreases, and with G = _GUIDE_BINS, cum < b / G exactly
         # when floor(cum * G) < b (* G is exact), so guide[b] = k on the bins
         # from floor(cum[k - 1] * G) + 1 up to floor(cum[k] * G)
@@ -160,11 +166,11 @@ class _InversionTable:
             [np.repeat(counts, np.diff(row, prepend=0, append=_GUIDE_BINS + 1)) for row in starts]
         )
 
-    def invert(self, u: np.ndarray, upper, cap: int) -> np.ndarray:
+    def invert(self, u: np.ndarray, upper: np.ndarray, cap: int) -> np.ndarray:
         """min(first k with u <= cum[row, k], cap) for each uniform of ``u``.
 
-        ``u`` is one-dimensional. Uniforms where ``upper`` is true read row 1,
-        the others row 0; ``upper`` is a boolean array or one bool for all.
+        ``u`` is one-dimensional. Uniforms where the boolean array ``upper``
+        is true read row 1, the others row 0.
         """
         stride = _GUIDE_BINS + 1
         b = (u * _GUIDE_BINS).astype(np.intp)
@@ -185,17 +191,19 @@ def sample_poisson(mean: float, rng: np.random.Generator, size=None):
     """Poisson counts; a single int when ``size`` is None, else an array.
 
     A zero mean returns 0 without consuming randomness. Means below 30 invert
-    one uniform per draw through a guide table over the Poisson CDF; larger
-    means delegate to ``rng.poisson``.
+    one uniform per draw by binary search over the Poisson CDF, the same
+    inversion ``run_trials`` reads from its guide tables, so the draws match
+    it; larger means delegate to ``rng.poisson``. Nothing in the package
+    calls this: ``run_trials`` draws whole blocks through ``_draw_counts``.
     """
     if mean < 0:
         raise ValueError(f"mean must be non-negative, got {mean}")
     if mean == 0.0:
         return 0 if size is None else np.zeros(size, dtype=np.int64)
     if mean < _INVERSION_MEAN_LIMIT:
-        u = rng.random(1 if size is None else size)
-        counts = _InversionTable([mean]).invert(u.ravel(), False, _inversion_cap(mean))
-        return int(counts[0]) if size is None else counts.reshape(u.shape)
+        u = rng.random(size)
+        counts = np.minimum(np.searchsorted(_poisson_cdf([mean])[0], u), _inversion_cap(mean))
+        return int(counts) if size is None else counts.astype(np.int64)
     out = rng.poisson(mean, size=size)
     return int(out) if size is None else out
 
@@ -212,15 +220,10 @@ def _draw_counts(
     return rng.poisson(mean_vec).astype(np.int64)
 
 
-def _log_pmf_of_counts(counts: np.ndarray, mean: float) -> np.ndarray:
-    if mean == 0.0:
-        return np.where(counts == 0, 0.0, NEG_INF)
-    return counts * math.log(mean) - mean - log_factorial(counts)
-
-
 def _simulate_block(
     cfg: TrialConfig,
     means: OutputMeans,
+    slopes: tuple[float, float],
     tables: tuple[_InversionTable, _InversionTable],
     rng: np.random.Generator,
     size: int,
@@ -239,14 +242,9 @@ def _simulate_block(
         guess_plus = counts1 > counts2
         tie = counts1 == counts2
     else:
-        lp = _log_pmf_of_counts(counts1, means.n1_plus) + _log_pmf_of_counts(
-            counts2, means.n2_plus
-        )
-        lm = _log_pmf_of_counts(counts1, means.n1_minus) + _log_pmf_of_counts(
-            counts2, means.n2_minus
-        )
-        with np.errstate(invalid="ignore"):
-            diff = lp - lm
+        # a dark port's count is 0 on every trial it could contradict, so
+        # inf + -inf never occurs
+        diff = _ml_score(slopes[0], counts1) + _ml_score(slopes[1], counts2)
         guess_plus = diff > TIE_LOG_BAND
         tie = np.abs(diff) <= TIE_LOG_BAND
     tied = np.flatnonzero(tie)
@@ -265,6 +263,7 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
     estimate is identical however the blocks are scheduled.
     """
     means = output_means(cfg.pair, cfg.splitter)
+    slopes = _ml_slopes(means)
     # one table per port, row 0 for PLUS trials and row 1 for MINUS trials;
     # blocks only read them, so every block sees the same CDFs
     tables = (
@@ -279,43 +278,8 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
 
     def run_block(i: int) -> int:
         rng = np.random.Generator(np.random.PCG64(children[i]))
-        return _simulate_block(cfg, means, tables, rng, sizes[i])
+        return _simulate_block(cfg, means, slopes, tables, rng, sizes[i])
 
     errors = sum(parallel_map(run_block, range(n_blocks)))
     return EstimateResult.from_counts(errors, cfg.trials, cfg.seed)
 
-
-def decide(
-    rule: DecisionRule,
-    outcome: ClickOutcome,
-    means: OutputMeans,
-    tie_break: float | None = None,
-) -> Hypothesis | None:
-    """Verdict for one click outcome; ``None`` signals an unresolved tie.
-
-    ``tie_break`` is a uniform draw in [0, 1) used only when the rule ties;
-    leave it None to observe the tie instead of resolving it.
-    """
-    if rule is DecisionRule.KENNEDY_SINGLE_PORT:
-        return Hypothesis.PLUS if outcome.m == 0 else Hypothesis.MINUS
-    if rule is DecisionRule.HOMODYNE_COMPARE:
-        if outcome.n > outcome.m:
-            return Hypothesis.PLUS
-        if outcome.n < outcome.m:
-            return Hypothesis.MINUS
-    else:
-        lp = log_poisson_pmf(outcome.n, means.n1_plus) + log_poisson_pmf(
-            outcome.m, means.n2_plus
-        )
-        lm = log_poisson_pmf(outcome.n, means.n1_minus) + log_poisson_pmf(
-            outcome.m, means.n2_minus
-        )
-        if lp == NEG_INF and lm == NEG_INF:
-            raise ValueError("outcome is impossible under both hypotheses")
-        if lp - lm > TIE_LOG_BAND:
-            return Hypothesis.PLUS
-        if lm - lp > TIE_LOG_BAND:
-            return Hypothesis.MINUS
-    if tie_break is None:
-        return None
-    return Hypothesis.PLUS if tie_break < 0.5 else Hypothesis.MINUS

@@ -24,6 +24,7 @@ import numpy as np
 from .model import (
     Beamsplitter,
     DiscriminationResult,
+    OutputMeans,
     PulsePair,
     homodyne_splitter,
     output_means,
@@ -66,6 +67,24 @@ def _mass_accounting(*pmfs: np.ndarray) -> tuple[float, float]:
     neglected = sum(max(0.0, 1.0 - total) for total in totals)
     excess = sum(max(0.0, total - 1.0) for total in totals)
     return neglected, excess
+
+
+def _ml_slopes(means: OutputMeans) -> tuple[float, float]:
+    """Slopes (a, b) of the log-likelihood ratio ln L+ - ln L- = a*n + b*m.
+
+    Energy conservation cancels the Poisson constants, leaving
+    a = ln(n1+/n1-) >= 0 >= b = ln(n2+/n2-); a port that is dark under one
+    hypothesis gives an infinite slope, so a count there settles the
+    decision outright.
+    """
+    a = math.inf if means.n1_minus == 0.0 else math.log(means.n1_plus / means.n1_minus)
+    b = -math.inf if means.n2_plus == 0.0 else math.log(means.n2_plus / means.n2_minus)
+    return a, b
+
+
+def _ml_score(slope: float, counts: np.ndarray) -> np.ndarray:
+    """slope * counts, where a zero count scores 0 (never 0 * inf = nan)."""
+    return np.where(counts > 0, slope, 0.0) * counts
 
 
 def p_min_pure(alpha2: float) -> DiscriminationResult:
@@ -153,16 +172,14 @@ def p_beamsplitter_ml(
 ) -> DiscriminationResult:
     """Maximum-likelihood decision over joint counts (n, m) behind a splitter.
 
-    Energy conservation cancels the Poisson constants, so the log-likelihood
-    ratio of an outcome is linear, ln L+ - ln L- = a*n + b*m, with
-    a = ln(n1+/n1-) >= 0 >= b = ln(n2+/n2-): the decision boundary is a line
-    through the origin of count space. Each row n therefore splits the
-    m-axis into three runs, PLUS on [0, k1), tie on [k1, k2) and MINUS from
-    k2 on, and its errors are two lookups into cumulative sums of the port-2
-    pmfs; the whole sum costs O(n_cut log m_cut). Outcomes whose scores lie
-    within ``TIE_LOG_BAND`` of zero count as ties and contribute half their
-    mass to the error. A port that is dark under one hypothesis gives an
-    infinite slope, so a count there settles the decision outright.
+    The log-likelihood ratio of an outcome is linear, ln L+ - ln L- =
+    a*n + b*m (``_ml_slopes``), so the decision boundary is a line through
+    the origin of count space. Each row n therefore splits the m-axis into
+    three runs, PLUS on [0, k1), tie on [k1, k2) and MINUS from k2 on, and
+    its errors are two lookups into cumulative sums of the port-2 pmfs; the
+    whole sum costs O(n_cut log m_cut). Outcomes whose scores lie within
+    ``TIE_LOG_BAND`` of zero count as ties and contribute half their mass
+    to the error.
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
@@ -173,8 +190,7 @@ def p_beamsplitter_ml(
         return DiscriminationResult.from_error_probability(
             0.5, "beamsplitter_ml", degenerate=True, phi=splitter.phi
         )
-    a = math.inf if means.n1_minus == 0.0 else math.log(means.n1_plus / means.n1_minus)
-    b = -math.inf if means.n2_plus == 0.0 else math.log(means.n2_plus / means.n2_minus)
+    a, b = _ml_slopes(means)
     n_cut = max(
         poisson_tail_cutoff(means.n1_plus, tail_tol),
         poisson_tail_cutoff(means.n1_minus, tail_tol),
@@ -187,9 +203,8 @@ def p_beamsplitter_ml(
     pmf1m = np.exp(log_poisson_pmf_array(n_cut, means.n1_minus))
     pmf2p = np.exp(log_poisson_pmf_array(m_cut, means.n2_plus))
     pmf2m = np.exp(log_poisson_pmf_array(m_cut, means.n2_minus))
-    # scores a*n and -b*m, with the zero count scoring 0 rather than 0*inf
-    score1 = np.concatenate(([0.0], a * np.arange(1, n_cut + 1)))
-    score2 = np.concatenate(([0.0], -b * np.arange(1, m_cut + 1)))
+    score1 = _ml_score(a, np.arange(n_cut + 1))
+    score2 = _ml_score(-b, np.arange(m_cut + 1))
     k1 = np.searchsorted(score2, score1 - TIE_LOG_BAND, side="left")
     k2 = np.searchsorted(score2, score1 + TIE_LOG_BAND, side="right")
     # err+ takes mass from the upper end of port 2 and err- from the lower

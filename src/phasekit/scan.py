@@ -21,6 +21,7 @@ from .model import Beamsplitter, PulsePair, SplitterRangeError, kennedy_angle
 from .receivers import (
     DEFAULT_TAIL_TOL,
     p_beamsplitter_ml,
+    p_homodyne_asymptotic,
     p_homodyne_generalized,
     p_kennedy_asymptotic,
     p_kennedy_generalized,
@@ -92,17 +93,14 @@ def write_json(table: Table, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def _ratio_row(base, gen):
-    ratio_p = gen.error_probability / base.error_probability
-    if base.distinguishability > 0.0:
-        ratio_d = gen.distinguishability / base.distinguishability
-    else:
-        ratio_d = None
-    return ratio_p, ratio_d
+def _ratio_table(figure: int, name: str, asymptotic, generalized, alpha2_grid, beta2_list,
+                 **metadata) -> Table:
+    """One receiver at finite reference against its strong-reference baseline.
 
-
-def figure_kennedy_ratios(alpha2_grid=None, beta2_list=None) -> Table:
-    """Dark-port receiver against its strong-reference baseline."""
+    ``asymptotic(alpha2)`` and ``generalized(pair)`` give the two results;
+    rows run over ``beta2_list``, then ``alpha2_grid``. ``ratio_d`` is null
+    where the baseline has no distinguishability.
+    """
     if alpha2_grid is None:
         alpha2_grid = default_alpha2_grid()
     if beta2_list is None:
@@ -110,77 +108,54 @@ def figure_kennedy_ratios(alpha2_grid=None, beta2_list=None) -> Table:
     columns = (
         "alpha2",
         "beta2",
-        "p_ken",
-        "p_ken_tilde",
+        f"p_{name}",
+        f"p_{name}_tilde",
         "ratio_p",
-        "d_ken",
-        "d_ken_tilde",
+        f"d_{name}",
+        f"d_{name}_tilde",
         "ratio_d",
     )
     rows = []
     for beta2 in beta2_list:
         for alpha2 in alpha2_grid:
-            base = p_kennedy_asymptotic(float(alpha2))
-            gen = p_kennedy_generalized(PulsePair(float(alpha2), float(beta2)))
-            ratio_p, ratio_d = _ratio_row(base, gen)
-            rows.append(
-                {
-                    "alpha2": float(alpha2),
-                    "beta2": float(beta2),
-                    "p_ken": base.error_probability,
-                    "p_ken_tilde": gen.error_probability,
-                    "ratio_p": ratio_p,
-                    "d_ken": base.distinguishability,
-                    "d_ken_tilde": gen.distinguishability,
-                    "ratio_d": ratio_d,
-                }
+            base = asymptotic(float(alpha2))
+            gen = generalized(PulsePair(float(alpha2), float(beta2)))
+            d_base, d_gen = base.distinguishability, gen.distinguishability
+            values = (
+                float(alpha2),
+                float(beta2),
+                base.error_probability,
+                gen.error_probability,
+                gen.error_probability / base.error_probability,
+                d_base,
+                d_gen,
+                d_gen / d_base if d_base > 0.0 else None,
             )
-    return Table(columns, rows, {"figure": 1, "library_version": __version__})
+            rows.append(dict(zip(columns, values)))
+    return Table(
+        columns, rows, {"figure": figure, **metadata, "library_version": __version__}
+    )
+
+
+def figure_kennedy_ratios(alpha2_grid=None, beta2_list=None) -> Table:
+    """Dark-port receiver against its strong-reference baseline."""
+    return _ratio_table(
+        1, "ken", p_kennedy_asymptotic, p_kennedy_generalized, alpha2_grid, beta2_list
+    )
 
 
 def figure_homodyne_ratios(
     alpha2_grid=None, beta2_list=None, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> Table:
     """Count-comparison receiver against its strong-reference baseline."""
-    if alpha2_grid is None:
-        alpha2_grid = default_alpha2_grid()
-    if beta2_list is None:
-        beta2_list = DEFAULT_BETA2_LIST
-    from .receivers import p_homodyne_asymptotic
-
-    columns = (
-        "alpha2",
-        "beta2",
-        "p_hom",
-        "p_hom_tilde",
-        "ratio_p",
-        "d_hom",
-        "d_hom_tilde",
-        "ratio_d",
-    )
-    points = [(float(b2), float(a2)) for b2 in beta2_list for a2 in alpha2_grid]
-
-    def one(point):
-        beta2, alpha2 = point
-        base = p_homodyne_asymptotic(alpha2)
-        gen = p_homodyne_generalized(PulsePair(alpha2, beta2), tail_tol)
-        ratio_p, ratio_d = _ratio_row(base, gen)
-        return {
-            "alpha2": alpha2,
-            "beta2": beta2,
-            "p_hom": base.error_probability,
-            "p_hom_tilde": gen.error_probability,
-            "ratio_p": ratio_p,
-            "d_hom": base.distinguishability,
-            "d_hom_tilde": gen.distinguishability,
-            "ratio_d": ratio_d,
-        }
-
-    rows = [one(point) for point in points]
-    return Table(
-        columns,
-        rows,
-        {"figure": 2, "tail_tol": tail_tol, "library_version": __version__},
+    return _ratio_table(
+        2,
+        "hom",
+        p_homodyne_asymptotic,
+        lambda pair: p_homodyne_generalized(pair, tail_tol),
+        alpha2_grid,
+        beta2_list,
+        tail_tol=tail_tol,
     )
 
 

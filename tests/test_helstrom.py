@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -9,18 +10,81 @@ from hypothesis import strategies as st
 from oracles import oracle_optimal
 from phasekit.helstrom import (
     TruncationCeilingError,
+    _mode_magnitudes,
     _sectors,
-    build_rho_diff,
     d_err_small_alpha,
     p_err_optimal,
     small_alpha_series_cutoff,
-    small_alpha_spectrum,
 )
 from phasekit.model import PulsePair
-from phasekit.numerics import log_poisson_pmf_array, poisson_tail_cutoff
+from phasekit.numerics import log_factorial, log_poisson_pmf_array, poisson_tail_cutoff
 from phasekit.receivers import p_homodyne_generalized, p_kennedy_generalized, p_min_pure
 
 mp.mp.dps = 40
+
+
+# ------------------------------------------- explicit operator (reference route)
+
+
+@dataclass(frozen=True)
+class TruncatedOperator:
+    """Difference of the two phase-averaged states on a truncated basis.
+
+    ``blocks[N]`` is a read-only array acting on the span of
+    |n_ref> x |n_sig> with n_ref + n_sig = N, indexed by n_ref = 0 .. N.
+    Entries vanish unless the signal parities of bra and ket differ, so
+    every diagonal (and the total trace) is exactly zero.
+    """
+
+    n_max: int
+    blocks: tuple[np.ndarray, ...]
+
+    def trace(self) -> float:
+        return sum(float(np.trace(b)) for b in self.blocks)
+
+    @staticmethod
+    def block_basis(n_total: int) -> list[tuple[int, int]]:
+        return [(n_ref, n_total - n_ref) for n_ref in range(n_total + 1)]
+
+
+def _read_only(block: np.ndarray) -> np.ndarray:
+    block.setflags(write=False)
+    return block
+
+
+def build_rho_diff(pair: PulsePair, n_max: int | None = None) -> TruncatedOperator:
+    """Assemble the state difference blockwise in total photon number.
+
+    An independent route for the sector sum of ``p_err_optimal``, whose
+    basis size it keeps unless ``n_max`` is given. Entry magnitudes are
+    formed in log space and exponentiated once; all entries are
+    non-negative.
+    """
+    if n_max is None:
+        n_max = p_err_optimal(pair).metadata["n_max"]
+    blocks = []
+    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
+        # the parity factor kills every entry carrying no signal photons and
+        # the reference weight kills the rest
+        for n_total in range(n_max + 1):
+            blocks.append(_read_only(np.zeros((n_total + 1, n_total + 1))))
+        return TruncatedOperator(n_max, tuple(blocks))
+    log_alpha = 0.5 * math.log(pair.alpha2)
+    log_beta = 0.5 * math.log(pair.beta2)
+    prefactor = 0.5 * math.log(2.0) - 0.5 * pair.total
+    for n_total in range(n_max + 1):
+        n_ref = np.arange(n_total + 1)
+        n_sig = n_total - n_ref
+        log_u = (
+            prefactor
+            + n_ref * log_beta
+            + n_sig * log_alpha
+            - 0.5 * (log_factorial(n_ref) + log_factorial(n_sig))
+        )
+        u = np.exp(log_u)
+        odd = (n_ref[:, None] + n_ref[None, :]) % 2 == 1
+        blocks.append(_read_only(np.where(odd, np.outer(u, u), 0.0)))
+    return TruncatedOperator(n_max, tuple(blocks))
 
 
 # ------------------------------------------------------------- construction
@@ -57,12 +121,14 @@ def test_blocks_are_traceless_and_parity_sparse():
 
 def test_truncation_depth_and_ceiling():
     pair = PulsePair(0.1, 1.0)
-    op = build_rho_diff(pair, tail_tol=1e-10)
-    assert op.n_max == poisson_tail_cutoff(1.1, 1e-10) + 10
-    assert 0.0 <= op.tail_bound < 1e-10
+    res = p_err_optimal(pair, tail_tol=1e-10)
+    assert res.metadata["n_max"] == poisson_tail_cutoff(1.1, 1e-10) + 10
+    assert 0.0 <= res.metadata["truncation_bound"] < 1e-10
     with pytest.raises(TruncationCeilingError) as err:
-        build_rho_diff(PulsePair(0.1, 400.0), max_total_photons=64)
+        p_err_optimal(PulsePair(0.1, 400.0), max_total_photons=64)
     assert err.value.needed > err.value.ceiling
+    with pytest.raises(ValueError):
+        p_err_optimal(pair, tail_tol=1.0)
 
 
 def _entry_oracle(pair, n, m, p, q):
@@ -221,23 +287,24 @@ def test_small_alpha_consistency_improves_as_signal_weakens():
 
 
 def test_small_alpha_spectrum_anchor():
-    spec = small_alpha_spectrum(PulsePair(0.01, 1.0), n_cut=12)
-    lam0 = spec.modes[0]
-    assert lam0.eigenvalue_plus == pytest.approx(2 * 0.1 * math.exp(-1.0), rel=1e-12)
-    assert lam0.eigenvalue_minus == -lam0.eigenvalue_plus
-    assert lam0.vector(+1) == (((0, 1), 1 / math.sqrt(2)), ((1, 0), 1 / math.sqrt(2)))
-    assert lam0.vector(-1)[1][1] == -1 / math.sqrt(2)
+    pair = PulsePair(0.01, 1.0)
+    lam = _mode_magnitudes(pair, n_cut=12)
+    assert lam[0] == pytest.approx(2 * 0.1 * math.exp(-1.0), rel=1e-12)
+    # lambda_n = 2 beta^(2n+1) alpha e^(-beta^2) / sqrt(n! (n+1)!)
+    for n in range(13):
+        expected = 2 * 0.1 * math.exp(-1.0) / math.sqrt(math.factorial(n) * math.factorial(n + 1))
+        assert lam[n] == pytest.approx(expected, rel=1e-12)
 
 
 def test_small_alpha_spectrum_zero_signal():
-    spec = small_alpha_spectrum(PulsePair(0.0, 1.0), n_cut=5)
-    assert all(m.eigenvalue_plus == 0.0 for m in spec.modes)
+    lam = _mode_magnitudes(PulsePair(0.0, 1.0), n_cut=5)
+    assert lam.shape == (6,)
+    assert not lam.any()
 
 
 def test_small_alpha_spectrum_decays_beyond_reference_strength():
     beta2 = 3.0
-    spec = small_alpha_spectrum(PulsePair(1e-4, beta2), n_cut=25)
-    mags = [m.eigenvalue_plus for m in spec.modes]
+    mags = _mode_magnitudes(PulsePair(1e-4, beta2), n_cut=25)
     for n in range(int(beta2) + 1, 25):
         assert mags[n + 1] < mags[n]
 
@@ -267,7 +334,3 @@ def test_small_alpha_series_cutoff_bound(beta2):
     ratio = beta2 / math.sqrt((n_cut + 1.0) * (n_cut + 2.0))
     assert ratio < 1.0
 
-
-def test_eigenvalue_pairs_cancel():
-    spec = small_alpha_spectrum(PulsePair(0.04, 2.0), n_cut=20)
-    assert all(m.eigenvalue_plus + m.eigenvalue_minus == 0.0 for m in spec.modes)

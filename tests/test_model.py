@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from phasekit.model import (
     QUARTER_PI,
     Beamsplitter,
-    ClickOutcome,
     DiscriminationResult,
-    Hypothesis,
     OutputMeans,
     PulsePair,
     SplitterRangeError,
@@ -32,12 +30,6 @@ def test_pulse_pair_validation():
     assert p.beta == 2.0
     assert p.total == 4.25
     assert p.swapped() == PulsePair(4.0, 0.25)
-
-
-def test_hypothesis_basics():
-    assert Hypothesis.PLUS.sign == 1
-    assert Hypothesis.MINUS.sign == -1
-    assert Hypothesis.PLUS.other() is Hypothesis.MINUS
 
 
 def test_beamsplitter_range_is_closed():
@@ -147,14 +139,6 @@ def test_output_means_type_rejects_energy_mismatch():
         OutputMeans(1.0, 2.0, 1.0, 3.0)
     with pytest.raises(ValueError):
         OutputMeans(-1.0, 0.0, 1.0, 0.0)
-
-
-def test_click_outcome_validation():
-    ClickOutcome(0, 3)
-    with pytest.raises(ValueError):
-        ClickOutcome(-1, 0)
-    with pytest.raises(ValueError):
-        ClickOutcome(0, True)
 
 
 def test_discrimination_result_invariants():

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasekit import montecarlo
 from phasekit.model import (
     Beamsplitter,
-    ClickOutcome,
-    Hypothesis,
     PulsePair,
     homodyne_splitter,
     kennedy_angle,
@@ -22,11 +21,14 @@ from phasekit.montecarlo import (
     TrialConfig,
     _InversionTable,
     _draw_counts,
-    decide,
     run_trials,
     sample_poisson,
 )
+from phasekit.numerics import log_factorial, log_poisson_pmf
 from phasekit.receivers import (
+    TIE_LOG_BAND,
+    _ml_score,
+    _ml_slopes,
     p_beamsplitter_ml,
     p_homodyne_generalized,
     p_kennedy_generalized,
@@ -327,48 +329,101 @@ def test_ml_rule_agrees_with_analytic(alpha2, beta2):
 # ------------------------------------------------------------- decision rule
 
 
-def test_decide_kennedy_single_port():
-    pair = PulsePair(0.1, 1.0)
-    means = output_means(pair, kennedy_angle(pair))
-    assert decide(DecisionRule.KENNEDY_SINGLE_PORT, ClickOutcome(5, 0), means) is Hypothesis.PLUS
-    assert decide(DecisionRule.KENNEDY_SINGLE_PORT, ClickOutcome(0, 1), means) is Hypothesis.MINUS
-
-
-def test_decide_homodyne_compare_and_ties():
-    pair = PulsePair(0.1, 1.0)
-    means = output_means(pair, homodyne_splitter())
-    assert decide(DecisionRule.HOMODYNE_COMPARE, ClickOutcome(3, 1), means) is Hypothesis.PLUS
-    assert decide(DecisionRule.HOMODYNE_COMPARE, ClickOutcome(1, 3), means) is Hypothesis.MINUS
-    assert decide(DecisionRule.HOMODYNE_COMPARE, ClickOutcome(2, 2), means) is None
-    assert decide(DecisionRule.HOMODYNE_COMPARE, ClickOutcome(2, 2), means, tie_break=0.2) is Hypothesis.PLUS
-    assert decide(DecisionRule.HOMODYNE_COMPARE, ClickOutcome(2, 2), means, tie_break=0.9) is Hypothesis.MINUS
-
-
-def test_decide_ml_certain_on_dark_port_click():
-    pair = PulsePair(0.1, 1.0)
-    means = output_means(pair, kennedy_angle(pair))
-    # any click at the dark-under-PLUS port settles it
-    assert decide(DecisionRule.ML_JOINT, ClickOutcome(0, 2), means) is Hypothesis.MINUS
-    # silence everywhere is an exact tie at the cancellation angle
-    assert decide(DecisionRule.ML_JOINT, ClickOutcome(0, 0), means) is None
-
-
-def test_decide_ml_matches_joint_likelihoods():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("angle", ["interior", "balanced", "dark_port"])
+def test_ml_score_orders_outcomes_like_joint_likelihoods(angle):
     pair = PulsePair(0.3, 2.0)
-    means = output_means(pair, Beamsplitter(0.12 * math.pi))
-    from phasekit.numerics import log_poisson_pmf
+    splitter = {
+        "interior": Beamsplitter(0.12 * math.pi),
+        "balanced": homodyne_splitter(),
+        "dark_port": kennedy_angle(pair),
+    }[angle]
+    means = output_means(pair, splitter)
+    a, b = _ml_slopes(means)
+    assert (b == -math.inf) == (angle == "dark_port")
+    n, m = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+    score = _ml_score(a, n) + _ml_score(b, m)
+    for (i, j), got in np.ndenumerate(score):
+        lp = log_poisson_pmf(i, means.n1_plus) + log_poisson_pmf(j, means.n2_plus)
+        lm = log_poisson_pmf(i, means.n1_minus) + log_poisson_pmf(j, means.n2_minus)
+        if lp > lm + 1e-12:
+            assert got > TIE_LOG_BAND
+        elif lm > lp + 1e-12:
+            assert got < -TIE_LOG_BAND
+        else:
+            assert abs(got) <= TIE_LOG_BAND
 
-    for n in range(6):
-        for m in range(6):
-            lp = log_poisson_pmf(n, means.n1_plus) + log_poisson_pmf(m, means.n2_plus)
-            lm = log_poisson_pmf(n, means.n1_minus) + log_poisson_pmf(m, means.n2_minus)
-            got = decide(DecisionRule.ML_JOINT, ClickOutcome(n, m), means)
-            if lp > lm + 1e-12:
-                assert got is Hypothesis.PLUS
-            elif lm > lp + 1e-12:
-                assert got is Hypothesis.MINUS
-            else:
-                assert got is None
+
+def _log_pmf_rule(counts1, counts2, means):
+    """The per-trial rule the shared scoring replaced: PLUS guesses and ties
+    from the difference of the joint log-pmfs under the two hypotheses."""
+
+    def log_pmf(counts, mean):
+        if mean == 0.0:
+            return np.where(counts == 0, 0.0, -np.inf)
+        return counts * math.log(mean) - mean - log_factorial(counts)
+
+    lp = log_pmf(counts1, means.n1_plus) + log_pmf(counts2, means.n2_plus)
+    lm = log_pmf(counts1, means.n1_minus) + log_pmf(counts2, means.n2_minus)
+    with np.errstate(invalid="ignore"):
+        diff = lp - lm
+    return diff > TIE_LOG_BAND, np.abs(diff) <= TIE_LOG_BAND
+
+
+def _golden_ml_configs():
+    for (rule, beta2), errors in GOLDEN_ERRORS.items():
+        if rule is DecisionRule.ML_JOINT:
+            yield TrialConfig(PulsePair(0.1, beta2), Beamsplitter(0.15 * math.pi), rule,
+                              trials=100_000, seed=2024), errors
+    ml = dict(pair=PulsePair(0.2, 4.0), splitter=Beamsplitter(0.15 * math.pi),
+              rule=DecisionRule.ML_JOINT)
+    yield TrialConfig(trials=70_001, seed=5, **ml), 13102
+    for seed in range(20):
+        yield TrialConfig(trials=3, seed=seed, **ml), None
+
+
+def test_ml_scoring_decides_every_golden_trial_like_the_log_pmf_rule(monkeypatch):
+    # record each block's counts as run_trials draws them (port 1, then
+    # port 2, one block at a time in a serial run) and decide every trial
+    # both ways
+    monkeypatch.setenv("PHASEKIT_THREADS", "1")
+    draws = []
+
+    def recording(rng, mean_vec, table, minus):
+        counts = _draw_counts(rng, mean_vec, table, minus)
+        draws.append(counts)
+        return counts
+
+    monkeypatch.setattr(montecarlo, "_draw_counts", recording)
+    ties = trials = 0
+    for cfg, errors in _golden_ml_configs():
+        draws.clear()
+        est = run_trials(cfg)
+        if errors is not None:
+            assert est.errors == errors
+        means = output_means(cfg.pair, cfg.splitter)
+        a, b = _ml_slopes(means)
+        for counts1, counts2 in zip(draws[::2], draws[1::2]):
+            score = _ml_score(a, counts1) + _ml_score(b, counts2)
+            old_guess, old_tie = _log_pmf_rule(counts1, counts2, means)
+            np.testing.assert_array_equal(score > TIE_LOG_BAND, old_guess)
+            np.testing.assert_array_equal(np.abs(score) <= TIE_LOG_BAND, old_tie)
+            ties += int(old_tie.sum())
+            trials += counts1.size
+        assert len(draws) == 2 * (-(-cfg.trials // montecarlo.BLOCK_TRIALS))
+    assert trials == 3 * 100_000 + 70_001 + 20 * 3
+    assert ties > 0
+
+
+@pytest.mark.parametrize("beta2", [1.0, 100.0, 1e4])
+def test_ml_rule_at_balanced_angle_counts_like_count_comparison(beta2):
+    # at pi/4 the boundary a*n + b*m = 0 is the diagonal n = m, so the two
+    # rules share every decision, every tie and hence every tie-break draw
+    base = dict(pair=PulsePair(0.1, beta2), splitter=homodyne_splitter(),
+                trials=100_000, seed=2029)
+    ml = run_trials(TrialConfig(rule=DecisionRule.ML_JOINT, **base))
+    compare = run_trials(TrialConfig(rule=DecisionRule.HOMODYNE_COMPARE, **base))
+    assert ml.errors == compare.errors
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))

@@ -16,7 +16,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="output directory (default ./out)")
     parser.add_argument("--cross-check-alpha2", type=float, default=None,
-                        help="add the exact-trace-norm column to figure 5 (slower)")
+                        help="add the exact-trace-norm column to figure 5")
     parser.add_argument("--no-plots", action="store_true")
     args = parser.parse_args()
 

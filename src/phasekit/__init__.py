@@ -31,15 +31,8 @@ from .montecarlo import (
     EstimateResult,
     TrialConfig,
     run_trials,
-    sample_poisson,
 )
-from .numerics import (
-    LogFactorialTable,
-    NumericalResourceError,
-    gaussian_upper_tail,
-    log_poisson_pmf,
-    poisson_tail_cutoff,
-)
+from .numerics import NumericalResourceError, poisson_tail_cutoff
 from .receivers import (
     best_angle,
     p_beamsplitter_ml,
@@ -67,7 +60,6 @@ __all__ = [
     "DecisionRule",
     "DiscriminationResult",
     "EstimateResult",
-    "LogFactorialTable",
     "NumericalResourceError",
     "OutputMeans",
     "PulsePair",
@@ -82,10 +74,8 @@ __all__ = [
     "figure_kennedy_ratios",
     "figure_optimal_ratio",
     "figure_table",
-    "gaussian_upper_tail",
     "homodyne_splitter",
     "kennedy_angle",
-    "log_poisson_pmf",
     "output_means",
     "p_beamsplitter_ml",
     "p_err_optimal",
@@ -96,7 +86,6 @@ __all__ = [
     "p_min_pure",
     "poisson_tail_cutoff",
     "run_trials",
-    "sample_poisson",
     "small_alpha_series_cutoff",
     "write_csv",
     "write_json",

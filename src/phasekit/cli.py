@@ -14,6 +14,7 @@ import math
 import sys
 
 from .helstrom import (
+    DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL,
     d_err_small_alpha,
     p_err_optimal,
     small_alpha_series_cutoff,
@@ -80,10 +81,15 @@ def _grid(text: str) -> list[float]:
     return values
 
 
-def _result_lines(result: DiscriminationResult, quote: bool) -> list[str]:
+def _result_lines(
+    result: DiscriminationResult, quote: bool, labels=("P", "D"), extra=()
+) -> list[str]:
+    """P and D under ``labels``, the ``extra`` lines, then with ``quote`` the
+    method and the sorted metadata."""
     lines = [
-        f"P = {format_value(result.error_probability)}",
-        f"D = {format_value(result.distinguishability)}",
+        f"{labels[0]} = {format_value(result.error_probability)}",
+        f"{labels[1]} = {format_value(result.distinguishability)}",
+        *extra,
     ]
     if quote:
         lines.append(f"method = {result.method}")
@@ -107,11 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("kennedy", "dark-port photon counting receiver"),
-        ("homodyne", "count-comparison receiver behind a balanced splitter"),
+    for name, help_text, receiver in (
+        ("kennedy", "dark-port photon counting receiver",
+         (p_kennedy_asymptotic, p_kennedy_generalized)),
+        ("homodyne", "count-comparison receiver behind a balanced splitter",
+         (p_homodyne_asymptotic, p_homodyne_generalized)),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(receiver=receiver)
         _add_strength_flags(p, beta2_required=False)
         p.add_argument("--asymptotic", action="store_true",
                        help="infinitely strong reference (omit --beta2)")
@@ -127,13 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=_positive_int, default=128,
                    help="grid size for --optimize (default 128)")
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
-                   help="per-port Poisson tail budget (default 1e-12)")
+                   help="per-port Poisson tail budget (default %(default)g)")
     p.add_argument("--quote-tolerances", action="store_true")
 
     p = sub.add_parser("optimum", help="minimum error probability over all measurements")
     _add_strength_flags(p)
-    p.add_argument("--tail-tol", type=float, default=1e-10,
-                   help="basis truncation budget (default 1e-10)")
+    p.add_argument("--tail-tol", type=float, default=OPTIMUM_TAIL_TOL,
+                   help="basis truncation budget (default %(default)g)")
     p.add_argument("--method", choices=("exact", "small-alpha"), default="exact",
                    help="truncated trace norm, or the weak-signal series")
     p.add_argument("--quote-tolerances", action="store_true")
@@ -169,27 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_kennedy(args) -> str:
+def _cmd_receiver(args) -> str:
+    """kennedy and homodyne: ``args.receiver`` is (asymptotic, generalized)."""
+    asymptotic, generalized = args.receiver
     if args.asymptotic:
         if args.beta2 is not None:
             raise ValueError("--asymptotic means --beta2 must be omitted")
-        result = p_kennedy_asymptotic(args.alpha2)
+        result = asymptotic(args.alpha2)
     else:
         if args.beta2 is None:
             raise ValueError("--beta2 is required without --asymptotic")
-        result = p_kennedy_generalized(PulsePair(args.alpha2, args.beta2))
-    return "\n".join(_result_lines(result, args.quote_tolerances)) + "\n"
-
-
-def _cmd_homodyne(args) -> str:
-    if args.asymptotic:
-        if args.beta2 is not None:
-            raise ValueError("--asymptotic means --beta2 must be omitted")
-        result = p_homodyne_asymptotic(args.alpha2)
-    else:
-        if args.beta2 is None:
-            raise ValueError("--beta2 is required without --asymptotic")
-        result = p_homodyne_generalized(PulsePair(args.alpha2, args.beta2))
+        result = generalized(PulsePair(args.alpha2, args.beta2))
     return "\n".join(_result_lines(result, args.quote_tolerances)) + "\n"
 
 
@@ -216,15 +215,9 @@ def _cmd_optimum(args) -> str:
         result = DiscriminationResult.from_error_probability(
             0.5 * (1.0 - d), "helstrom_small_alpha", n_cut=n_used
         )
-    lines = [
-        f"P_err = {format_value(result.error_probability)}",
-        f"D_err = {format_value(result.distinguishability)}",
-        f"N_max = {format_value(n_used)}",
-    ]
-    if args.quote_tolerances:
-        lines.append(f"method = {result.method}")
-        for key in sorted(result.metadata):
-            lines.append(f"{key} = {format_value(result.metadata[key])}")
+    lines = _result_lines(
+        result, args.quote_tolerances, ("P_err", "D_err"), [f"N_max = {format_value(n_used)}"]
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -277,8 +270,8 @@ def _cmd_figure(args) -> str | None:
 
 
 _HANDLERS = {
-    "kennedy": _cmd_kennedy,
-    "homodyne": _cmd_homodyne,
+    "kennedy": _cmd_receiver,
+    "homodyne": _cmd_receiver,
     "bsclass": _cmd_bsclass,
     "optimum": _cmd_optimum,
     "montecarlo": _cmd_montecarlo,

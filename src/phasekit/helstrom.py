@@ -63,7 +63,8 @@ class TruncationCeilingError(NumericalResourceError):
     def __init__(self, needed: int, ceiling: int) -> None:
         super().__init__(
             f"truncation needs total photon number {needed} but the ceiling is "
-            f"{ceiling}; raise max_total_photons (memory and time grow with it)"
+            f"{ceiling}; the library's p_err_optimal takes a larger one as "
+            f"max_total_photons, the command line has no flag for it"
         )
         self.needed = needed
         self.ceiling = ceiling

@@ -3,13 +3,14 @@
 Trials draw a hypothesis fairly, Poisson counts per output port, and apply
 one of three decision rules; the maximum-likelihood rule scores a trial with
 the analytic receiver's straight boundary a*n + b*m, so both routes share
-one rule and one tie band. Counts with mean below 30 are sampled by
-inverting a single uniform draw against the Poisson CDF, looked up in a
-guide table built once per run (indexed search, Chen & Asau 1974); larger
-means fall back to the generator's own Poisson sampler. Streams come from
-numpy's PCG64 seeded through ``SeedSequence(seed).spawn``, one child per
-fixed-size trial block, so runs are reproducible bit for bit and block
-results merge by plain addition regardless of scheduling.
+one rule and one tie band. ``_draw_counts`` is the one Poisson sampler and
+draws a whole block of counts at once: when every mean in the block is below
+30, each count inverts a single uniform draw against the Poisson CDF, looked
+up in a guide table built once per run (indexed search, Chen & Asau 1974);
+otherwise the block falls back to the generator's own Poisson sampler.
+Streams come from numpy's PCG64 seeded through ``SeedSequence(seed).spawn``,
+one child per fixed-size trial block, so runs are reproducible bit for bit
+and block results merge by plain addition regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "DecisionRule",
     "TrialConfig",
     "EstimateResult",
-    "sample_poisson",
     "run_trials",
 ]
 
@@ -128,35 +128,29 @@ _CDF_LENGTH = _inversion_cap(_INVERSION_MEAN_LIMIT)
 _GUIDE_BINS = 1 << 16
 
 
-def _poisson_cdf(means) -> np.ndarray:
-    """One CDF row ``cum[r, 0 .. _CDF_LENGTH - 1]`` per mean.
-
-    Rows follow the float recurrence pmf_0 = exp(-mean), pmf_k =
-    pmf_(k-1) * (mean / k), cum_k = cum_(k-1) + pmf_k: cumprod and cumsum
-    accumulate left to right, one IEEE operation per step, exactly as the
-    recurrence does. The far tail underflows to 0.
-    """
-    col = np.asarray(means, dtype=float)[:, None]
-    with np.errstate(under="ignore"):
-        pmf = np.cumprod(
-            np.concatenate((np.exp(-col), col / np.arange(1, _CDF_LENGTH)), axis=1),
-            axis=1,
-        )
-    return np.cumsum(pmf, axis=1)
-
-
 class _InversionTable:
     """Poisson CDFs of two means, each with a guide for indexed search.
 
-    Row r holds the CDF ``cum[r]`` of ``_poisson_cdf`` and ``guide[r, b]``,
+    Row r holds the CDF ``cum[r, 0 .. _CDF_LENGTH - 1]`` and ``guide[r, b]``,
     the number of ``cum[r, k]`` below b / _GUIDE_BINS. A uniform in bin b
     inverts to ``guide[r, b]`` unless a CDF step falls inside the bin
     (``guide[r, b + 1]`` differs), in which case a binary search over the
     row settles it.
+
+    CDF rows follow the float recurrence pmf_0 = exp(-mean), pmf_k =
+    pmf_(k-1) * (mean / k), cum_k = cum_(k-1) + pmf_k: cumprod and cumsum
+    accumulate left to right, one IEEE operation per step, exactly as the
+    recurrence does. The far tail underflows to 0.
     """
 
     def __init__(self, means) -> None:
-        self.cum = _poisson_cdf(means)
+        col = np.asarray(means, dtype=float)[:, None]
+        with np.errstate(under="ignore"):
+            pmf = np.cumprod(
+                np.concatenate((np.exp(-col), col / np.arange(1, _CDF_LENGTH)), axis=1),
+                axis=1,
+            )
+        self.cum = np.cumsum(pmf, axis=1)
         # cum never decreases, and with G = _GUIDE_BINS, cum < b / G exactly
         # when floor(cum * G) < b (* G is exact), so guide[b] = k on the bins
         # from floor(cum[k - 1] * G) + 1 up to floor(cum[k] * G)
@@ -185,27 +179,6 @@ class _InversionTable:
                 at = step[step_rows == r]
                 counts[at] = np.searchsorted(cum, u[at])
         return np.minimum(counts, cap).astype(np.int64)
-
-
-def sample_poisson(mean: float, rng: np.random.Generator, size=None):
-    """Poisson counts; a single int when ``size`` is None, else an array.
-
-    A zero mean returns 0 without consuming randomness. Means below 30 invert
-    one uniform per draw by binary search over the Poisson CDF, the same
-    inversion ``run_trials`` reads from its guide tables, so the draws match
-    it; larger means delegate to ``rng.poisson``. Nothing in the package
-    calls this: ``run_trials`` draws whole blocks through ``_draw_counts``.
-    """
-    if mean < 0:
-        raise ValueError(f"mean must be non-negative, got {mean}")
-    if mean == 0.0:
-        return 0 if size is None else np.zeros(size, dtype=np.int64)
-    if mean < _INVERSION_MEAN_LIMIT:
-        u = rng.random(size)
-        counts = np.minimum(np.searchsorted(_poisson_cdf([mean])[0], u), _inversion_cap(mean))
-        return int(counts) if size is None else counts.astype(np.int64)
-    out = rng.poisson(mean, size=size)
-    return int(out) if size is None else out
 
 
 def _draw_counts(

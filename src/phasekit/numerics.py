@@ -1,4 +1,4 @@
-"""Poisson log-weights, Poisson tail cutoffs and the Gaussian tail.
+"""Poisson log-weights and Poisson tail cutoffs.
 
 Probability machinery works in log space so that products of Poisson
 weights survive strong reference pulses, and returns to linear space only
@@ -10,63 +10,44 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NumericalResourceError",
-    "LogFactorialTable",
     "log_factorial",
-    "log_poisson_pmf",
     "log_poisson_pmf_array",
     "poisson_tail_cutoff",
     "poisson_upper_tail",
-    "gaussian_upper_tail",
 ]
 
 NEG_INF = float("-inf")
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class NumericalResourceError(RuntimeError):
     """A computation exceeded its configured numerical budget."""
 
 
-@dataclass(frozen=True)
-class LogFactorialTable:
-    """Cached values of ln(n!) for n = 0 .. max_n."""
-
-    values: np.ndarray
-
-    @classmethod
-    def build(cls, max_n: int) -> "LogFactorialTable":
-        if max_n < 0:
-            raise ValueError(f"max_n must be non-negative, got {max_n}")
-        values = np.empty(max_n + 1)
-        values[0] = 0.0
-        # compensated summation keeps each entry within ~1 ulp of ln(n!)
-        total = 0.0
-        carry = 0.0
-        for n in range(1, max_n + 1):
-            term = math.log(n) - carry
-            acc = total + term
-            carry = (acc - total) - term
-            total = acc
-            values[n] = total
-        values.setflags(write=False)
-        return cls(values)
-
-    @property
-    def max_n(self) -> int:
-        return len(self.values) - 1
-
-    def __call__(self, n):
-        return self.values[n]
+def _log_factorial_table(max_n: int) -> np.ndarray:
+    """Read-only ln(n!) for n = 0 .. max_n."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
+    values = np.empty(max_n + 1)
+    values[0] = 0.0
+    # compensated summation keeps each entry within ~1 ulp of ln(n!)
+    total = 0.0
+    carry = 0.0
+    for n in range(1, max_n + 1):
+        term = math.log(n) - carry
+        acc = total + term
+        carry = (acc - total) - term
+        total = acc
+        values[n] = total
+    values.setflags(write=False)
+    return values
 
 
-_shared_table = LogFactorialTable.build(256)
+_log_factorials = _log_factorial_table(256)
 _install_lock = threading.Lock()
 
 
@@ -77,28 +58,17 @@ def log_factorial(n):
     replaces the shared one only when it is larger, so a call running
     concurrently with another thread's rebuild never sees the table shrink.
     """
-    global _shared_table
+    global _log_factorials
     if np.min(n) < 0:
         raise ValueError("factorial argument must be non-negative")
     top = int(np.max(n))
-    table = _shared_table
-    if top > table.max_n:
-        table = LogFactorialTable.build(max(top, 2 * table.max_n))
+    table = _log_factorials
+    if top >= len(table):
+        table = _log_factorial_table(max(top, 2 * (len(table) - 1)))
         with _install_lock:
-            if table.max_n > _shared_table.max_n:
-                _shared_table = table
-    return table.values[n]
-
-
-def log_poisson_pmf(n: int, mean: float) -> float:
-    """ln P[Poisson(mean) = n]; a zero mean is a point mass at n = 0."""
-    if mean < 0:
-        raise ValueError(f"mean must be non-negative, got {mean}")
-    if n < 0:
-        raise ValueError(f"count must be non-negative, got {n}")
-    if mean == 0.0:
-        return 0.0 if n == 0 else NEG_INF
-    return n * math.log(mean) - mean - float(log_factorial(n))
+            if len(table) > len(_log_factorials):
+                _log_factorials = table
+    return table[n]
 
 
 def log_poisson_pmf_array(n_max: int, mean: float) -> np.ndarray:
@@ -149,13 +119,8 @@ def poisson_upper_tail(mean: float, n: int) -> float:
         raise ValueError(f"count must be non-negative, got {n}")
     if mean == 0.0:
         return 0.0
-    floor = log_poisson_pmf(n, mean) - 60.0 if mean > 0 else -80.0
+    floor = log_poisson_pmf_array(n, mean)[n] - 60.0
     pmf = _extended_pmf(mean, n + 20, floor)
     tail = float(np.cumsum(pmf[n + 1 :][::-1])[-1])
     decay = mean / (len(pmf) + 1.0)
     return tail + float(pmf[-1]) * decay / (1.0 - decay)
-
-
-def gaussian_upper_tail(x: float) -> float:
-    """P[Z > x] for a standard normal Z, via the complementary error function."""
-    return 0.5 * math.erfc(x / _SQRT2)

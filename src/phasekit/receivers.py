@@ -29,11 +29,7 @@ from .model import (
     homodyne_splitter,
     output_means,
 )
-from .numerics import (
-    gaussian_upper_tail,
-    log_poisson_pmf_array,
-    poisson_tail_cutoff,
-)
+from .numerics import log_poisson_pmf_array, poisson_tail_cutoff
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
@@ -113,7 +109,8 @@ def p_homodyne_asymptotic(alpha2: float) -> DiscriminationResult:
     """Balanced-splitter comparison in the strong-reference (Gaussian) limit."""
     if alpha2 < 0:
         raise ValueError(f"alpha2 must be non-negative, got {alpha2}")
-    p = gaussian_upper_tail(2.0 * math.sqrt(alpha2))
+    # P[Z > 2 alpha] for a standard normal Z
+    p = 0.5 * math.erfc(2.0 * math.sqrt(alpha2) / math.sqrt(2.0))
     return DiscriminationResult.from_error_probability(p, "homodyne_asymptotic")
 
 
@@ -143,14 +140,15 @@ def p_homodyne_generalized(
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if pair.alpha2 == 0.0:
-        # identical port statistics under both hypotheses: forced random guess
-        return DiscriminationResult.from_error_probability(
-            0.5, "homodyne_generalized", degenerate=True
-        )
     alpha, beta = pair.alpha, pair.beta
     mean_hi = 0.5 * (beta + alpha) ** 2
     mean_lo = 0.5 * (beta - alpha) ** 2
+    if mean_hi == mean_lo:
+        # identical port statistics under both hypotheses (no signal, no
+        # reference, or a signal below float resolution): every outcome ties
+        return DiscriminationResult.from_error_probability(
+            0.5, "homodyne_generalized", degenerate=True
+        )
     cut = max(poisson_tail_cutoff(mean_hi, tail_tol), poisson_tail_cutoff(mean_lo, tail_tol))
     pmf_hi = np.exp(log_poisson_pmf_array(cut, mean_hi))
     pmf_lo = np.exp(log_poisson_pmf_array(cut, mean_lo))

@@ -16,8 +16,8 @@ from typing import IO
 import numpy as np
 
 from . import __version__
-from .helstrom import d_err_small_alpha, p_err_optimal
-from .model import Beamsplitter, PulsePair, SplitterRangeError, kennedy_angle
+from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, d_err_small_alpha, p_err_optimal
+from .model import Beamsplitter, PulsePair, kennedy_angle
 from .receivers import (
     DEFAULT_TAIL_TOL,
     p_beamsplitter_ml,
@@ -190,7 +190,7 @@ def figure_angle_sweep(
                 "p_err": ken.error_probability,
             }
         )
-    except (SplitterRangeError, ValueError):
+    except ValueError:  # includes SplitterRangeError
         pass
     hom = p_homodyne_generalized(pair, tail_tol)
     rows.append({"kind": "ref_homodyne", "phi_over_pi": 0.25, "p_err": hom.error_probability})
@@ -210,7 +210,7 @@ def figure_angle_sweep(
 def figure_optimal_ratio(
     beta2_grid=None,
     cross_check_alpha2: float | None = None,
-    tail_tol: float = 1e-10,
+    tail_tol: float = OPTIMUM_TAIL_TOL,
 ) -> Table:
     """Weak-signal optimal distinguishability relative to its asymptote.
 
@@ -254,25 +254,22 @@ def figure_table(
     cross_check_alpha2: float | None = None,
     tail_tol: float | None = None,
 ) -> Table:
-    """Build the data table behind one numbered figure."""
+    """Build the data table behind one numbered figure.
+
+    Options left at None take the default of the figure's own builder.
+    """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}, got {fig_id}")
+    tol = {} if tail_tol is None else {"tail_tol": tail_tol}
     if fig_id == 1:
         return figure_kennedy_ratios(alpha2_grid, beta2_grid)
     if fig_id == 2:
-        return figure_homodyne_ratios(
-            alpha2_grid, beta2_grid, tail_tol if tail_tol is not None else DEFAULT_TAIL_TOL
-        )
+        return figure_homodyne_ratios(alpha2_grid, beta2_grid, **tol)
     if fig_id in (3, 4):
         pair = PulsePair(
             0.1 if alpha2 is None else alpha2,
             (1.0 if fig_id == 3 else 10.0) if beta2 is None else beta2,
         )
-        return figure_angle_sweep(
-            pair,
-            128 if n_angles is None else n_angles,
-            tail_tol if tail_tol is not None else DEFAULT_TAIL_TOL,
-        )
-    return figure_optimal_ratio(
-        beta2_grid, cross_check_alpha2, tail_tol if tail_tol is not None else 1e-10
-    )
+        angles = {} if n_angles is None else {"n_angles": n_angles}
+        return figure_angle_sweep(pair, **angles, **tol)
+    return figure_optimal_ratio(beta2_grid, cross_check_alpha2, **tol)

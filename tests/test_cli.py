@@ -1,8 +1,19 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from phasekit import cli
+
+# the benchmark's recorded outputs of its `phasekit` calls at the default seed
+CLI_REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text(
+        encoding="utf-8"
+    )
+)["cli"]
 
 
 def run_cli(*args, env=None):
@@ -142,3 +153,11 @@ def test_figure_four_minimum_value():
         if parts[kind_idx] == "sweep"
     ]
     assert min(sweep_vals) == pytest.approx(0.25, abs=0.005)
+
+
+@pytest.mark.parametrize("command", sorted(CLI_REFERENCES))
+def test_output_matches_benchmark_reference(command, capsys):
+    assert cli.main(shlex.split(command)[1:]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == CLI_REFERENCES[command]
+    assert captured.err == ""

@@ -22,9 +22,8 @@ from phasekit.montecarlo import (
     _InversionTable,
     _draw_counts,
     run_trials,
-    sample_poisson,
 )
-from phasekit.numerics import log_factorial, log_poisson_pmf
+from phasekit.numerics import log_factorial, log_poisson_pmf_array
 from phasekit.receivers import (
     TIE_LOG_BAND,
     _ml_score,
@@ -38,39 +37,33 @@ from phasekit.receivers import (
 # ------------------------------------------------------------------ sampling
 
 
+def _draw_constant(mean, rng, size):
+    """A block of ``size`` counts that all have one mean, as run_trials draws a
+    port whose mean is the same under both hypotheses."""
+    return _draw_counts(rng, np.full(size, mean), _InversionTable([mean, mean]),
+                        np.zeros(size, dtype=bool))
+
+
 def test_sample_poisson_zero_mean():
-    rng = np.random.default_rng(1)
-    assert sample_poisson(0.0, rng) == 0
-    assert np.all(sample_poisson(0.0, rng, size=100) == 0)
-
-
-def test_sample_poisson_validation():
-    with pytest.raises(ValueError):
-        sample_poisson(-1.0, np.random.default_rng(0))
+    assert np.all(_draw_constant(0.0, np.random.default_rng(1), 100) == 0)
 
 
 def test_sample_poisson_mean_one_band():
     rng = np.random.default_rng(123)
-    draws = sample_poisson(1.0, rng, size=1_000_000)
+    draws = _draw_constant(1.0, rng, 1_000_000)
     assert 0.997 <= draws.mean() <= 1.003
 
 
 def test_sample_poisson_mean_ten_fano_band():
     rng = np.random.default_rng(456)
-    draws = sample_poisson(10.0, rng, size=1_000_000)
+    draws = _draw_constant(10.0, rng, 1_000_000)
     assert 0.99 <= draws.var() / draws.mean() <= 1.01
 
 
 def test_sample_poisson_large_mean_path():
     rng = np.random.default_rng(7)
-    draws = sample_poisson(80.0, rng, size=20_000)
+    draws = _draw_constant(80.0, rng, 20_000)
     assert abs(draws.mean() - 80.0) < 0.5
-
-
-def test_sample_poisson_scalar_reproducible():
-    a = sample_poisson(2.5, np.random.default_rng(99))
-    b = sample_poisson(2.5, np.random.default_rng(99))
-    assert a == b
 
 
 # ------------------------------------------------- inversion exactness
@@ -141,15 +134,8 @@ def test_edge_uniforms_reach_a_saturated_cdf():
 @pytest.mark.parametrize("mean", INVERSION_MEANS)
 def test_sample_poisson_matches_sequential_search(mean):
     u = np.concatenate([_edge_uniforms(mean), np.random.default_rng(17).random(20_000)])
-    got = sample_poisson(mean, _FixedUniforms(u), size=u.size)
+    got = _draw_constant(mean, _FixedUniforms(u), u.size)
     np.testing.assert_array_equal(got, _sequential_cdf_search(u, mean))
-
-
-def test_sample_poisson_keeps_the_requested_shape():
-    draws = sample_poisson(3.3, np.random.default_rng(5), size=(40, 50))
-    u = np.random.default_rng(5).random((40, 50))
-    assert draws.shape == (40, 50)
-    np.testing.assert_array_equal(draws, _sequential_cdf_search(u, 3.3))
 
 
 @pytest.mark.parametrize(
@@ -226,11 +212,11 @@ def test_run_trials_golden_errors_partial_and_tiny_blocks():
     ],
 )
 def test_sample_poisson_golden_draws(mean, digest, head, scalar):
-    draws = sample_poisson(mean, np.random.default_rng(31), size=100_000)
+    draws = _draw_constant(mean, np.random.default_rng(31), 100_000)
     assert draws[:8].tolist() == head
     raw = np.ascontiguousarray(draws, dtype="<i8").tobytes()
     assert hashlib.sha256(raw).hexdigest()[:16] == digest
-    assert sample_poisson(mean, np.random.default_rng(32)) == scalar
+    assert _draw_constant(mean, np.random.default_rng(32), 1).tolist() == [scalar]
 
 
 # ------------------------------------------------------------- configuration
@@ -343,9 +329,14 @@ def test_ml_score_orders_outcomes_like_joint_likelihoods(angle):
     assert (b == -math.inf) == (angle == "dark_port")
     n, m = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
     score = _ml_score(a, n) + _ml_score(b, m)
+
+    def joint(mean1, mean2):
+        return log_poisson_pmf_array(5, mean1)[:, None] + log_poisson_pmf_array(5, mean2)
+
+    lp_grid = joint(means.n1_plus, means.n2_plus)
+    lm_grid = joint(means.n1_minus, means.n2_minus)
     for (i, j), got in np.ndenumerate(score):
-        lp = log_poisson_pmf(i, means.n1_plus) + log_poisson_pmf(j, means.n2_plus)
-        lm = log_poisson_pmf(i, means.n1_minus) + log_poisson_pmf(j, means.n2_minus)
+        lp, lm = lp_grid[i, j], lm_grid[i, j]
         if lp > lm + 1e-12:
             assert got > TIE_LOG_BAND
         elif lm > lp + 1e-12:

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 import phasekit.numerics as numerics
 from phasekit.numerics import (
-    LogFactorialTable,
-    gaussian_upper_tail,
-    log_poisson_pmf,
+    _log_factorial_table,
     log_poisson_pmf_array,
     poisson_tail_cutoff,
     poisson_upper_tail,
 )
+from phasekit.receivers import p_homodyne_asymptotic
 
 mp.mp.dps = 40
 
@@ -23,18 +22,18 @@ mp.mp.dps = 40
 
 
 def test_log_factorial_table_anchors():
-    t = LogFactorialTable.build(16)
-    assert t.values[0] == 0.0
-    assert t.values[1] == 0.0
-    assert t.values[3] == pytest.approx(math.log(6), rel=1e-15)
-    assert t.max_n == 16
+    t = _log_factorial_table(16)
+    assert t[0] == 0.0
+    assert t[1] == 0.0
+    assert t[3] == pytest.approx(math.log(6), rel=1e-15)
+    assert len(t) == 17
+    assert not t.flags.writeable
 
 
 def test_log_factorial_table_monotone_and_difference():
     # the difference invariant is representation-limited: ln(n!) grows while
     # ln(n) stays O(1), so 1e-13 relative is honest only for moderate tables
-    t = LogFactorialTable.build(512)
-    v = t.values
+    v = _log_factorial_table(512)
     assert np.all(np.diff(v) >= 0.0)
     n = np.arange(1, 513)
     rel = np.abs((v[1:] - v[:-1]) - np.log(n)) / np.log(np.maximum(n, 2))
@@ -42,31 +41,30 @@ def test_log_factorial_table_monotone_and_difference():
 
 
 def test_log_factorial_table_matches_loggamma():
-    t = LogFactorialTable.build(5000)
+    t = _log_factorial_table(5000)
     for k in (2, 17, 400, 5000):
         exact = mp.loggamma(k + 1)
-        assert abs(t.values[k] - float(exact)) <= 4e-16 * float(exact) + 1e-15
+        assert abs(t[k] - float(exact)) <= 4e-16 * float(exact) + 1e-15
 
 
 def test_log_factorial_never_shrinks_the_shared_table(monkeypatch):
     # another thread installs a larger table while this call rebuilds; the
     # rebuild must neither replace it nor be read in its place
-    monkeypatch.setattr(numerics, "_shared_table", LogFactorialTable.build(16))
-    real_build = LogFactorialTable.build
-    larger = real_build(4096)
+    monkeypatch.setattr(numerics, "_log_factorials", _log_factorial_table(16))
+    larger = _log_factorial_table(4096)
 
     def build_during_concurrent_install(max_n):
-        numerics._shared_table = larger
-        return real_build(max_n)
+        numerics._log_factorials = larger
+        return _log_factorial_table(max_n)
 
-    monkeypatch.setattr(LogFactorialTable, "build", staticmethod(build_during_concurrent_install))
+    monkeypatch.setattr(numerics, "_log_factorial_table", build_during_concurrent_install)
     assert numerics.log_factorial(40) == pytest.approx(math.lgamma(41), rel=1e-15)
-    assert numerics._shared_table is larger
+    assert numerics._log_factorials is larger
 
 
 def test_log_factorial_rejects_negative():
     with pytest.raises(ValueError):
-        LogFactorialTable.build(-1)
+        _log_factorial_table(-1)
     with pytest.raises(ValueError):
         numerics.log_factorial(-3)
 
@@ -75,27 +73,26 @@ def test_log_factorial_rejects_negative():
 
 
 def test_log_poisson_pmf_examples():
-    assert log_poisson_pmf(0, 0.0) == 0.0
-    assert log_poisson_pmf(0, 0.5) == pytest.approx(-0.5, rel=1e-15)
+    assert log_poisson_pmf_array(0, 0.0).tolist() == [0.0]
+    assert log_poisson_pmf_array(3, 0.0).tolist() == [0.0, -math.inf, -math.inf, -math.inf]
+    assert log_poisson_pmf_array(0, 0.5)[0] == pytest.approx(-0.5, rel=1e-15)
     # Poisson(1) at n=2 has mass e^-1 / 2
-    assert log_poisson_pmf(2, 1.0) == pytest.approx(-1.0 - math.log(2.0), rel=1e-13)
-    assert log_poisson_pmf(3, 0.0) == float("-inf")
+    assert log_poisson_pmf_array(2, 1.0)[2] == pytest.approx(-1.0 - math.log(2.0), rel=1e-13)
 
 
 def test_log_poisson_pmf_validation():
     with pytest.raises(ValueError):
-        log_poisson_pmf(1, -0.1)
+        log_poisson_pmf_array(1, -0.1)
     with pytest.raises(ValueError):
-        log_poisson_pmf(-1, 0.1)
-    with pytest.raises(ValueError):
-        log_poisson_pmf_array(4, -1.0)
+        log_poisson_pmf_array(-1, 0.1)
 
 
 @given(st.floats(min_value=1e-3, max_value=50.0), st.integers(min_value=0, max_value=60))
 @settings(max_examples=60)
 def test_log_poisson_pmf_matches_direct_formula(mean, n):
     expected = mp.mpf(n) * mp.log(mean) - mean - mp.loggamma(n + 1)
-    assert log_poisson_pmf(n, mean) == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
+    got = log_poisson_pmf_array(n, mean)[n]
+    assert got == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
 
 
 def _brute_force_cutoff(mean, tail_mass):
@@ -157,21 +154,17 @@ def test_poisson_upper_tail_matches_brute_force():
 
 
 def test_gaussian_upper_tail_anchors():
-    assert gaussian_upper_tail(0.0) == 0.5
-    assert gaussian_upper_tail(float("inf")) == 0.0
-    assert gaussian_upper_tail(float("-inf")) == 1.0
-    x = 2.0 * math.sqrt(0.1)
-    expected = mp.erfc(mp.mpf(x) / mp.sqrt(2)) / 2
-    assert gaussian_upper_tail(x) == pytest.approx(float(expected), rel=1e-13)
+    # the strong-reference count comparison errs with P[Z > 2 alpha]
+    assert p_homodyne_asymptotic(0.0).error_probability == 0.5
+    assert p_homodyne_asymptotic(math.inf).error_probability == 0.0
+    expected = mp.erfc(2 * mp.sqrt(mp.mpf(0.1)) / mp.sqrt(2)) / 2
+    assert p_homodyne_asymptotic(0.1).error_probability == pytest.approx(float(expected), rel=1e-13)
 
 
 @pytest.mark.parametrize("x", np.linspace(-8.0, 8.0, 20))
 def test_gaussian_upper_tail_reference_points(x):
+    # P[Z > x] at x = 2 alpha is the error probability; at x = -2 alpha it
+    # is the probability of a correct guess
     expected = mp.erfc(mp.mpf(float(x)) / mp.sqrt(2)) / 2
-    assert gaussian_upper_tail(float(x)) == pytest.approx(float(expected), rel=1e-12)
-
-
-@given(st.floats(min_value=-6.0, max_value=6.0))
-@settings(max_examples=80)
-def test_gaussian_upper_tail_symmetry(x):
-    assert gaussian_upper_tail(x) + gaussian_upper_tail(-x) == pytest.approx(1.0, abs=1e-12)
+    p = p_homodyne_asymptotic(float(x) ** 2 / 4.0).error_probability
+    assert (p if x >= 0 else 1.0 - p) == pytest.approx(float(expected), rel=1e-12)

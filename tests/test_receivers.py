@@ -103,9 +103,16 @@ def test_homodyne_generalized_equal_strengths_collapses():
 
 
 def test_homodyne_generalized_no_signal():
-    res = p_homodyne_generalized(PulsePair(0.0, 5.0))
-    assert res.error_probability == 0.5
-    assert res.metadata["degenerate"]
+    # no signal, no reference, or a signal below the reference's float
+    # resolution: both ports have one mean under both hypotheses, so every
+    # outcome ties, as in the maximum-likelihood kernel at pi/4
+    for alpha2, beta2 in [(0.0, 5.0), (3.0, 0.0), (1e-300, 1.0), (0.0, 0.0)]:
+        pair = PulsePair(alpha2, beta2)
+        res = p_homodyne_generalized(pair)
+        assert res.error_probability == 0.5
+        assert res.distinguishability == 0.0
+        assert res.metadata["degenerate"]
+        assert p_beamsplitter_ml(pair, homodyne_splitter()).error_probability == 0.5
 
 
 def test_homodyne_generalized_metadata():

@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep resolution for figures 3-4 (default 128)")
     p.add_argument("--cross-check-alpha2", type=_non_negative, default=None,
                    help="add the exact-trace-norm column to figure 5 at this alpha^2")
-    p.add_argument("--tail-tol", type=float, default=None)
+    p.add_argument("--tail-tol", type=float, default=None,
+                   help="Poisson tail tolerance for figures 2-5")
     return parser
 
 

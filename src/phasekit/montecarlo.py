@@ -2,12 +2,15 @@
 
 Trials draw a hypothesis fairly, Poisson counts per output port, and apply
 one of three decision rules; the maximum-likelihood rule scores a trial with
-the analytic receiver's straight boundary a*n + b*m, so both routes share
-one rule and one tie band. ``_draw_counts`` is the one Poisson sampler and
-draws a whole block of counts at once: when every mean in the block is below
-30, each count inverts a single uniform draw against the Poisson CDF, looked
-up in a guide table built once per run (indexed search, Chen & Asau 1974);
-otherwise the block falls back to the generator's own Poisson sampler.
+the analytic receiver's straight boundary a*n + b*m, read from a table of
+the kernel's scores over the block's count range, so both routes share one
+rule and one tie band. ``_draw_counts`` is the one Poisson sampler and draws
+a whole block of counts at once: when every mean in the block is below 30,
+each count inverts a single uniform draw against the Poisson CDF through a
+guide table built once per run (indexed search, Chen & Asau 1974). One
+lookup gives the count, or -1 for the few bins that hold a CDF step, which
+a binary search settles. Otherwise the block falls back to the generator's
+own Poisson sampler.
 Streams come from numpy's PCG64 seeded through ``SeedSequence(seed).spawn``,
 one child per fixed-size trial block, so runs are reproducible bit for bit
 and block results merge by plain addition regardless of scheduling.
@@ -25,7 +28,6 @@ from ._parallel import parallel_map
 from .model import (
     QUARTER_PI,
     Beamsplitter,
-    OutputMeans,
     PulsePair,
     output_means,
 )
@@ -131,11 +133,13 @@ _GUIDE_BINS = 1 << 16
 class _InversionTable:
     """Poisson CDFs of two means, each with a guide for indexed search.
 
-    Row r holds the CDF ``cum[r, 0 .. _CDF_LENGTH - 1]`` and ``guide[r, b]``,
-    the number of ``cum[r, k]`` below b / _GUIDE_BINS. A uniform in bin b
-    inverts to ``guide[r, b]`` unless a CDF step falls inside the bin
-    (``guide[r, b + 1]`` differs), in which case a binary search over the
-    row settles it.
+    Row r (0 for PLUS, 1 for MINUS) holds ``means[r]`` and the CDF
+    ``cum[r, 0 .. _CDF_LENGTH - 1]``. With guide(b) the number of
+    ``cum[r, k]`` below b / _GUIDE_BINS, a uniform in bin b inverts to
+    guide(b) unless a CDF step falls inside the bin (guide(b + 1) differs),
+    in which case a binary search over the row settles it. ``lookup[r *
+    _GUIDE_BINS + b]`` is guide(b) for the bins without a step and -1 for
+    the bins with one, so one gather reads both the count and the flag.
 
     CDF rows follow the float recurrence pmf_0 = exp(-mean), pmf_k =
     pmf_(k-1) * (mean / k), cum_k = cum_(k-1) + pmf_k: cumprod and cumsum
@@ -144,7 +148,8 @@ class _InversionTable:
     """
 
     def __init__(self, means) -> None:
-        col = np.asarray(means, dtype=float)[:, None]
+        self.means = np.asarray(means, dtype=float)
+        col = self.means[:, None]
         with np.errstate(under="ignore"):
             pmf = np.cumprod(
                 np.concatenate((np.exp(-col), col / np.arange(1, _CDF_LENGTH)), axis=1),
@@ -152,80 +157,90 @@ class _InversionTable:
             )
         self.cum = np.cumsum(pmf, axis=1)
         # cum never decreases, and with G = _GUIDE_BINS, cum < b / G exactly
-        # when floor(cum * G) < b (* G is exact), so guide[b] = k on the bins
+        # when floor(cum * G) < b (* G is exact), so guide(b) = k on the bins
         # from floor(cum[k - 1] * G) + 1 up to floor(cum[k] * G)
         starts = (self.cum * _GUIDE_BINS).astype(np.intp) + 1
         counts = np.arange(_CDF_LENGTH + 1, dtype=np.int16)
-        self.guide = np.stack(
+        guide = np.stack(
             [np.repeat(counts, np.diff(row, prepend=0, append=_GUIDE_BINS + 1)) for row in starts]
         )
+        self.lookup = np.where(guide[:, 1:] == guide[:, :-1], guide[:, :-1], -1).ravel()
 
-    def invert(self, u: np.ndarray, upper: np.ndarray, cap: int) -> np.ndarray:
+    def invert(self, u: np.ndarray, minus: np.ndarray, cap: int) -> np.ndarray:
         """min(first k with u <= cum[row, k], cap) for each uniform of ``u``.
 
-        ``u`` is one-dimensional. Uniforms where the boolean array ``upper``
-        is true read row 1, the others row 0.
+        ``u`` is one-dimensional. Uniforms where the boolean array ``minus``
+        is true read row 1, the others row 0. A bin without a step lies
+        below the CDF value 1 - 1 / _GUIDE_BINS, which every mean below 30
+        passes within 55 counts, so only the searched bins can reach
+        ``cap``, which is never below ``_inversion_cap(0)`` = 250.
         """
-        stride = _GUIDE_BINS + 1
         b = (u * _GUIDE_BINS).astype(np.intp)
-        b += upper * stride
-        flat = self.guide.ravel()
-        counts = flat[b]
-        # flat[1:][b] is each bin's upper edge, without a b + 1 temporary
-        step = np.flatnonzero(flat[1:][b] != counts)
+        b += minus * _GUIDE_BINS
+        counts = self.lookup.take(b)
+        step = np.flatnonzero(counts < 0)
         if step.size:
-            step_rows = b[step] // stride
-            for r, cum in enumerate(self.cum):
-                at = step[step_rows == r]
-                counts[at] = np.searchsorted(cum, u[at])
-        return np.minimum(counts, cap).astype(np.int64)
+            step_minus = minus[step]
+            for cum, at in zip(self.cum, (step[~step_minus], step[step_minus])):
+                counts[at] = np.minimum(np.searchsorted(cum, u[at]), cap)
+        return counts
 
 
 def _draw_counts(
     rng: np.random.Generator,
-    mean_vec: np.ndarray,
     table: _InversionTable,
     minus: np.ndarray,
+    held: tuple[bool, bool],
 ) -> np.ndarray:
-    top = float(np.max(mean_vec))
+    """One port's counts for a block; ``held`` says whether the block holds
+    PLUS and MINUS trials, and the largest mean among those picks the sampler
+    and the cap."""
+    top = float(max(mean for mean, h in zip(table.means, held) if h))
     if top < _INVERSION_MEAN_LIMIT:
-        return table.invert(rng.random(mean_vec.shape), minus, _inversion_cap(top))
-    return rng.poisson(mean_vec).astype(np.int64)
+        return table.invert(rng.random(minus.size), minus, _inversion_cap(top))
+    return rng.poisson(table.means[minus.view(np.uint8)])
+
+
+def _score(slope: float, counts: np.ndarray) -> np.ndarray:
+    # the kernel's score row (same IEEE operations, so the same scores) over
+    # the block's count range only: a table from 0 up to the largest count
+    # would take 800 MB at a port mean of 1e8
+    lo = counts.min()
+    return _ml_score(slope, np.arange(lo, counts.max() + 1))[counts - lo]
 
 
 def _simulate_block(
     cfg: TrialConfig,
-    means: OutputMeans,
     slopes: tuple[float, float],
     tables: tuple[_InversionTable, _InversionTable],
     rng: np.random.Generator,
     size: int,
 ) -> int:
-    hyp_plus = rng.random(size) < 0.5
-    minus = ~hyp_plus
-    mean1 = np.where(hyp_plus, means.n1_plus, means.n1_minus)
-    mean2 = np.where(hyp_plus, means.n2_plus, means.n2_minus)
-    counts1 = _draw_counts(rng, mean1, tables[0], minus)
-    counts2 = _draw_counts(rng, mean2, tables[1], minus)
+    minus = rng.random(size) >= 0.5
+    n_minus = int(np.count_nonzero(minus))
+    held = (n_minus < size, n_minus > 0)
+    counts1 = _draw_counts(rng, tables[0], minus, held)
+    counts2 = _draw_counts(rng, tables[1], minus, held)
 
     if cfg.rule is DecisionRule.KENNEDY_SINGLE_PORT:
-        guess_plus = counts2 == 0
-        tie = np.zeros(size, dtype=bool)
-    elif cfg.rule is DecisionRule.HOMODYNE_COMPARE:
+        # the single-port rule never ties; a PLUS guess is wrong exactly on
+        # the MINUS trials, and a MINUS guess on the others
+        return int(np.count_nonzero((counts2 == 0) == minus))
+    if cfg.rule is DecisionRule.HOMODYNE_COMPARE:
         guess_plus = counts1 > counts2
-        tie = counts1 == counts2
+        tied = np.flatnonzero(counts1 == counts2)
     else:
         # a dark port's count is 0 on every trial it could contradict, so
         # inf + -inf never occurs
-        diff = _ml_score(slopes[0], counts1) + _ml_score(slopes[1], counts2)
+        diff = _score(slopes[0], counts1)
+        diff += _score(slopes[1], counts2)
         guess_plus = diff > TIE_LOG_BAND
-        tie = np.abs(diff) <= TIE_LOG_BAND
-    tied = np.flatnonzero(tie)
+        tied = np.flatnonzero(np.abs(diff, out=diff) <= TIE_LOG_BAND)
     if tied.size:
         # tie-breaks consume draws only when ties occur; the tie pattern is
         # itself deterministic given the counts, so replay stays exact
         guess_plus[tied] = rng.random(tied.size) < 0.5
-    return int(np.count_nonzero(guess_plus != hyp_plus))
+    return int(np.count_nonzero(guess_plus == minus))
 
 
 def run_trials(cfg: TrialConfig) -> EstimateResult:
@@ -251,7 +266,7 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
 
     def run_block(i: int) -> int:
         rng = np.random.Generator(np.random.PCG64(children[i]))
-        return _simulate_block(cfg, means, slopes, tables, rng, sizes[i])
+        return _simulate_block(cfg, slopes, tables, rng, sizes[i])
 
     errors = sum(parallel_map(run_block, range(n_blocks)))
     return EstimateResult.from_counts(errors, cfg.trials, cfg.seed)

@@ -40,7 +40,16 @@ __all__ = [
     "write_json",
 ]
 
-FIGURE_IDS = (1, 2, 3, 4, 5)
+# the figure_table options each figure uses
+_SWEEP_OPTIONS = ("alpha2", "beta2", "n_angles", "tail_tol")
+_FIGURE_OPTIONS = {
+    1: ("alpha2_grid", "beta2_grid"),
+    2: ("alpha2_grid", "beta2_grid", "tail_tol"),
+    3: _SWEEP_OPTIONS,
+    4: _SWEEP_OPTIONS,
+    5: ("beta2_grid", "cross_check_alpha2", "tail_tol"),
+}
+FIGURE_IDS = tuple(_FIGURE_OPTIONS)
 
 DEFAULT_BETA2_LIST = (1.0, 2.0, 4.0, 10.0)
 
@@ -256,10 +265,17 @@ def figure_table(
 ) -> Table:
     """Build the data table behind one numbered figure.
 
-    Options left at None take the default of the figure's own builder.
+    Options left at None take the default of the figure's own builder; an
+    option the figure does not use raises ValueError rather than being
+    dropped.
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}, got {fig_id}")
+    given = dict(alpha2_grid=alpha2_grid, beta2_grid=beta2_grid, alpha2=alpha2, beta2=beta2,
+                 n_angles=n_angles, cross_check_alpha2=cross_check_alpha2, tail_tol=tail_tol)
+    unused = [k for k, v in given.items() if v is not None and k not in _FIGURE_OPTIONS[fig_id]]
+    if unused:
+        raise ValueError(f"figure {fig_id} does not use {', '.join(unused)}")
     tol = {} if tail_tol is None else {"tail_tol": tail_tol}
     if fig_id == 1:
         return figure_kennedy_ratios(alpha2_grid, beta2_grid)

@@ -126,6 +126,17 @@ def test_figure_csv_and_json():
     assert len(payload["rows"]) == 2
 
 
+def test_figure_rejects_options_it_does_not_use(capsys):
+    argv = ["figure", "--id", "1", "--alpha2-grid", "0.1", "--beta2-grid", "1",
+            "--tail-tol", "0.5", "--n-angles", "100", "--alpha2", "7",
+            "--cross-check-alpha2", "0.3"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha2, n_angles, cross_check_alpha2, tail_tol" in captured.err
+    assert cli.main(argv[:7]) == 0
+
+
 def test_figure_output_file(tmp_path):
     out = tmp_path / "table.csv"
     proc = run_cli("figure", "--id", "5", "--beta2-grid", "0,1", "--out", str(out))

@@ -40,8 +40,8 @@ from phasekit.receivers import (
 def _draw_constant(mean, rng, size):
     """A block of ``size`` counts that all have one mean, as run_trials draws a
     port whose mean is the same under both hypotheses."""
-    return _draw_counts(rng, np.full(size, mean), _InversionTable([mean, mean]),
-                        np.zeros(size, dtype=bool))
+    return _draw_counts(rng, _InversionTable([mean, mean]), np.zeros(size, dtype=bool),
+                        (True, False))
 
 
 def test_sample_poisson_zero_mean():
@@ -156,8 +156,18 @@ def test_block_draws_match_sequential_search(mean_plus, mean_minus, hypotheses):
         hyp_plus = np.full(u.size, hypotheses == "plus only")
     mean_vec = np.where(hyp_plus, mean_plus, mean_minus)
     table = _InversionTable([mean_plus, mean_minus])
-    got = _draw_counts(_FixedUniforms(u), mean_vec, table, ~hyp_plus)
+    held = (bool(hyp_plus.any()), not hyp_plus.all())
+    got = _draw_counts(_FixedUniforms(u), table, ~hyp_plus, held)
     np.testing.assert_array_equal(got, _sequential_cdf_search(u, mean_vec))
+
+
+def test_guide_bins_without_a_step_stay_below_every_cap():
+    # invert applies the cap only to the searched bins; that is exact as long
+    # as every other bin reads a count below the smallest cap
+    for mean in (*INVERSION_MEANS, *np.linspace(0.0, 29.999999, 301)):
+        lookup = _InversionTable([mean, mean]).lookup
+        assert lookup.size == 2 * montecarlo._GUIDE_BINS
+        assert -1 <= lookup.min() and lookup.max() < montecarlo._inversion_cap(0.0)
 
 
 # counts the sequential-search sampler produced; every seeded run stays on them
@@ -260,6 +270,30 @@ def test_run_trials_independent_of_thread_cap(monkeypatch):
     monkeypatch.setenv("PHASEKIT_THREADS", "1")
     serial = run_trials(cfg)
     monkeypatch.setenv("PHASEKIT_THREADS", "4")
+    threaded = run_trials(cfg)
+    assert serial == threaded
+
+
+@pytest.mark.parametrize(
+    "pair,splitter,rule,trials",
+    [
+        (PulsePair(0.1, 100.0), Beamsplitter(0.15 * math.pi), DecisionRule.ML_JOINT, 150_000),
+        # port 1 means 32.5 (PLUS) and 27.6 (MINUS) straddle the inversion limit
+        (PulsePair(0.1, 60.0), homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE, 150_000),
+        # the last block holds a single trial
+        (PulsePair(0.1, 100.0), Beamsplitter(0.15 * math.pi), DecisionRule.ML_JOINT,
+         2 * montecarlo.BLOCK_TRIALS + 1),
+    ],
+    ids=["ml beta2=100", "straddle", "partial block"],
+)
+def test_run_trials_on_the_generator_sampler_independent_of_thread_cap(
+    monkeypatch, pair, splitter, rule, trials
+):
+    cfg = TrialConfig(pair, splitter, rule, trials=trials, seed=9)
+    assert output_means(pair, splitter).n1_plus >= montecarlo._INVERSION_MEAN_LIMIT
+    monkeypatch.setenv("PHASEKIT_THREADS", "1")
+    serial = run_trials(cfg)
+    monkeypatch.setenv("PHASEKIT_THREADS", "2")
     threaded = run_trials(cfg)
     assert serial == threaded
 
@@ -380,8 +414,8 @@ def test_ml_scoring_decides_every_golden_trial_like_the_log_pmf_rule(monkeypatch
     monkeypatch.setenv("PHASEKIT_THREADS", "1")
     draws = []
 
-    def recording(rng, mean_vec, table, minus):
-        counts = _draw_counts(rng, mean_vec, table, minus)
+    def recording(*args):
+        counts = _draw_counts(*args)
         draws.append(counts)
         return counts
 
@@ -426,3 +460,100 @@ def test_run_trials_seed_round_trip(seed):
     assert est.seed == seed
     assert 0.0 <= est.error_rate <= 1.0
     assert est.ci99_low <= est.error_rate <= est.ci99_high
+
+
+# ----------------------------------------------------- reference block kernel
+
+
+def _reference_block(cfg, means, rng, size):
+    """The block kernel every seeded run is pinned to, in its plainest form:
+    per-trial mean vectors, sequential CDF search below a mean of 30, the
+    generator's sampler above, and per-trial ML scores."""
+    hyp_plus = rng.random(size) < 0.5
+    counts = []
+    for mean_plus, mean_minus in ((means.n1_plus, means.n1_minus),
+                                  (means.n2_plus, means.n2_minus)):
+        mean_vec = np.where(hyp_plus, mean_plus, mean_minus)
+        if np.max(mean_vec) < montecarlo._INVERSION_MEAN_LIMIT:
+            counts.append(_sequential_cdf_search(rng.random(size), mean_vec))
+        else:
+            counts.append(rng.poisson(mean_vec))
+    counts1, counts2 = counts
+    if cfg.rule is DecisionRule.KENNEDY_SINGLE_PORT:
+        guess_plus, tie = counts2 == 0, np.zeros(size, dtype=bool)
+    elif cfg.rule is DecisionRule.HOMODYNE_COMPARE:
+        guess_plus, tie = counts1 > counts2, counts1 == counts2
+    else:
+        a, b = _ml_slopes(means)
+        diff = _ml_score(a, counts1) + _ml_score(b, counts2)
+        guess_plus, tie = diff > TIE_LOG_BAND, np.abs(diff) <= TIE_LOG_BAND
+    tied = np.flatnonzero(tie)
+    if tied.size:
+        guess_plus[tied] = rng.random(tied.size) < 0.5
+    return int(np.count_nonzero(guess_plus != hyp_plus))
+
+
+def _reference_errors(cfg):
+    means = output_means(cfg.pair, cfg.splitter)
+    n_blocks = -(-cfg.trials // montecarlo.BLOCK_TRIALS)
+    children = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
+    return sum(
+        _reference_block(
+            cfg, means, np.random.Generator(np.random.PCG64(child)),
+            min(montecarlo.BLOCK_TRIALS, cfg.trials - i * montecarlo.BLOCK_TRIALS),
+        )
+        for i, child in enumerate(children)
+    )
+
+
+_STRENGTHS = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=300.0))
+
+
+def _configs_for(pair, phi, trials, seed):
+    splitters = [Beamsplitter(phi), homodyne_splitter()]
+    if 0.0 < pair.total and pair.alpha2 <= pair.beta2:
+        splitters.append(kennedy_angle(pair))
+    for splitter in splitters:
+        for rule in DecisionRule:
+            try:
+                yield TrialConfig(pair, splitter, rule, trials=trials, seed=seed)
+            except ConfigurationError:
+                continue
+
+
+@given(
+    alpha2=_STRENGTHS,
+    beta2=_STRENGTHS,
+    phi=st.floats(min_value=0.0, max_value=math.pi / 4),
+    trials=st.sampled_from([1, 3, montecarlo.BLOCK_TRIALS + 1]),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=25)
+def test_run_trials_counts_errors_like_the_reference_block(alpha2, beta2, phi, trials, seed):
+    for cfg in _configs_for(PulsePair(alpha2, beta2), phi, trials, seed):
+        assert run_trials(cfg).errors == _reference_errors(cfg), cfg
+
+
+def test_huge_means_score_only_the_counts_seen(monkeypatch):
+    # port means near 1e8: a score table from 0 up to the largest count would
+    # take hundreds of megabytes
+    cfg = TrialConfig(PulsePair(1.0, 1e8), Beamsplitter(0.15 * math.pi),
+                      DecisionRule.ML_JOINT, trials=1_000, seed=4)
+    draws, scored = [], []
+
+    def recording_draw(*args):
+        counts = _draw_counts(*args)
+        draws.append(counts)
+        return counts
+
+    def recording_score(slope, counts):
+        scored.append(counts)
+        return _ml_score(slope, counts)
+
+    monkeypatch.setattr(montecarlo, "_draw_counts", recording_draw)
+    monkeypatch.setattr(montecarlo, "_ml_score", recording_score)
+    assert run_trials(cfg).errors == _reference_errors(cfg)
+    assert len(draws) == len(scored) == 2
+    for counts, table in zip(draws, scored):
+        assert counts.min() > 1e7
+        np.testing.assert_array_equal(table, np.arange(counts.min(), counts.max() + 1))

@@ -176,3 +176,19 @@ def test_figure_table_dispatch():
     assert t4.metadata["beta2"] == 10.0
     with pytest.raises(ValueError):
         figure_table(6)
+
+
+@pytest.mark.parametrize(
+    "fig_id,options,unused",
+    [
+        (1, dict(tail_tol=0.5, n_angles=100, alpha2=7.0, cross_check_alpha2=0.3),
+         "alpha2, n_angles, cross_check_alpha2, tail_tol"),
+        (2, dict(beta2=1.0), "beta2"),
+        (3, dict(alpha2_grid=[0.1], beta2_grid=[1.0]), "alpha2_grid, beta2_grid"),
+        (4, dict(cross_check_alpha2=0.1), "cross_check_alpha2"),
+        (5, dict(alpha2_grid=[0.1], n_angles=8), "alpha2_grid, n_angles"),
+    ],
+)
+def test_figure_table_rejects_options_the_figure_does_not_use(fig_id, options, unused):
+    with pytest.raises(ValueError, match=f"figure {fig_id} does not use {unused}$"):
+        figure_table(fig_id, **options)

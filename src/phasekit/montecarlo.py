@@ -1,16 +1,15 @@
 """Stochastic oracle: simulate click statistics and estimate error rates.
 
 Trials draw a hypothesis fairly, Poisson counts per output port, and apply
-one of three decision rules; the maximum-likelihood rule scores a trial with
-the analytic receiver's straight boundary a*n + b*m, read from a table of
-the kernel's scores over the block's count range, so both routes share one
-rule and one tie band. ``_draw_counts`` is the one Poisson sampler and draws
-a whole block of counts at once: when every mean in the block is below 30,
-each count inverts a single uniform draw against the Poisson CDF through a
-guide table built once per run (indexed search, Chen & Asau 1974). One
-lookup gives the count, or -1 for the few bins that hold a CDF step, which
-a binary search settles. Otherwise the block falls back to the generator's
-own Poisson sampler.
+one of three decision rules; the maximum-likelihood rule scores each trial
+with the analytic receiver's straight boundary a*n + b*m, so both routes
+share one rule and one tie band. ``_draw_counts`` is the one Poisson
+sampler and draws a whole block of counts at once: when every mean in the
+block is below 30, each count inverts a single uniform draw against the
+Poisson CDF through a guide table built once per run (indexed search, Chen
+& Asau 1974). One lookup gives the count, or -1 for the few bins that hold
+a CDF step, which a binary search settles. Otherwise the block falls back
+to the generator's own Poisson sampler.
 Streams come from numpy's PCG64 seeded through ``SeedSequence(seed).spawn``,
 one child per fixed-size trial block, so runs are reproducible bit for bit
 and block results merge by plain addition regardless of scheduling.
@@ -201,14 +200,6 @@ def _draw_counts(
     return rng.poisson(table.means[minus.view(np.uint8)])
 
 
-def _score(slope: float, counts: np.ndarray) -> np.ndarray:
-    # the kernel's score row (same IEEE operations, so the same scores) over
-    # the block's count range only: a table from 0 up to the largest count
-    # would take 800 MB at a port mean of 1e8
-    lo = counts.min()
-    return _ml_score(slope, np.arange(lo, counts.max() + 1))[counts - lo]
-
-
 def _simulate_block(
     cfg: TrialConfig,
     slopes: tuple[float, float],
@@ -232,8 +223,8 @@ def _simulate_block(
     else:
         # a dark port's count is 0 on every trial it could contradict, so
         # inf + -inf never occurs
-        diff = _score(slopes[0], counts1)
-        diff += _score(slopes[1], counts2)
+        diff = _ml_score(slopes[0], counts1)
+        diff += _ml_score(slopes[1], counts2)
         guess_plus = diff > TIE_LOG_BAND
         tied = np.flatnonzero(np.abs(diff, out=diff) <= TIE_LOG_BAND)
     if tied.size:

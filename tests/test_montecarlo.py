@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -534,26 +535,20 @@ def test_run_trials_counts_errors_like_the_reference_block(alpha2, beta2, phi, t
         assert run_trials(cfg).errors == _reference_errors(cfg), cfg
 
 
-def test_huge_means_score_only_the_counts_seen(monkeypatch):
-    # port means near 1e8: a score table from 0 up to the largest count would
-    # take hundreds of megabytes
-    cfg = TrialConfig(PulsePair(1.0, 1e8), Beamsplitter(0.15 * math.pi),
-                      DecisionRule.ML_JOINT, trials=1_000, seed=4)
-    draws, scored = [], []
-
-    def recording_draw(*args):
-        counts = _draw_counts(*args)
-        draws.append(counts)
-        return counts
-
-    def recording_score(slope, counts):
-        scored.append(counts)
-        return _ml_score(slope, counts)
-
-    monkeypatch.setattr(montecarlo, "_draw_counts", recording_draw)
-    monkeypatch.setattr(montecarlo, "_ml_score", recording_score)
-    assert run_trials(cfg).errors == _reference_errors(cfg)
-    assert len(draws) == len(scored) == 2
-    for counts, table in zip(draws, scored):
-        assert counts.min() > 1e7
-        np.testing.assert_array_equal(table, np.arange(counts.min(), counts.max() + 1))
+@pytest.mark.parametrize("beta2", [1e12, 1e16])
+def test_huge_means_score_in_memory_set_by_the_block(monkeypatch, beta2):
+    # port means up to about 1e16: any table spanning the counts a port can
+    # reach would hold millions to hundreds of millions of entries, while a
+    # 3 000-trial run needs its guide tables (about 1 MB) and a few 24 KB
+    # per-trial arrays
+    monkeypatch.setenv("PHASEKIT_THREADS", "1")
+    cfg = TrialConfig(PulsePair(1.0, beta2), Beamsplitter(0.15 * math.pi),
+                      DecisionRule.ML_JOINT, trials=3_000, seed=4)
+    tracemalloc.start()
+    try:
+        errors = run_trials(cfg).errors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert errors == _reference_errors(cfg)

@@ -9,12 +9,7 @@ the parameter sweeps behind the numbered figure tables.
 
 __version__ = "0.1.0"
 
-from .helstrom import (
-    TruncationCeilingError,
-    d_err_small_alpha,
-    p_err_optimal,
-    small_alpha_series_cutoff,
-)
+from .helstrom import d_err_small_alpha, p_err_optimal, small_alpha_series_cutoff
 from .model import (
     Beamsplitter,
     DiscriminationResult,
@@ -66,7 +61,6 @@ __all__ = [
     "SplitterRangeError",
     "Table",
     "TrialConfig",
-    "TruncationCeilingError",
     "best_angle",
     "d_err_small_alpha",
     "figure_angle_sweep",

@@ -212,7 +212,7 @@ def _cmd_optimum(args) -> str:
         n_used = result.metadata["n_max"]
     else:
         d = d_err_small_alpha(pair)
-        n_used = small_alpha_series_cutoff(pair.beta2) if pair.beta2 > 0 else 0
+        n_used = small_alpha_series_cutoff(pair.beta2)
         result = DiscriminationResult.from_error_probability(
             0.5 * (1.0 - d), "helstrom_small_alpha", n_cut=n_used
         )

@@ -15,6 +15,9 @@ For weak signals the leading order in the signal amplitude has a
 closed-form spectrum, +/- lambda_n with
 lambda_n = 2 beta^(2n+1) alpha e^(-beta^2) / sqrt(n! (n+1)!), whose sum is a
 fast series for the distinguishability.
+
+Both sums stop at photon counts within ``numerics.MAX_PHOTON_COUNT``; beyond
+it they raise ``NumericalResourceError`` before allocating anything.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .model import DiscriminationResult, PulsePair
 from .numerics import (
     NEG_INF,
-    NumericalResourceError,
+    checked_count,
     log_factorial,
     log_poisson_pmf_array,
     poisson_tail_cutoff,
@@ -35,9 +38,7 @@ from .numerics import (
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
-    "DEFAULT_MAX_TOTAL_PHOTONS",
     "TRUNCATION_SAFETY_MARGIN",
-    "TruncationCeilingError",
     "p_err_optimal",
     "small_alpha_series_cutoff",
     "d_err_small_alpha",
@@ -50,24 +51,9 @@ DEFAULT_TAIL_TOL = 1e-10
 # far below tail_tol, at the cost of ten short terms
 TRUNCATION_SAFETY_MARGIN = 10
 
-DEFAULT_MAX_TOTAL_PHOTONS = 2048
-
 _EPS = np.finfo(float).eps
 
 SERIES_REL_TOL = 1e-12
-
-
-class TruncationCeilingError(NumericalResourceError):
-    """The required basis size exceeds the configured ceiling."""
-
-    def __init__(self, needed: int, ceiling: int) -> None:
-        super().__init__(
-            f"truncation needs total photon number {needed} but the ceiling is "
-            f"{ceiling}; the library's p_err_optimal takes a larger one as "
-            f"max_total_photons, the command line has no flag for it"
-        )
-        self.needed = needed
-        self.ceiling = ceiling
 
 
 def _log_abs_r(pair: PulsePair) -> float:
@@ -109,11 +95,7 @@ def _sectors(pair: PulsePair, n_max: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return errors, np.exp(log_w) * root, 2.0 * _EPS * errors * log_scale
 
 
-def p_err_optimal(
-    pair: PulsePair,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    max_total_photons: int = DEFAULT_MAX_TOTAL_PHOTONS,
-) -> DiscriminationResult:
+def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> DiscriminationResult:
     """Minimum error probability as a sum of per-sector pure-state terms.
 
     Sectors N = 0 .. n_max are kept, n_max being the Poisson cutoff of
@@ -122,13 +104,12 @@ def p_err_optimal(
     ``metadata['truncation_bound']`` therefore bounds the error in P by half
     the dropped Poisson mass times x_(n_max+1), plus the float rounding of
     the log-space terms. ``metadata['trace_norm']`` is the trace norm of the
-    truncated state difference.
+    truncated state difference. The cost is linear in n_max; the photon-count
+    ceiling admits alpha^2 + beta^2 up to about 8.9e5.
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     n_max = poisson_tail_cutoff(pair.total, tail_tol) + TRUNCATION_SAFETY_MARGIN
-    if n_max > max_total_photons:
-        raise TruncationCeilingError(n_max, max_total_photons)
     tail_bound = poisson_upper_tail(pair.total, n_max)
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         # identical states: every sector is an exact tie
@@ -178,7 +159,7 @@ def small_alpha_series_cutoff(beta2: float, rel_tol: float = SERIES_REL_TOL) -> 
     margin = 12.0 * math.sqrt(beta2 + 1.0) + 30.0
     probe = PulsePair(1.0, beta2)
     while True:
-        n_cut = int(beta2 + margin)
+        n_cut = checked_count(beta2 + margin)
         terms = _mode_magnitudes(probe, n_cut)
         total = float(terms.sum())
         # term ratio beta^2 / sqrt((n+1)(n+2)) < 1 gives a geometric tail bound

@@ -92,10 +92,6 @@ class Beamsplitter:
         if abs(self.r * self.r + self.t * self.t - 1.0) > 1e-14:
             raise ValueError("splitter magnitudes must satisfy r^2 + t^2 = 1")
 
-    @property
-    def phi_over_pi(self) -> float:
-        return self.phi / math.pi
-
 
 def homodyne_splitter() -> Beamsplitter:
     """The balanced splitter, phi = pi/4."""

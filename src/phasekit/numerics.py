@@ -4,6 +4,9 @@ Probability machinery works in log space so that products of Poisson
 weights survive strong reference pulses, and returns to linear space only
 for the final sums. Everything here is a pure function of its inputs; the
 shared factorial table is only ever replaced by a larger one.
+
+``MAX_PHOTON_COUNT`` is the one ceiling on every truncated sum in the package;
+``checked_count`` enforces it before anything is allocated.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import threading
 import numpy as np
 
 __all__ = [
+    "MAX_PHOTON_COUNT",
     "NumericalResourceError",
+    "checked_count",
     "log_factorial",
     "log_poisson_pmf_array",
     "poisson_tail_cutoff",
@@ -23,9 +28,21 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
+# the largest photon count a truncated sum may index (8 MB per float array)
+MAX_PHOTON_COUNT = 1 << 20
+
 
 class NumericalResourceError(RuntimeError):
     """A computation exceeded its configured numerical budget."""
+
+
+def checked_count(x) -> int:
+    """int(x) as a truncation's top photon count, refused above the ceiling (also x = inf)."""
+    if not x <= MAX_PHOTON_COUNT:
+        raise NumericalResourceError(
+            f"truncation needs photon counts up to {x:.4g}, above the ceiling of {MAX_PHOTON_COUNT}"
+        )
+    return int(x)
 
 
 def _log_factorial_table(max_n: int) -> np.ndarray:
@@ -57,14 +74,15 @@ def log_factorial(n):
     Each call reads the table it indexes into a local, and a rebuilt table
     replaces the shared one only when it is larger, so a call running
     concurrently with another thread's rebuild never sees the table shrink.
+    The table doubles as it grows, but never past ``MAX_PHOTON_COUNT``.
     """
     global _log_factorials
     if np.min(n) < 0:
         raise ValueError("factorial argument must be non-negative")
-    top = int(np.max(n))
+    top = checked_count(np.max(n))
     table = _log_factorials
     if top >= len(table):
-        table = _log_factorial_table(max(top, 2 * (len(table) - 1)))
+        table = _log_factorial_table(min(max(top, 2 * (len(table) - 1)), MAX_PHOTON_COUNT))
         with _install_lock:
             if len(table) > len(_log_factorials):
                 _log_factorials = table
@@ -77,6 +95,7 @@ def log_poisson_pmf_array(n_max: int, mean: float) -> np.ndarray:
         raise ValueError(f"mean must be non-negative, got {mean}")
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
+    checked_count(n_max)
     if mean == 0.0:
         out = np.full(n_max + 1, NEG_INF)
         out[0] = 0.0
@@ -89,7 +108,7 @@ def _extended_pmf(mean: float, min_upper: int, log_floor: float) -> np.ndarray:
     """pmf values out to where the remaining mass is provably negligible."""
     margin = 10.0 * math.sqrt(mean + 1.0) + 40.0
     while True:
-        upper = max(int(mean + margin), min_upper)
+        upper = checked_count(max(mean + margin, min_upper))
         logs = log_poisson_pmf_array(upper, mean)
         # geometric decay beyond `upper` bounds the neglected remainder
         if mean / (upper + 1.0) < 0.9 and logs[-1] < log_floor:

@@ -107,8 +107,9 @@ def _ratio_table(figure: int, name: str, asymptotic, generalized, alpha2_grid, b
     """One receiver at finite reference against its strong-reference baseline.
 
     ``asymptotic(alpha2)`` and ``generalized(pair)`` give the two results;
-    rows run over ``beta2_list``, then ``alpha2_grid``. ``ratio_d`` is null
-    where the baseline has no distinguishability.
+    rows run over ``beta2_list``, then ``alpha2_grid``. ``ratio_p`` is null
+    where the baseline error underflows to zero, and ``ratio_d`` where the
+    baseline has no distinguishability.
     """
     if alpha2_grid is None:
         alpha2_grid = default_alpha2_grid()
@@ -135,7 +136,8 @@ def _ratio_table(figure: int, name: str, asymptotic, generalized, alpha2_grid, b
                 float(beta2),
                 base.error_probability,
                 gen.error_probability,
-                gen.error_probability / base.error_probability,
+                gen.error_probability / base.error_probability
+                if base.error_probability > 0.0 else None,
                 d_base,
                 d_gen,
                 d_gen / d_base if d_base > 0.0 else None,

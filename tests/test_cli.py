@@ -96,10 +96,60 @@ def test_argument_errors_exit_2():
                    "--rule", "homodyne", "--phi-over-pi", "0.2").returncode == 2
 
 
-def test_resource_errors_exit_3():
-    proc = run_cli("optimum", "--alpha2", "0.1", "--beta2", "1e6")
-    assert proc.returncode == 3
-    assert b"ceiling" in proc.stderr
+def test_resource_errors_exit_3(capsys):
+    strengths = ["--alpha2", "0.1", "--beta2", "1e12"]
+    for argv in (
+        ["homodyne", *strengths],
+        ["bsclass", *strengths, "--phi-over-pi", "0.2"],
+        ["optimum", *strengths],
+        ["optimum", *strengths, "--method", "small-alpha"],
+        ["figure", "--id", "5", "--beta2-grid", "1e12"],
+    ):
+        assert cli.main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("phasekit: ") and captured.err.count("\n") == 1
+        assert "ceiling of 1048576" in captured.err
+
+
+def test_optimum_at_a_strong_reference():
+    # the old 2048-photon ceiling refused this; the value is the sector sum
+    # with that ceiling lifted, at 12 digits
+    proc = run_cli("optimum", "--alpha2", "0.1", "--beta2", "1e5")
+    assert proc.returncode == 0
+    assert proc.stdout.decode().splitlines()[0] == "P_err = 0.21291153771"
+
+
+EDGE_STRENGTHS = ("0", "1e-300", "1", "1e12", "1e300")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["kennedy"],
+        ["homodyne"],
+        ["bsclass", "--phi-over-pi", "0.2"],
+        ["optimum"],
+        ["optimum", "--method", "small-alpha"],
+        ["montecarlo", "--trials", "1000"],
+        ["figure", "--id", "2"],
+        ["figure", "--id", "5"],
+    ],
+    ids=" ".join,
+)
+def test_every_strength_ends_in_an_exit_code(command, capsys):
+    # zero, tiny, ordinary, huge and near-overflow strengths must each end in
+    # a result, an argument error or a resource error, never an exception
+    for alpha2 in EDGE_STRENGTHS:
+        for beta2 in EDGE_STRENGTHS:
+            if command[0] != "figure":
+                argv = [*command, "--alpha2", alpha2, "--beta2", beta2]
+            elif command[2] == "2":
+                argv = [*command, "--alpha2-grid", alpha2, "--beta2-grid", beta2]
+            else:
+                argv = [*command, "--beta2-grid", beta2, "--cross-check-alpha2", alpha2]
+            assert cli.main(argv) in (0, 2, 3), argv
+    capsys.readouterr()
 
 
 def test_montecarlo_command_and_determinism():

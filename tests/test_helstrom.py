@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import oracle_optimal
 from phasekit.helstrom import (
-    TruncationCeilingError,
     _mode_magnitudes,
     _sectors,
     d_err_small_alpha,
@@ -17,7 +16,13 @@ from phasekit.helstrom import (
     small_alpha_series_cutoff,
 )
 from phasekit.model import PulsePair
-from phasekit.numerics import log_factorial, log_poisson_pmf_array, poisson_tail_cutoff
+from phasekit.numerics import (
+    MAX_PHOTON_COUNT,
+    NumericalResourceError,
+    log_factorial,
+    log_poisson_pmf_array,
+    poisson_tail_cutoff,
+)
 from phasekit.receivers import p_homodyne_generalized, p_kennedy_generalized, p_min_pure
 
 mp.mp.dps = 40
@@ -124,9 +129,10 @@ def test_truncation_depth_and_ceiling():
     res = p_err_optimal(pair, tail_tol=1e-10)
     assert res.metadata["n_max"] == poisson_tail_cutoff(1.1, 1e-10) + 10
     assert 0.0 <= res.metadata["truncation_bound"] < 1e-10
-    with pytest.raises(TruncationCeilingError) as err:
-        p_err_optimal(PulsePair(0.1, 400.0), max_total_photons=64)
-    assert err.value.needed > err.value.ceiling
+    with pytest.raises(NumericalResourceError, match="ceiling"):
+        p_err_optimal(PulsePair(0.1, float(MAX_PHOTON_COUNT)))
+    with pytest.raises(NumericalResourceError, match="ceiling"):
+        small_alpha_series_cutoff(float(MAX_PHOTON_COUNT))
     with pytest.raises(ValueError):
         p_err_optimal(pair, tail_tol=1.0)
 

@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasekit.numerics as numerics
+from phasekit.helstrom import p_err_optimal
+from phasekit.model import PulsePair
 from phasekit.numerics import (
+    MAX_PHOTON_COUNT,
+    NumericalResourceError,
     _log_factorial_table,
     log_poisson_pmf_array,
     poisson_tail_cutoff,
@@ -60,6 +64,39 @@ def test_log_factorial_never_shrinks_the_shared_table(monkeypatch):
     monkeypatch.setattr(numerics, "_log_factorial_table", build_during_concurrent_install)
     assert numerics.log_factorial(40) == pytest.approx(math.lgamma(41), rel=1e-15)
     assert numerics._log_factorials is larger
+
+
+def test_log_factorial_table_stops_at_the_ceiling(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_PHOTON_COUNT", 4096)
+    monkeypatch.setattr(numerics, "_log_factorials", _log_factorial_table(16))
+    numerics.log_factorial(3000)
+    # doubling from 3001 entries would build 6001; the ceiling caps it
+    assert numerics.log_factorial(3500) == pytest.approx(math.lgamma(3501), rel=1e-15)
+    assert len(numerics._log_factorials) == 4097
+    with pytest.raises(NumericalResourceError, match="ceiling"):
+        numerics.log_factorial(np.array([1, 4097]))
+    with pytest.raises(NumericalResourceError, match="ceiling"):
+        poisson_tail_cutoff(4000.0, 1e-10)
+    assert len(numerics._log_factorials) == 4097
+
+
+def test_refused_truncation_leaves_the_table_within_the_ceiling():
+    with pytest.raises(NumericalResourceError, match="ceiling"):
+        p_err_optimal(PulsePair(0.1, 4e6))
+    assert len(numerics._log_factorials) <= MAX_PHOTON_COUNT + 1
+
+
+def test_truncations_past_the_ceiling_are_refused_before_allocating():
+    # each of these would otherwise ask for terabytes, or overflow int()
+    for call in (
+        lambda: log_poisson_pmf_array(10**12, 1.0),
+        lambda: poisson_upper_tail(1.0, 10**12),
+        lambda: poisson_tail_cutoff(1e12, 1e-10),
+        lambda: poisson_tail_cutoff(math.inf, 1e-10),
+    ):
+        with pytest.raises(NumericalResourceError, match="ceiling"):
+            call()
+    assert log_poisson_pmf_array(MAX_PHOTON_COUNT, 0.0)[0] == 0.0
 
 
 def test_log_factorial_rejects_negative():

@@ -62,6 +62,16 @@ def test_zero_signal_ratio_is_null():
     assert table.rows[1]["ratio_d"] is not None
 
 
+def test_ratio_p_is_null_where_the_baseline_underflows():
+    # a strong signal drives the infinite-reference P to exactly 0
+    ken = figure_kennedy_ratios(alpha2_grid=[1e12], beta2_list=[1e12])
+    hom = figure_homodyne_ratios(alpha2_grid=[1e12], beta2_list=[0.0])
+    assert ken.rows[0]["p_ken"] == ken.rows[0]["p_ken_tilde"] == 0.0
+    assert hom.rows[0]["p_hom"] == 0.0 and hom.rows[0]["p_hom_tilde"] == 0.5
+    assert ken.rows[0]["ratio_p"] is None and hom.rows[0]["ratio_p"] is None
+    assert ken.rows[0]["ratio_d"] == hom.rows[0]["ratio_d"] + 1.0 == 1.0
+
+
 def test_homodyne_table_rows_recompute():
     table = figure_homodyne_ratios(alpha2_grid=[0.1], beta2_list=[1.0, 10.0])
     for row in table.rows:

@@ -9,7 +9,7 @@ the parameter sweeps behind the numbered figure tables.
 
 __version__ = "0.1.0"
 
-from .helstrom import d_err_small_alpha, p_err_optimal, small_alpha_series_cutoff
+from .helstrom import d_err_small_alpha, p_err_optimal
 from .model import (
     Beamsplitter,
     DiscriminationResult,
@@ -80,7 +80,6 @@ __all__ = [
     "p_min_pure",
     "poisson_tail_cutoff",
     "run_trials",
-    "small_alpha_series_cutoff",
     "write_csv",
     "write_json",
 ]

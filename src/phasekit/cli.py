@@ -13,12 +13,7 @@ import argparse
 import math
 import sys
 
-from .helstrom import (
-    DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL,
-    d_err_small_alpha,
-    p_err_optimal,
-    small_alpha_series_cutoff,
-)
+from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, p_err_optimal
 from .model import (
     Beamsplitter,
     DiscriminationResult,
@@ -143,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strength_flags(p)
     p.add_argument("--tail-tol", type=float, default=OPTIMUM_TAIL_TOL,
                    help="basis truncation budget (default %(default)g)")
-    p.add_argument("--method", choices=("exact", "small-alpha"), default="exact",
-                   help="truncated trace norm, or the weak-signal series")
     p.add_argument("--quote-tolerances", action="store_true")
 
     p = sub.add_parser("montecarlo", help="simulate a receiver and report the error rate")
@@ -206,19 +199,9 @@ def _cmd_bsclass(args) -> str:
 
 
 def _cmd_optimum(args) -> str:
-    pair = PulsePair(args.alpha2, args.beta2)
-    if args.method == "exact":
-        result = p_err_optimal(pair, args.tail_tol)
-        n_used = result.metadata["n_max"]
-    else:
-        d = d_err_small_alpha(pair)
-        n_used = small_alpha_series_cutoff(pair.beta2)
-        result = DiscriminationResult.from_error_probability(
-            0.5 * (1.0 - d), "helstrom_small_alpha", n_cut=n_used
-        )
-    lines = _result_lines(
-        result, args.quote_tolerances, ("P_err", "D_err"), [f"N_max = {format_value(n_used)}"]
-    )
+    result = p_err_optimal(PulsePair(args.alpha2, args.beta2), args.tail_tol)
+    n_max = format_value(result.metadata["n_max"])
+    lines = _result_lines(result, args.quote_tolerances, ("P_err", "D_err"), [f"N_max = {n_max}"])
     return "\n".join(lines) + "\n"
 
 

@@ -11,10 +11,17 @@ is therefore a weighted sum of pure-state Helstrom terms,
 
 a sum of positive terms, so a tiny P keeps full relative precision.
 
-For weak signals the leading order in the signal amplitude has a
-closed-form spectrum, +/- lambda_n with
-lambda_n = 2 beta^(2n+1) alpha e^(-beta^2) / sqrt(n! (n+1)!), whose sum is a
-fast series for the distinguishability.
+As alpha -> 0 each sector's half trace norm w_N sqrt(1 - x_N) becomes
+linear in alpha, and the sum D = sum over N of w_N sqrt(1 - x_N) tends to
+the weak-signal series
+
+    D ~ 2 alpha beta * E[1 / sqrt(n + 1)],  n ~ Poisson(beta^2),
+
+whose n-th term is the eigenvalue magnitude
+lambda_n = 2 alpha beta Poi(n; beta^2) / sqrt(n + 1) of the leading-order
+state difference. It is summed to a Poisson tail mass of 1e-16; the
+log-space weights then limit its accuracy, to about 5e-11 relative near
+beta^2 = 1e5 and 1e-9 near 1e6.
 
 Both sums stop at photon counts within ``numerics.MAX_PHOTON_COUNT``; beyond
 it they raise ``NumericalResourceError`` before allocating anything.
@@ -29,7 +36,6 @@ import numpy as np
 from .model import DiscriminationResult, PulsePair
 from .numerics import (
     NEG_INF,
-    checked_count,
     log_factorial,
     log_poisson_pmf_array,
     poisson_tail_cutoff,
@@ -40,7 +46,6 @@ __all__ = [
     "DEFAULT_TAIL_TOL",
     "TRUNCATION_SAFETY_MARGIN",
     "p_err_optimal",
-    "small_alpha_series_cutoff",
     "d_err_small_alpha",
 ]
 
@@ -52,8 +57,6 @@ DEFAULT_TAIL_TOL = 1e-10
 TRUNCATION_SAFETY_MARGIN = 10
 
 _EPS = np.finfo(float).eps
-
-SERIES_REL_TOL = 1e-12
 
 
 def _log_abs_r(pair: PulsePair) -> float:
@@ -105,22 +108,25 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
     the dropped Poisson mass times x_(n_max+1), plus the float rounding of
     the log-space terms. ``metadata['trace_norm']`` is the trace norm of the
     truncated state difference. The cost is linear in n_max; the photon-count
-    ceiling admits alpha^2 + beta^2 up to about 8.9e5.
+    ceiling admits alpha^2 + beta^2 up to about 1.03e6. At alpha^2 = 0 or
+    beta^2 = 0 the states are identical, and the exact tie 1/2 comes back
+    with n_max = 0 and no cutoff sized.
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    n_max = poisson_tail_cutoff(pair.total, tail_tol) + TRUNCATION_SAFETY_MARGIN
-    tail_bound = poisson_upper_tail(pair.total, n_max)
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
-        # identical states: every sector is an exact tie
+        # identical states: an exact tie, with nothing to truncate
         return DiscriminationResult.from_error_probability(
             0.5,
             "helstrom_truncated",
-            n_max=n_max,
+            degenerate=True,
+            n_max=0,
             tail_tol=tail_tol,
-            truncation_bound=0.5 * tail_bound,
+            truncation_bound=0.0,
             trace_norm=0.0,
         )
+    n_max = poisson_tail_cutoff(pair.total, tail_tol) + TRUNCATION_SAFETY_MARGIN
+    tail_bound = poisson_upper_tail(pair.total, n_max)
     errors, half_norms, rounding = _sectors(pair, n_max)
     x_next = math.exp(2.0 * (n_max + 1) * _log_abs_r(pair))
     return DiscriminationResult.from_error_probability(
@@ -133,44 +139,8 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
     )
 
 
-def _mode_magnitudes(pair: PulsePair, n_cut: int) -> np.ndarray:
-    """The weak-signal eigenvalue magnitudes lambda_n for n = 0 .. n_cut."""
-    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
-        return np.zeros(n_cut + 1)
-    n = np.arange(n_cut + 1)
-    logs = (
-        math.log(2.0)
-        + 0.5 * math.log(pair.alpha2)
-        + (n + 0.5) * math.log(pair.beta2)
-        - pair.beta2
-        - 0.5 * (log_factorial(n) + log_factorial(n + 1))
-    )
-    return np.exp(logs)
-
-
-def small_alpha_series_cutoff(beta2: float, rel_tol: float = SERIES_REL_TOL) -> int:
-    """Index past which the weak-signal series tail is below rel_tol of the sum."""
-    if beta2 < 0:
-        raise ValueError(f"beta2 must be non-negative, got {beta2}")
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    if beta2 == 0.0:
-        return 0
-    margin = 12.0 * math.sqrt(beta2 + 1.0) + 30.0
-    probe = PulsePair(1.0, beta2)
-    while True:
-        n_cut = checked_count(beta2 + margin)
-        terms = _mode_magnitudes(probe, n_cut)
-        total = float(terms.sum())
-        # term ratio beta^2 / sqrt((n+1)(n+2)) < 1 gives a geometric tail bound
-        ratio = beta2 / math.sqrt((n_cut + 1.0) * (n_cut + 2.0))
-        if ratio < 1.0 and float(terms[-1]) * ratio / (1.0 - ratio) < rel_tol * total:
-            return n_cut
-        margin *= 2.0
-
-
 def d_err_small_alpha(pair: PulsePair) -> float:
-    """Weak-signal distinguishability series, summed to relative 1e-12.
+    """Weak-signal distinguishability 2 alpha beta E[1 / sqrt(n + 1)], n ~ Poisson(beta^2).
 
     Linear in the signal amplitude; dividing by 2*alpha gives the ratio to
     the infinite-reference value, which is what the optimal-measurement
@@ -178,5 +148,7 @@ def d_err_small_alpha(pair: PulsePair) -> float:
     """
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         return 0.0
-    n_cut = small_alpha_series_cutoff(pair.beta2)
-    return float(_mode_magnitudes(pair, n_cut).sum())
+    n_cut = poisson_tail_cutoff(pair.beta2, 1e-16)
+    weights = np.exp(log_poisson_pmf_array(n_cut, pair.beta2))
+    terms = weights / np.sqrt(np.arange(1.0, n_cut + 2.0))
+    return 2.0 * pair.alpha * pair.beta * float(terms.sum())

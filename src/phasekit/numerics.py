@@ -110,8 +110,12 @@ def _extended_pmf(mean: float, min_upper: int, log_floor: float) -> np.ndarray:
     while True:
         upper = checked_count(max(mean + margin, min_upper))
         logs = log_poisson_pmf_array(upper, mean)
-        # geometric decay beyond `upper` bounds the neglected remainder
-        if mean / (upper + 1.0) < 0.9 and logs[-1] < log_floor:
+        # beyond `upper` the pmf decays at least geometrically with ratio
+        # d = mean / (upper + 1), so the neglected remainder is at most
+        # pmf[upper] * d / (1 - d) = pmf[upper] * mean / (upper + 1 - mean);
+        # the logs are taken apart because d underflows for subnormal means
+        slack = upper + 1.0 - mean
+        if slack > 0.0 and logs[-1] + math.log(mean) - math.log(slack) < log_floor:
             return np.exp(logs)
         margin *= 2.0
 

@@ -94,3 +94,31 @@ def oracle_optimal(alpha2, beta2):
         return mp.fsum(
             _pmf(total, n) * (1 - mp.sqrt(1 - r2**n)) for n in range(n_top)
         ) / 2
+
+
+def oracle_small_alpha_series(alpha2, beta2):
+    """Weak-signal series: the sum over n of the eigenvalue magnitudes
+
+        lambda_n = 2 alpha beta Poi(n; beta^2) / sqrt(n + 1)
+                 = 2 alpha beta^(2n+1) e^(-beta^2) / sqrt(n! (n+1)!).
+
+    The Poisson weights follow their ratio recurrence outwards from the mode
+    until they fall 60 orders of magnitude below it, which leaves no
+    truncation at 40 digits.
+    """
+    with mp.workdps(DPS):
+        a2, b2 = mp.mpf(alpha2), mp.mpf(beta2)
+        mode = int(mp.floor(b2))
+        peak = _pmf(b2, mode)
+        total = peak / mp.sqrt(mode + 1)
+        w, n = peak, mode
+        while n > 0 and w > peak * mp.mpf("1e-60"):
+            w = w * n / b2
+            n -= 1
+            total += w / mp.sqrt(n + 1)
+        w, n = peak, mode
+        while w > peak * mp.mpf("1e-60"):
+            n += 1
+            w = w * b2 / n
+            total += w / mp.sqrt(n + 1)
+        return 2 * mp.sqrt(a2 * b2) * total

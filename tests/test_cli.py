@@ -69,14 +69,6 @@ def test_bsclass_phi_zero_is_an_exact_tie():
     assert proc.stdout == b"P = 0.5\nD = 0\n"
 
 
-def test_optimum_small_alpha_method():
-    proc = run_cli("optimum", "--alpha2", "0.0001", "--beta2", "1", "--method", "small-alpha")
-    assert proc.returncode == 0
-    values = parse_scalars(proc.stdout)
-    assert values["D_err"] == pytest.approx(2 * 0.01 * 0.7731927, rel=1e-4)
-    assert values["N_max"] >= 1
-
-
 def test_quote_tolerances_adds_metadata():
     bare = run_cli("homodyne", "--alpha2", "0.1", "--beta2", "1")
     quoted = run_cli("homodyne", "--alpha2", "0.1", "--beta2", "1", "--quote-tolerances")
@@ -102,7 +94,6 @@ def test_resource_errors_exit_3(capsys):
         ["homodyne", *strengths],
         ["bsclass", *strengths, "--phi-over-pi", "0.2"],
         ["optimum", *strengths],
-        ["optimum", *strengths, "--method", "small-alpha"],
         ["figure", "--id", "5", "--beta2-grid", "1e12"],
     ):
         assert cli.main(argv) == 3, argv
@@ -112,12 +103,26 @@ def test_resource_errors_exit_3(capsys):
         assert "ceiling of 1048576" in captured.err
 
 
-def test_optimum_at_a_strong_reference():
+def test_optimum_at_a_strong_reference(capsys):
     # the old 2048-photon ceiling refused this; the value is the sector sum
     # with that ceiling lifted, at 12 digits
     proc = run_cli("optimum", "--alpha2", "0.1", "--beta2", "1e5")
     assert proc.returncode == 0
     assert proc.stdout.decode().splitlines()[0] == "P_err = 0.21291153771"
+    # one log-pmf build per cutoff leaves the sum room up to about 1.03e6
+    assert cli.main(["optimum", "--alpha2", "0.1", "--beta2", "1e6"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "P_err = 0.212911219171"
+    assert cli.main(["optimum", "--alpha2", "0.1", "--beta2", "1.1e6"]) == 3
+    assert "ceiling of 1048576" in capsys.readouterr().err
+
+
+def test_degenerate_strengths_need_no_truncation(capsys):
+    # a zero strength is an exact tie, however strong the other pulse
+    assert cli.main(["optimum", "--alpha2", "1e12", "--beta2", "0"]) == 0
+    assert capsys.readouterr().out == "P_err = 0.5\nD_err = 0\nN_max = 0\n"
+    argv = ["figure", "--id", "5", "--beta2-grid", "0", "--cross-check-alpha2", "1e12"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "beta2,d_ratio_series,d_ratio_exact\n0,0,0\n"
 
 
 EDGE_STRENGTHS = ("0", "1e-300", "1", "1e12", "1e300")
@@ -130,7 +135,6 @@ EDGE_STRENGTHS = ("0", "1e-300", "1", "1e12", "1e300")
         ["homodyne"],
         ["bsclass", "--phi-over-pi", "0.2"],
         ["optimum"],
-        ["optimum", "--method", "small-alpha"],
         ["montecarlo", "--trials", "1000"],
         ["figure", "--id", "2"],
         ["figure", "--id", "5"],

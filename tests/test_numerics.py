@@ -150,6 +150,8 @@ def test_poisson_tail_cutoff_examples():
     assert poisson_tail_cutoff(1.0, 1e-12) == _brute_force_cutoff(1.0, 1e-12)
     assert poisson_tail_cutoff(10.0, 1e-12) >= 10
     assert poisson_tail_cutoff(10.0, 1e-12) == _brute_force_cutoff(10.0, 1e-12)
+    # the remainder bound holds for a subnormal mean, where mean / n underflows
+    assert poisson_tail_cutoff(5e-324, 1e-10) == 0
 
 
 def test_poisson_tail_cutoff_validation():
@@ -159,6 +161,21 @@ def test_poisson_tail_cutoff_validation():
         poisson_tail_cutoff(1.0, 0.0)
     with pytest.raises(ValueError):
         poisson_tail_cutoff(1.0, 1.0)
+
+
+@pytest.mark.parametrize("mean,cutoff", [(9e3, 9610), (9e4, 91915)])
+def test_large_mean_cutoff_builds_one_vector(monkeypatch, mean, cutoff):
+    # the first build already reaches below the floor; its geometric
+    # remainder bound accepts it without a rebuild at a wider margin
+    sizes = []
+
+    def counted(n_max, m):
+        sizes.append(n_max)
+        return log_poisson_pmf_array(n_max, m)
+
+    monkeypatch.setattr(numerics, "log_poisson_pmf_array", counted)
+    assert poisson_tail_cutoff(mean, 1e-10) == cutoff
+    assert len(sizes) == 1
 
 
 @given(

@@ -36,7 +36,6 @@ PUBLIC_NAMES = {
     "p_min_pure",
     "poisson_tail_cutoff",
     "run_trials",
-    "small_alpha_series_cutoff",
     "write_csv",
     "write_json",
 }
@@ -66,5 +65,5 @@ def test_every_exported_name_resolves():
 
 
 def test_package_exports_the_intended_names():
-    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 34
+    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 33
     assert set(phasekit.__all__) == PUBLIC_NAMES

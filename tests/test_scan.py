@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,13 @@ from phasekit.scan import (
     write_csv,
     write_json,
 )
+
+# the benchmark's recorded figure tables, keyed "figure<id> option=value ..."
+FIGURE_REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text(
+        encoding="utf-8"
+    )
+)["figures"]
 
 
 def test_default_grid_shape():
@@ -202,3 +210,16 @@ def test_figure_table_dispatch():
 def test_figure_table_rejects_options_the_figure_does_not_use(fig_id, options, unused):
     with pytest.raises(ValueError, match=f"figure {fig_id} does not use {unused}$"):
         figure_table(fig_id, **options)
+
+
+@pytest.mark.parametrize("key", sorted(FIGURE_REFERENCES))
+def test_figure_matches_benchmark_reference(key):
+    name, *options = key.split()
+    kwargs = {}
+    for option in options:
+        option_name, value = option.split("=")
+        if value != "default":
+            kwargs[option_name] = int(value) if value.isdigit() else float(value)
+    buf = io.StringIO()
+    write_csv(figure_table(int(name.removeprefix("figure")), **kwargs), buf)
+    assert buf.getvalue() == FIGURE_REFERENCES[key]

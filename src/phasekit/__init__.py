@@ -27,7 +27,7 @@ from .montecarlo import (
     TrialConfig,
     run_trials,
 )
-from .numerics import NumericalResourceError, poisson_tail_cutoff
+from .numerics import NumericalResourceError
 from .receivers import (
     best_angle,
     p_beamsplitter_ml,
@@ -78,7 +78,6 @@ __all__ = [
     "p_kennedy_asymptotic",
     "p_kennedy_generalized",
     "p_min_pure",
-    "poisson_tail_cutoff",
     "run_trials",
     "write_csv",
     "write_json",

@@ -38,7 +38,7 @@ from .numerics import (
     NEG_INF,
     log_factorial,
     log_poisson_pmf_array,
-    poisson_tail_cutoff,
+    poisson_pmfs,
     poisson_upper_tail,
 )
 
@@ -125,7 +125,7 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
             truncation_bound=0.0,
             trace_norm=0.0,
         )
-    n_max = poisson_tail_cutoff(pair.total, tail_tol) + TRUNCATION_SAFETY_MARGIN
+    n_max = poisson_pmfs((pair.total,), tail_tol)[0] + TRUNCATION_SAFETY_MARGIN
     tail_bound = poisson_upper_tail(pair.total, n_max)
     errors, half_norms, rounding = _sectors(pair, n_max)
     x_next = math.exp(2.0 * (n_max + 1) * _log_abs_r(pair))
@@ -148,7 +148,6 @@ def d_err_small_alpha(pair: PulsePair) -> float:
     """
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         return 0.0
-    n_cut = poisson_tail_cutoff(pair.beta2, 1e-16)
-    weights = np.exp(log_poisson_pmf_array(n_cut, pair.beta2))
+    n_cut, (weights,) = poisson_pmfs((pair.beta2,), 1e-16)
     terms = weights / np.sqrt(np.arange(1.0, n_cut + 2.0))
     return 2.0 * pair.alpha * pair.beta * float(terms.sum())

@@ -1,9 +1,11 @@
-"""Poisson log-weights and Poisson tail cutoffs.
+"""Poisson log-weights, and the truncated Poisson weight vectors every sum uses.
 
 Probability machinery works in log space so that products of Poisson
 weights survive strong reference pulses, and returns to linear space only
-for the final sums. Everything here is a pure function of its inputs; the
-shared factorial table is only ever replaced by a larger one.
+for the final sums. ``poisson_pmfs`` builds one vector per mean: the build
+that finds the tail cutoff is the one the sum uses. Everything here is a pure
+function of its inputs; the shared factorial table is only ever replaced by a
+larger one.
 
 ``MAX_PHOTON_COUNT`` is the one ceiling on every truncated sum in the package;
 ``checked_count`` enforces it before anything is allocated.
@@ -22,7 +24,7 @@ __all__ = [
     "checked_count",
     "log_factorial",
     "log_poisson_pmf_array",
-    "poisson_tail_cutoff",
+    "poisson_pmfs",
     "poisson_upper_tail",
 ]
 
@@ -104,34 +106,48 @@ def log_poisson_pmf_array(n_max: int, mean: float) -> np.ndarray:
     return ns * math.log(mean) - mean - log_factorial(ns)
 
 
-def _extended_pmf(mean: float, min_upper: int, log_floor: float) -> np.ndarray:
-    """pmf values out to where the remaining mass is provably negligible."""
+def _log_remainder_bound(mean: float, upper: int, log_last: float) -> float:
+    """ln of a bound on P[Poisson(mean) > upper], given log_last = ln pmf[upper]."""
+    # beyond `upper` the pmf decays at least geometrically with ratio d = mean / (upper + 1),
+    # so the remainder is at most pmf[upper] * d / (1 - d), and unbounded while d >= 1;
+    # the logs are taken apart because d underflows for subnormal means
+    slack = upper + 1.0 - mean
+    return log_last + math.log(mean) - math.log(slack) if slack > 0.0 else math.inf
+
+
+def _extended_pmf(mean: float, min_upper: int, log_floor: float) -> tuple[np.ndarray, float]:
+    """pmf values out to where the remaining mass is provably negligible, and ln of that bound."""
     margin = 10.0 * math.sqrt(mean + 1.0) + 40.0
     while True:
         upper = checked_count(max(mean + margin, min_upper))
         logs = log_poisson_pmf_array(upper, mean)
-        # beyond `upper` the pmf decays at least geometrically with ratio
-        # d = mean / (upper + 1), so the neglected remainder is at most
-        # pmf[upper] * d / (1 - d) = pmf[upper] * mean / (upper + 1 - mean);
-        # the logs are taken apart because d underflows for subnormal means
-        slack = upper + 1.0 - mean
-        if slack > 0.0 and logs[-1] + math.log(mean) - math.log(slack) < log_floor:
-            return np.exp(logs)
+        log_rest = _log_remainder_bound(mean, upper, logs[-1])
+        if log_rest < log_floor:
+            return np.exp(logs), log_rest
         margin *= 2.0
 
 
-def poisson_tail_cutoff(mean: float, tail_mass: float) -> int:
-    """Smallest N with P[Poisson(mean) > N] < tail_mass."""
-    if mean < 0:
-        raise ValueError(f"mean must be non-negative, got {mean}")
+def poisson_pmfs(means, tail_mass: float) -> tuple[int, list[np.ndarray]]:
+    """Smallest N with P[Poisson(mean) > N] < tail_mass for every mean, and their pmfs at 0 .. N.
+
+    Each pmf is a prefix of the vector its cutoff search built; only a mean whose
+    vector stops short of N (0, or one far below the others) is built again.
+    """
     if not (0.0 < tail_mass < 1.0):
         raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    if mean == 0.0:
-        return 0
-    pmf = _extended_pmf(mean, 0, math.log(tail_mass) - 30.0)
-    # summed from the far end so tiny tails keep full relative accuracy
-    tails = np.cumsum(pmf[::-1])[::-1]
-    return int(np.argmax(tails[1:] < tail_mass))
+    cut, built = 0, []
+    for mean in means:
+        if mean < 0:
+            raise ValueError(f"mean must be non-negative, got {mean}")
+        pmf = _extended_pmf(mean, 0, math.log(tail_mass) - 30.0)[0] if mean > 0.0 else np.ones(1)
+        # tails[n] = P[X >= n], summed from the far end so tiny tails keep full accuracy
+        tails = np.cumsum(pmf[::-1])[::-1]
+        cut = max(cut, int(np.argmax(tails < tail_mass)) - 1)
+        built.append(pmf)
+    return cut, [
+        pmf[: cut + 1] if len(pmf) > cut else np.exp(log_poisson_pmf_array(cut, mean))
+        for pmf, mean in zip(built, means)
+    ]
 
 
 def poisson_upper_tail(mean: float, n: int) -> float:
@@ -142,8 +158,5 @@ def poisson_upper_tail(mean: float, n: int) -> float:
         raise ValueError(f"count must be non-negative, got {n}")
     if mean == 0.0:
         return 0.0
-    floor = log_poisson_pmf_array(n, mean)[n] - 60.0
-    pmf = _extended_pmf(mean, n + 20, floor)
-    tail = float(np.cumsum(pmf[n + 1 :][::-1])[-1])
-    decay = mean / (len(pmf) + 1.0)
-    return tail + float(pmf[-1]) * decay / (1.0 - decay)
+    pmf, log_rest = _extended_pmf(mean, n + 20, log_poisson_pmf_array(n, mean)[n] - 60.0)
+    return float(np.cumsum(pmf[n + 1 :][::-1])[-1]) + math.exp(log_rest)

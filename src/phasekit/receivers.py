@@ -29,7 +29,7 @@ from .model import (
     homodyne_splitter,
     output_means,
 )
-from .numerics import log_poisson_pmf_array, poisson_tail_cutoff
+from .numerics import poisson_pmfs
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
@@ -149,9 +149,7 @@ def p_homodyne_generalized(
         return DiscriminationResult.from_error_probability(
             0.5, "homodyne_generalized", degenerate=True
         )
-    cut = max(poisson_tail_cutoff(mean_hi, tail_tol), poisson_tail_cutoff(mean_lo, tail_tol))
-    pmf_hi = np.exp(log_poisson_pmf_array(cut, mean_hi))
-    pmf_lo = np.exp(log_poisson_pmf_array(cut, mean_lo))
+    cut, (pmf_hi, pmf_lo) = poisson_pmfs((mean_hi, mean_lo), tail_tol)
     cdf_hi = np.cumsum(pmf_hi)
     p = float(pmf_lo[1:] @ cdf_hi[:-1]) + 0.5 * float(pmf_hi @ pmf_lo)
     neglected, excess = _mass_accounting(pmf_hi, pmf_lo)
@@ -189,18 +187,8 @@ def p_beamsplitter_ml(
             0.5, "beamsplitter_ml", degenerate=True, phi=splitter.phi
         )
     a, b = _ml_slopes(means)
-    n_cut = max(
-        poisson_tail_cutoff(means.n1_plus, tail_tol),
-        poisson_tail_cutoff(means.n1_minus, tail_tol),
-    )
-    m_cut = max(
-        poisson_tail_cutoff(means.n2_plus, tail_tol),
-        poisson_tail_cutoff(means.n2_minus, tail_tol),
-    )
-    pmf1p = np.exp(log_poisson_pmf_array(n_cut, means.n1_plus))
-    pmf1m = np.exp(log_poisson_pmf_array(n_cut, means.n1_minus))
-    pmf2p = np.exp(log_poisson_pmf_array(m_cut, means.n2_plus))
-    pmf2m = np.exp(log_poisson_pmf_array(m_cut, means.n2_minus))
+    n_cut, (pmf1p, pmf1m) = poisson_pmfs((means.n1_plus, means.n1_minus), tail_tol)
+    m_cut, (pmf2p, pmf2m) = poisson_pmfs((means.n2_plus, means.n2_minus), tail_tol)
     score1 = _ml_score(a, np.arange(n_cut + 1))
     score2 = _ml_score(-b, np.arange(m_cut + 1))
     k1 = np.searchsorted(score2, score1 - TIE_LOG_BAND, side="left")

@@ -4,18 +4,25 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_optimal, oracle_small_alpha_series
 from phasekit.helstrom import _sectors, d_err_small_alpha, p_err_optimal
-from phasekit.model import PulsePair
+from phasekit.model import Beamsplitter, PulsePair
 from phasekit.numerics import (
     MAX_PHOTON_COUNT,
     NumericalResourceError,
     log_factorial,
     log_poisson_pmf_array,
-    poisson_tail_cutoff,
+    poisson_pmfs,
 )
-from phasekit.receivers import p_homodyne_generalized, p_kennedy_generalized, p_min_pure
+from phasekit.receivers import (
+    p_beamsplitter_ml,
+    p_homodyne_generalized,
+    p_kennedy_generalized,
+    p_min_pure,
+)
 
 mp.mp.dps = 40
 
@@ -119,7 +126,7 @@ def test_blocks_are_traceless_and_parity_sparse():
 def test_truncation_depth_and_ceiling():
     pair = PulsePair(0.1, 1.0)
     res = p_err_optimal(pair, tail_tol=1e-10)
-    assert res.metadata["n_max"] == poisson_tail_cutoff(1.1, 1e-10) + 10
+    assert res.metadata["n_max"] == poisson_pmfs((1.1,), 1e-10)[0] + 10
     assert 0.0 <= res.metadata["truncation_bound"] < 1e-10
     with pytest.raises(NumericalResourceError, match="ceiling"):
         p_err_optimal(PulsePair(0.1, float(MAX_PHOTON_COUNT)))
@@ -279,6 +286,46 @@ def test_p_err_optimal_dominates_receivers_on_sample_points():
         opt = p_err_optimal(pair).error_probability
         assert opt <= p_kennedy_generalized(pair).error_probability * (1.0 + 1e-12)
         assert opt <= p_homodyne_generalized(pair).error_probability * (1.0 + 1e-12)
+
+
+# alpha^2 and beta^2 in {0} and [1e-6, 1e3], log-uniform
+strengths = st.one_of(st.just(0.0), st.floats(min_value=-6.0, max_value=3.0).map(lambda e: 10.0**e))
+
+
+@given(strengths, strengths)
+@settings(max_examples=100)
+def test_p_err_optimal_within_fidelity_bounds(alpha2, beta2):
+    # Fuchs-van de Graaf, with the fidelity of the two states the sector sum
+    # of w_N |r|^N = e^(-2 min(alpha^2, beta^2)); equal strengths (r = 0)
+    # leave only the vacuum sector, where the upper bound is attained
+    res = p_err_optimal(PulsePair(alpha2, beta2))
+    p, slack = res.error_probability, res.metadata["truncation_bound"]
+    fidelity = math.exp(-2.0 * min(alpha2, beta2))
+    assert 0.5 * (1.0 - math.sqrt(-math.expm1(-4.0 * min(alpha2, beta2)))) <= p + slack
+    assert p <= fidelity / 2.0 * (1.0 + 1e-14) + slack
+    if alpha2 == beta2:
+        assert p == pytest.approx(fidelity / 2.0, rel=1e-14)
+
+
+@given(strengths, strengths, st.floats(min_value=0.0, max_value=math.pi / 4.0))
+@settings(max_examples=100)
+def test_p_err_optimal_beats_every_receiver(alpha2, beta2, phi):
+    pair = PulsePair(alpha2, beta2)
+    opt = p_err_optimal(pair)
+    floor = opt.error_probability - opt.metadata["truncation_bound"]
+    for res in (
+        p_kennedy_generalized(pair),
+        p_homodyne_generalized(pair),
+        p_beamsplitter_ml(pair, Beamsplitter(phi)),
+    ):
+        assert floor <= res.error_probability * (1.0 + 1e-12) + res.metadata.get("error_bound", 0.0)
+
+
+@given(strengths, strengths)
+@settings(max_examples=100)
+def test_p_err_optimal_symmetric_under_swap(alpha2, beta2):
+    pair = PulsePair(alpha2, beta2)
+    assert p_err_optimal(pair) == p_err_optimal(pair.swapped())
 
 
 def test_small_alpha_consistency_improves_as_signal_weakens():

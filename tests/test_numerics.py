@@ -6,18 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasekit.helstrom as helstrom
 import phasekit.numerics as numerics
-from phasekit.helstrom import p_err_optimal
-from phasekit.model import PulsePair
+import phasekit.receivers as receivers
+from phasekit.helstrom import d_err_small_alpha, p_err_optimal
+from phasekit.model import Beamsplitter, PulsePair
 from phasekit.numerics import (
     MAX_PHOTON_COUNT,
     NumericalResourceError,
     _log_factorial_table,
+    _log_remainder_bound,
     log_poisson_pmf_array,
-    poisson_tail_cutoff,
+    poisson_pmfs,
     poisson_upper_tail,
 )
-from phasekit.receivers import p_homodyne_asymptotic
+from phasekit.receivers import p_beamsplitter_ml, p_homodyne_asymptotic, p_homodyne_generalized
 
 mp.mp.dps = 40
 
@@ -76,7 +79,7 @@ def test_log_factorial_table_stops_at_the_ceiling(monkeypatch):
     with pytest.raises(NumericalResourceError, match="ceiling"):
         numerics.log_factorial(np.array([1, 4097]))
     with pytest.raises(NumericalResourceError, match="ceiling"):
-        poisson_tail_cutoff(4000.0, 1e-10)
+        poisson_pmfs((4000.0,), 1e-10)
     assert len(numerics._log_factorials) == 4097
 
 
@@ -91,8 +94,8 @@ def test_truncations_past_the_ceiling_are_refused_before_allocating():
     for call in (
         lambda: log_poisson_pmf_array(10**12, 1.0),
         lambda: poisson_upper_tail(1.0, 10**12),
-        lambda: poisson_tail_cutoff(1e12, 1e-10),
-        lambda: poisson_tail_cutoff(math.inf, 1e-10),
+        lambda: poisson_pmfs((1e12,), 1e-10),
+        lambda: poisson_pmfs((math.inf,), 1e-10),
     ):
         with pytest.raises(NumericalResourceError, match="ceiling"):
             call()
@@ -145,22 +148,77 @@ def _brute_force_cutoff(mean, tail_mass):
             n += 1
 
 
-def test_poisson_tail_cutoff_examples():
-    assert poisson_tail_cutoff(0.0, 1e-12) == 0
-    assert poisson_tail_cutoff(1.0, 1e-12) == _brute_force_cutoff(1.0, 1e-12)
-    assert poisson_tail_cutoff(10.0, 1e-12) >= 10
-    assert poisson_tail_cutoff(10.0, 1e-12) == _brute_force_cutoff(10.0, 1e-12)
+def _cutoff(mean, tail_mass):
+    return poisson_pmfs((mean,), tail_mass)[0]
+
+
+def test_poisson_pmfs_cutoff_examples():
+    assert _cutoff(0.0, 1e-12) == 0
+    assert _cutoff(1.0, 1e-12) == _brute_force_cutoff(1.0, 1e-12)
+    assert _cutoff(10.0, 1e-12) >= 10
+    assert _cutoff(10.0, 1e-12) == _brute_force_cutoff(10.0, 1e-12)
     # the remainder bound holds for a subnormal mean, where mean / n underflows
-    assert poisson_tail_cutoff(5e-324, 1e-10) == 0
+    assert _cutoff(5e-324, 1e-10) == 0
+    # several means share the largest of their own cutoffs
+    cut, pmfs = poisson_pmfs((1.0, 10.0, 0.0), 1e-12)
+    assert cut == max(_brute_force_cutoff(1.0, 1e-12), _brute_force_cutoff(10.0, 1e-12))
+    assert [len(pmf) for pmf in pmfs] == [cut + 1] * 3
 
 
-def test_poisson_tail_cutoff_validation():
+def test_poisson_pmfs_validation():
     with pytest.raises(ValueError):
-        poisson_tail_cutoff(-1.0, 1e-6)
+        poisson_pmfs((-1.0,), 1e-6)
     with pytest.raises(ValueError):
-        poisson_tail_cutoff(1.0, 0.0)
+        poisson_pmfs((1.0, -1.0), 1e-6)
     with pytest.raises(ValueError):
-        poisson_tail_cutoff(1.0, 1.0)
+        poisson_pmfs((1.0,), 0.0)
+    with pytest.raises(ValueError):
+        poisson_pmfs((1.0,), 1.0)
+
+
+@pytest.mark.parametrize(
+    "means", [(0.0,), (1e-3,), (2.5, 0.0), (1000.0, 1e-3), (1e-3, 1000.0), (9e4, 9.1e4)]
+)
+def test_poisson_pmfs_equal_fresh_builds(means):
+    # a prefix of the cutoff search's vector is bit for bit the vector a
+    # fresh build at the common cutoff gives, also where that build is longer
+    cut, pmfs = poisson_pmfs(means, 1e-12)
+    for mean, pmf in zip(means, pmfs):
+        assert np.array_equal(pmf, np.exp(log_poisson_pmf_array(cut, mean)))
+
+
+@pytest.mark.parametrize("mean,upper", [(5.0, 8), (0.5, 0), (3.0, 3), (40.0, 45), (1e-3, 2)])
+def test_remainder_bound_covers_the_exact_tail(mean, upper):
+    # the first neglected ratio is mean / (upper + 1); a geometric series in
+    # mean / (upper + 2) falls below the exact remainder at all but (40, 45),
+    # by 4% at (5, 8)
+    pmf = np.exp(log_poisson_pmf_array(upper + 400, mean))
+    exact = math.fsum(pmf[upper + 1 :])
+    bound = math.exp(_log_remainder_bound(mean, upper, math.log(pmf[upper])))
+    assert exact <= bound <= exact * (1.0 + mean / (upper + 1.0 - mean))
+    assert bound == pytest.approx(pmf[upper] * mean / (upper + 1.0 - mean), rel=1e-14)
+    assert _log_remainder_bound(mean, math.floor(mean) - 1, 0.0) == math.inf
+
+
+def test_each_sum_builds_each_weight_vector_once(monkeypatch):
+    builds = []
+
+    def counted(n_max, mean):
+        builds.append(mean)
+        return log_poisson_pmf_array(n_max, mean)
+
+    # every module's binding, so a sum that builds its own vectors is counted too
+    for module in (numerics, receivers, helstrom):
+        monkeypatch.setattr(module, "log_poisson_pmf_array", counted, raising=False)
+    pair = PulsePair(0.1, 10.0)
+    for call, most in [
+        (lambda: p_beamsplitter_ml(pair, Beamsplitter(0.3)), 4),
+        (lambda: p_homodyne_generalized(pair), 2),
+        (lambda: d_err_small_alpha(pair), 1),
+    ]:
+        builds.clear()
+        call()
+        assert 0 < len(builds) <= most
 
 
 @pytest.mark.parametrize("mean,cutoff", [(9e3, 9610), (9e4, 91915)])
@@ -174,7 +232,7 @@ def test_large_mean_cutoff_builds_one_vector(monkeypatch, mean, cutoff):
         return log_poisson_pmf_array(n_max, m)
 
     monkeypatch.setattr(numerics, "log_poisson_pmf_array", counted)
-    assert poisson_tail_cutoff(mean, 1e-10) == cutoff
+    assert _cutoff(mean, 1e-10) == cutoff
     assert len(sizes) == 1
 
 
@@ -184,15 +242,15 @@ def test_large_mean_cutoff_builds_one_vector(monkeypatch, mean, cutoff):
     st.floats(min_value=1.0, max_value=100.0),
 )
 @settings(max_examples=40)
-def test_poisson_tail_cutoff_monotone_in_tail_mass(mean, tail, factor):
+def test_poisson_pmfs_cutoff_monotone_in_tail_mass(mean, tail, factor):
     smaller = tail / factor
-    assert poisson_tail_cutoff(mean, smaller) >= poisson_tail_cutoff(mean, tail)
+    assert _cutoff(mean, smaller) >= _cutoff(mean, tail)
 
 
 @pytest.mark.parametrize("mean", [0.1, 1.0, 10.0])
 def test_poisson_pmf_sums_to_one(mean):
-    cut = poisson_tail_cutoff(mean, 1e-14)
-    total = float(np.exp(log_poisson_pmf_array(cut, mean)).sum())
+    _, (pmf,) = poisson_pmfs((mean,), 1e-14)
+    total = float(pmf.sum())
     assert 1.0 - 1e-12 <= total <= 1.0
 
 

@@ -34,7 +34,6 @@ PUBLIC_NAMES = {
     "p_kennedy_asymptotic",
     "p_kennedy_generalized",
     "p_min_pure",
-    "poisson_tail_cutoff",
     "run_trials",
     "write_csv",
     "write_json",
@@ -65,5 +64,5 @@ def test_every_exported_name_resolves():
 
 
 def test_package_exports_the_intended_names():
-    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 33
+    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 32
     assert set(phasekit.__all__) == PUBLIC_NAMES

@@ -163,6 +163,18 @@ def test_ml_receiver_equals_homodyne_at_balanced_angle():
         assert abs(ml - hom) < 1e-12
 
 
+@given(st.floats(min_value=-6.0, max_value=3.0), st.floats(min_value=-6.0, max_value=4.0))
+@settings(max_examples=60)
+def test_count_comparison_is_the_ml_rule_at_the_balanced_angle(log_alpha2, log_beta2):
+    # at pi/4 the ML boundary a*n + b*m = 0 has b = -a, so it compares the
+    # two counts; the double sum and the ML kernel are independent routes
+    pair = PulsePair(10.0**log_alpha2, 10.0**log_beta2)
+    hom = p_homodyne_generalized(pair)
+    ml = p_beamsplitter_ml(pair, homodyne_splitter())
+    gap = abs(hom.error_probability - ml.error_probability)
+    assert gap <= hom.metadata["error_bound"] + ml.metadata["error_bound"]
+
+
 def test_ml_receiver_matches_oracle_at_generic_angle():
     got = p_beamsplitter_ml(PulsePair(0.1, 1.0), Beamsplitter(0.11 * math.pi))
     assert got.error_probability == pytest.approx(

@@ -33,10 +33,10 @@ import math
 
 import numpy as np
 
+from . import numerics
 from .model import DiscriminationResult, PulsePair
 from .numerics import (
     NEG_INF,
-    log_factorial,
     log_poisson_pmf_array,
     poisson_pmfs,
     poisson_upper_tail,
@@ -90,7 +90,7 @@ def _sectors(pair: PulsePair, n_max: int) -> tuple[np.ndarray, np.ndarray, np.nd
     log_scale = (
         ns * abs(math.log(pair.total))
         + pair.total
-        + log_factorial(ns)
+        + numerics._log_factorials[: n_max + 1]  # grown past n_max by the log_w build
         + np.where(np.isfinite(log_x), -log_x, 0.0)
         + 2.0 * ns
         + 2.0

@@ -2,7 +2,8 @@
 
 Probability machinery works in log space so that products of Poisson
 weights survive strong reference pulses, and returns to linear space only
-for the final sums. ``poisson_pmfs`` builds one vector per mean: the build
+for the final sums. A log-pmf vector subtracts a prefix of the shared ln n!
+table, with no gather. ``poisson_pmfs`` builds one vector per mean: the build
 that finds the tail cutoff is the one the sum uses. Everything here is a pure
 function of its inputs; the shared factorial table is only ever replaced by a
 larger one.
@@ -102,8 +103,9 @@ def log_poisson_pmf_array(n_max: int, mean: float) -> np.ndarray:
         out = np.full(n_max + 1, NEG_INF)
         out[0] = 0.0
         return out
-    ns = np.arange(n_max + 1)
-    return ns * math.log(mean) - mean - log_factorial(ns)
+    if n_max >= len(_log_factorials):
+        log_factorial(n_max)  # grows the shared table, which never shrinks
+    return np.arange(n_max + 1) * math.log(mean) - mean - _log_factorials[: n_max + 1]
 
 
 def _log_remainder_bound(mean: float, upper: int, log_last: float) -> float:
@@ -141,8 +143,8 @@ def poisson_pmfs(means, tail_mass: float) -> tuple[int, list[np.ndarray]]:
             raise ValueError(f"mean must be non-negative, got {mean}")
         pmf = _extended_pmf(mean, 0, math.log(tail_mass) - 30.0)[0] if mean > 0.0 else np.ones(1)
         # tails[n] = P[X >= n], summed from the far end so tiny tails keep full accuracy
-        tails = np.cumsum(pmf[::-1])[::-1]
-        cut = max(cut, int(np.argmax(tails < tail_mass)) - 1)
+        tails = pmf[::-1].cumsum()[::-1]
+        cut = max(cut, int((tails < tail_mass).argmax()) - 1)
         built.append(pmf)
     return cut, [
         pmf[: cut + 1] if len(pmf) > cut else np.exp(log_poisson_pmf_array(cut, mean))
@@ -158,5 +160,6 @@ def poisson_upper_tail(mean: float, n: int) -> float:
         raise ValueError(f"count must be non-negative, got {n}")
     if mean == 0.0:
         return 0.0
-    pmf, log_rest = _extended_pmf(mean, n + 20, log_poisson_pmf_array(n, mean)[n] - 60.0)
-    return float(np.cumsum(pmf[n + 1 :][::-1])[-1]) + math.exp(log_rest)
+    log_n_fact = float(log_factorial(n))  # refuses n above the ceiling first
+    pmf, log_rest = _extended_pmf(mean, n + 20, n * math.log(mean) - mean - log_n_fact - 60.0)
+    return float(pmf[n + 1 :][::-1].cumsum()[-1]) + math.exp(log_rest)

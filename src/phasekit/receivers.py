@@ -80,6 +80,8 @@ def _ml_slopes(means: OutputMeans) -> tuple[float, float]:
 
 def _ml_score(slope: float, counts: np.ndarray) -> np.ndarray:
     """slope * counts, where a zero count scores 0 (never 0 * inf = nan)."""
+    if math.isfinite(slope):
+        return counts * slope
     return np.where(counts > 0, slope, 0.0) * counts
 
 
@@ -150,7 +152,7 @@ def p_homodyne_generalized(
             0.5, "homodyne_generalized", degenerate=True
         )
     cut, (pmf_hi, pmf_lo) = poisson_pmfs((mean_hi, mean_lo), tail_tol)
-    cdf_hi = np.cumsum(pmf_hi)
+    cdf_hi = pmf_hi.cumsum()
     p = float(pmf_lo[1:] @ cdf_hi[:-1]) + 0.5 * float(pmf_hi @ pmf_lo)
     neglected, excess = _mass_accounting(pmf_hi, pmf_lo)
     return DiscriminationResult.from_error_probability(
@@ -191,14 +193,14 @@ def p_beamsplitter_ml(
     m_cut, (pmf2p, pmf2m) = poisson_pmfs((means.n2_plus, means.n2_minus), tail_tol)
     score1 = _ml_score(a, np.arange(n_cut + 1))
     score2 = _ml_score(-b, np.arange(m_cut + 1))
-    k1 = np.searchsorted(score2, score1 - TIE_LOG_BAND, side="left")
-    k2 = np.searchsorted(score2, score1 + TIE_LOG_BAND, side="right")
+    k1 = score2.searchsorted(score1 - TIE_LOG_BAND, side="left")
+    k2 = score2.searchsorted(score1 + TIE_LOG_BAND, side="right")
     # err+ takes mass from the upper end of port 2 and err- from the lower
     # end, so tails are summed from the far end and heads from zero: each
     # term keeps its relative precision when P is tiny. Half of the tie run
     # [k1, k2) added to the decided run is the mean of the two lookups.
-    tail2p = np.concatenate((np.cumsum(pmf2p[::-1])[::-1], [0.0]))
-    head2m = np.concatenate(([0.0], np.cumsum(pmf2m)))
+    tail2p = np.concatenate((pmf2p[::-1].cumsum()[::-1], [0.0]))
+    head2m = np.concatenate(([0.0], pmf2m.cumsum()))
     err_plus = 0.5 * float(pmf1p @ (tail2p[k1] + tail2p[k2]))
     err_minus = 0.5 * float(pmf1m @ (head2m[k1] + head2m[k2]))
     p = 0.5 * (err_plus + err_minus)

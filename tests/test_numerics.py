@@ -127,6 +127,26 @@ def test_log_poisson_pmf_validation():
         log_poisson_pmf_array(-1, 0.1)
 
 
+def _gathered_log_pmf(n_max, mean):
+    ns = np.arange(n_max + 1)
+    return ns * math.log(mean) - mean - numerics.log_factorial(ns)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 255, 256, 257, 600, 5000])
+def test_log_pmf_is_the_gathered_formula_bit_for_bit(n_max):
+    # the vector subtracts a prefix of the shared ln n! table; a gather of
+    # the same entries gives the same floats
+    for mean in 10.0 ** np.random.default_rng(n_max).uniform(-6.0, 5.0, 8):
+        assert np.array_equal(log_poisson_pmf_array(n_max, mean), _gathered_log_pmf(n_max, mean))
+
+
+def test_log_pmf_grows_a_short_table_before_reading_its_prefix(monkeypatch):
+    monkeypatch.setattr(numerics, "_log_factorials", _log_factorial_table(256))
+    got = log_poisson_pmf_array(5000, 4321.5)
+    assert len(numerics._log_factorials) > 5000
+    assert np.array_equal(got, _gathered_log_pmf(5000, 4321.5))
+
+
 @given(st.floats(min_value=1e-3, max_value=50.0), st.integers(min_value=0, max_value=60))
 @settings(max_examples=60)
 def test_log_poisson_pmf_matches_direct_formula(mean, n):
@@ -215,6 +235,9 @@ def test_each_sum_builds_each_weight_vector_once(monkeypatch):
         (lambda: p_beamsplitter_ml(pair, Beamsplitter(0.3)), 4),
         (lambda: p_homodyne_generalized(pair), 2),
         (lambda: d_err_small_alpha(pair), 1),
+        # the cutoff search, the sector weights and the tail bound; the tail
+        # bound's floor is one scalar log-pmf, not a vector
+        (lambda: p_err_optimal(pair), 3),
     ]:
         builds.clear()
         call()

@@ -9,7 +9,7 @@ plots are a convenience.
 import argparse
 from pathlib import Path
 
-from phasekit.scan import figure_table, write_csv
+from phasekit.scan import FIGURE_IDS, figure_table, write_csv
 
 
 def main() -> int:
@@ -24,7 +24,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     tables = {}
-    for fig_id in (1, 2, 3, 4, 5):
+    for fig_id in FIGURE_IDS:
         kwargs = {}
         if fig_id == 5:
             kwargs["cross_check_alpha2"] = args.cross_check_alpha2

@@ -39,10 +39,6 @@ from .receivers import (
 )
 from .scan import (
     Table,
-    figure_angle_sweep,
-    figure_homodyne_ratios,
-    figure_kennedy_ratios,
-    figure_optimal_ratio,
     figure_table,
     write_csv,
     write_json,
@@ -63,10 +59,6 @@ __all__ = [
     "TrialConfig",
     "best_angle",
     "d_err_small_alpha",
-    "figure_angle_sweep",
-    "figure_homodyne_ratios",
-    "figure_kennedy_ratios",
-    "figure_optimal_ratio",
     "figure_table",
     "homodyne_splitter",
     "kennedy_angle",

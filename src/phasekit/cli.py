@@ -31,7 +31,7 @@ from .receivers import (
     p_kennedy_asymptotic,
     p_kennedy_generalized,
 )
-from .scan import figure_table, format_value, write_csv, write_json
+from .scan import FIGURE_IDS, figure_table, format_value, write_csv, write_json
 
 __all__ = ["main"]
 
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quote-tolerances", action="store_true")
 
     p = sub.add_parser("figure", help="emit the data table behind one figure")
-    p.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    p.add_argument("--id", type=int, required=True, choices=FIGURE_IDS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default standard output)")
     p.add_argument("--alpha2", type=_non_negative, default=None,
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta2-grid", type=_grid, default=None,
                    help="comma-separated beta^2 values for figures 1, 2 and 5")
     p.add_argument("--n-angles", type=_positive_int, default=None,
-                   help="sweep resolution for figures 3-4 (default 128)")
+                   help="sweep resolution for figures 3-4")
     p.add_argument("--cross-check-alpha2", type=_non_negative, default=None,
                    help="add the exact-trace-norm column to figure 5 at this alpha^2")
     p.add_argument("--tail-tol", type=float, default=None,

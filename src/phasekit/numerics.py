@@ -15,6 +15,7 @@ larger one.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -42,6 +43,10 @@ class NumericalResourceError(RuntimeError):
 def checked_count(x) -> int:
     """int(x) as a truncation's top photon count, refused above the ceiling (also x = inf)."""
     if not x <= MAX_PHOTON_COUNT:
+        if isinstance(x, int) and x > sys.float_info.max:
+            from decimal import Decimal  # %g of an int beyond float range overflows
+
+            x = Decimal(x)
         raise NumericalResourceError(
             f"truncation needs photon counts up to {x:.4g}, above the ceiling of {MAX_PHOTON_COUNT}"
         )

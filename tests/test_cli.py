@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import subprocess
@@ -191,6 +192,27 @@ def test_figure_rejects_options_it_does_not_use(capsys):
     assert cli.main(argv[:7]) == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "5", "-1"])
+def test_figure_five_refuses_a_tail_tol_outside_the_unit_interval(tol, capsys):
+    assert cli.main(["figure", "--id", "5", "--tail-tol", tol, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("phasekit: tail_tol must lie in (0, 1)")
+
+
+@pytest.mark.parametrize("fig_id,alpha2,p_base", [("1", "185.5", "p_ken"), ("2", "370", "p_hom")])
+def test_figure_json_has_null_for_an_overflowing_ratio(fig_id, alpha2, p_base, capsys):
+    # a subnormal but nonzero baseline P would make the ratio inf
+    argv = ["figure", "--id", fig_id, "--alpha2-grid", alpha2, "--beta2-grid", "0"]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert 0.0 < row[p_base] < 1e-300
+    assert row["ratio_p"] is None
+    assert cli.main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["ratio_p"] == ""
+
+
 def test_figure_output_file(tmp_path):
     out = tmp_path / "table.csv"
     proc = run_cli("figure", "--id", "5", "--beta2-grid", "0,1", "--out", str(out))
@@ -226,3 +248,24 @@ def test_output_matches_benchmark_reference(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == CLI_REFERENCES[command]
     assert captured.err == ""
+
+
+# sha256 and length of `phasekit figure ... --format json`: every byte of the
+# JSON output, metadata key order included, is part of the interface
+FIGURE_JSON_DIGESTS = {
+    "--id 1": ("c5591ed1f36e66ad4632c02ffe8d0cd2b52b98f573b5cdaf9614e8c0c2580778", 68264),
+    "--id 2": ("41ecdcc6014dcf646d732bc3766623944236bbdc631385b56deb7d2f5e1183a7", 68096),
+    "--id 3": ("821fd12b4243d4e6c322d3ec328169a536e15cf79581ac8935a8c660a4b6564a", 13547),
+    "--id 4": ("4c74cebadc63fd4947d519b4e94ff96a1e3b72ff559899efb0bcf010da15e2d3", 13548),
+    "--id 5": ("c334a1c2de2157804f22f3acaa6033a60301820d01a66bcd167d49d25f12356d", 4292),
+    "--id 5 --cross-check-alpha2 0.01": (
+        "598368d1744773b3935e89127f5665888ffa338b1bf5248cd59b95c5795f333b", 4687
+    ),
+}
+
+
+@pytest.mark.parametrize("options", sorted(FIGURE_JSON_DIGESTS))
+def test_figure_json_bytes_are_pinned(options, capsys):
+    assert cli.main(["figure", *options.split(), "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == FIGURE_JSON_DIGESTS[options]

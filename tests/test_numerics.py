@@ -96,6 +96,10 @@ def test_truncations_past_the_ceiling_are_refused_before_allocating():
         lambda: poisson_upper_tail(1.0, 10**12),
         lambda: poisson_pmfs((1e12,), 1e-10),
         lambda: poisson_pmfs((math.inf,), 1e-10),
+        # ints beyond float range, which have no float form to quote
+        lambda: numerics.checked_count(10**400),
+        lambda: log_poisson_pmf_array(10**400, 1.0),
+        lambda: poisson_upper_tail(1.0, 10**400),
     ):
         with pytest.raises(NumericalResourceError, match="ceiling"):
             call()

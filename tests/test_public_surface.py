@@ -19,10 +19,6 @@ PUBLIC_NAMES = {
     "TrialConfig",
     "best_angle",
     "d_err_small_alpha",
-    "figure_angle_sweep",
-    "figure_homodyne_ratios",
-    "figure_kennedy_ratios",
-    "figure_optimal_ratio",
     "figure_table",
     "homodyne_splitter",
     "kennedy_angle",
@@ -64,5 +60,13 @@ def test_every_exported_name_resolves():
 
 
 def test_package_exports_the_intended_names():
-    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 32
+    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 28
     assert set(phasekit.__all__) == PUBLIC_NAMES
+
+
+def test_figure_table_is_the_only_table_builder():
+    import phasekit.scan as scan
+
+    for name in ("figure_kennedy_ratios", "figure_homodyne_ratios", "figure_angle_sweep",
+                 "figure_optimal_ratio"):
+        assert not hasattr(phasekit, name) and not hasattr(scan, name), name

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_homodyne, oracle_kennedy, oracle_ml
+from phasekit.helstrom import p_err_optimal
 from phasekit.model import Beamsplitter, PulsePair, homodyne_splitter, kennedy_angle, output_means
 from phasekit.numerics import log_poisson_pmf_array
 from phasekit.receivers import (
@@ -137,6 +138,12 @@ def test_generalized_receivers_monotone_in_reference(alpha2):
     hom = [p_homodyne_generalized(PulsePair(alpha2, b2)).error_probability for b2 in grid]
     assert all(x >= y - 1e-12 for x, y in zip(ken, ken[1:]))
     assert all(x >= y - 1e-12 for x, y in zip(hom, hom[1:]))
+    # attenuating the reference is a channel, so the optimum cannot improve
+    # either; each P is known only to within its truncation bound
+    opt = [p_err_optimal(PulsePair(alpha2, b2)) for b2 in grid]
+    for x, y in zip(opt, opt[1:]):
+        slack = x.metadata["truncation_bound"] + y.metadata["truncation_bound"] + 1e-12
+        assert x.error_probability >= y.error_probability - slack
 
 
 @pytest.mark.parametrize("alpha2", [0.05, 0.1, 0.7, 2.0])

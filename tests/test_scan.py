@@ -15,11 +15,8 @@ from phasekit.receivers import (
     p_kennedy_generalized,
 )
 from phasekit.scan import (
+    Table,
     default_alpha2_grid,
-    figure_angle_sweep,
-    figure_homodyne_ratios,
-    figure_kennedy_ratios,
-    figure_optimal_ratio,
     figure_table,
     format_value,
     write_csv,
@@ -42,7 +39,7 @@ def test_default_grid_shape():
 
 
 def test_kennedy_table_rows_recompute():
-    table = figure_kennedy_ratios(alpha2_grid=[0.1, 0.5], beta2_list=[1.0, 10.0])
+    table = figure_table(1, alpha2_grid=[0.1, 0.5], beta2_grid=[1.0, 10.0])
     assert table.columns == (
         "alpha2", "beta2", "p_ken", "p_ken_tilde", "ratio_p", "d_ken", "d_ken_tilde", "ratio_d",
     )
@@ -57,7 +54,7 @@ def test_kennedy_table_rows_recompute():
 
 
 def test_ratio_columns_are_mutually_consistent():
-    table = figure_kennedy_ratios(alpha2_grid=[0.05, 0.1, 0.8], beta2_list=[1.0, 4.0])
+    table = figure_table(1, alpha2_grid=[0.05, 0.1, 0.8], beta2_grid=[1.0, 4.0])
     for row in table.rows:
         # D and P ratios describe the same row: (1 - ratio_d * D) / 2 = P~
         reconstructed = (1.0 - row["ratio_d"] * row["d_ken"]) / 2.0
@@ -65,15 +62,15 @@ def test_ratio_columns_are_mutually_consistent():
 
 
 def test_zero_signal_ratio_is_null():
-    table = figure_kennedy_ratios(alpha2_grid=[0.0, 0.1], beta2_list=[1.0])
+    table = figure_table(1, alpha2_grid=[0.0, 0.1], beta2_grid=[1.0])
     assert table.rows[0]["ratio_d"] is None
     assert table.rows[1]["ratio_d"] is not None
 
 
 def test_ratio_p_is_null_where_the_baseline_underflows():
     # a strong signal drives the infinite-reference P to exactly 0
-    ken = figure_kennedy_ratios(alpha2_grid=[1e12], beta2_list=[1e12])
-    hom = figure_homodyne_ratios(alpha2_grid=[1e12], beta2_list=[0.0])
+    ken = figure_table(1, alpha2_grid=[1e12], beta2_grid=[1e12])
+    hom = figure_table(2, alpha2_grid=[1e12], beta2_grid=[0.0])
     assert ken.rows[0]["p_ken"] == ken.rows[0]["p_ken_tilde"] == 0.0
     assert hom.rows[0]["p_hom"] == 0.0 and hom.rows[0]["p_hom_tilde"] == 0.5
     assert ken.rows[0]["ratio_p"] is None and hom.rows[0]["ratio_p"] is None
@@ -81,7 +78,7 @@ def test_ratio_p_is_null_where_the_baseline_underflows():
 
 
 def test_homodyne_table_rows_recompute():
-    table = figure_homodyne_ratios(alpha2_grid=[0.1], beta2_list=[1.0, 10.0])
+    table = figure_table(2, alpha2_grid=[0.1], beta2_grid=[1.0, 10.0])
     for row in table.rows:
         base = p_homodyne_asymptotic(row["alpha2"])
         gen = p_homodyne_generalized(PulsePair(row["alpha2"], row["beta2"]))
@@ -90,13 +87,13 @@ def test_homodyne_table_rows_recompute():
 
 
 def test_homodyne_table_strong_reference_proxy():
-    table = figure_homodyne_ratios(alpha2_grid=[0.1], beta2_list=[1e4])
+    table = figure_table(2, alpha2_grid=[0.1], beta2_grid=[1e4])
     assert abs(table.rows[0]["ratio_p"] - 1.0) < 1e-3
 
 
 def test_angle_sweep_table():
     pair = PulsePair(0.1, 1.0)
-    table = figure_angle_sweep(pair, n_angles=64)
+    table = figure_table(3, alpha2=pair.alpha2, beta2=pair.beta2, n_angles=64)
     sweep = [r for r in table.rows if r["kind"] == "sweep"]
     assert len(sweep) == 64
     assert sweep[0]["phi_over_pi"] == 0.0
@@ -118,22 +115,22 @@ def test_angle_sweep_table():
 
 
 def test_angle_sweep_no_signal_is_flat():
-    table = figure_angle_sweep(PulsePair(0.0, 1.0), n_angles=64)
+    table = figure_table(3, alpha2=0.0, beta2=1.0, n_angles=64)
     assert all(r["p_err"] == 0.5 for r in table.rows if r["kind"] == "sweep")
 
 
 def test_angle_sweep_validates_resolution():
     with pytest.raises(ValueError):
-        figure_angle_sweep(PulsePair(0.1, 1.0), n_angles=32)
+        figure_table(3, alpha2=0.1, beta2=1.0, n_angles=32)
 
 
 def test_angle_sweep_skips_cancellation_ref_when_absent():
-    table = figure_angle_sweep(PulsePair(1.0, 0.5), n_angles=64)
+    table = figure_table(3, alpha2=1.0, beta2=0.5, n_angles=64)
     assert not [r for r in table.rows if r["kind"] == "ref_kennedy"]
 
 
 def test_optimal_ratio_table():
-    table = figure_optimal_ratio(beta2_grid=[0.0, 1.0, 4.0])
+    table = figure_table(5, beta2_grid=[0.0, 1.0, 4.0])
     assert table.rows[0]["d_ratio_series"] == 0.0
     assert table.rows[1]["d_ratio_series"] == pytest.approx(0.77319, abs=5e-5)
     assert table.rows[1]["d_ratio_series"] == d_err_small_alpha(PulsePair(1.0, 1.0)) / 2.0
@@ -141,7 +138,7 @@ def test_optimal_ratio_table():
 
 
 def test_optimal_ratio_cross_check_column():
-    table = figure_optimal_ratio(beta2_grid=[1.0], cross_check_alpha2=1e-4)
+    table = figure_table(5, beta2_grid=[1.0], cross_check_alpha2=1e-4)
     row = table.rows[0]
     assert row["d_ratio_exact"] is not None
     assert row["d_ratio_exact"] == pytest.approx(row["d_ratio_series"], rel=2e-4)
@@ -161,7 +158,7 @@ def test_format_value():
 
 
 def test_csv_output_format():
-    table = figure_kennedy_ratios(alpha2_grid=[0.0, 0.1], beta2_list=[1.0])
+    table = figure_table(1, alpha2_grid=[0.0, 0.1], beta2_grid=[1.0])
     buf = io.StringIO()
     write_csv(table, buf)
     text = buf.getvalue()
@@ -176,13 +173,19 @@ def test_csv_output_format():
 
 
 def test_json_output_format():
-    table = figure_kennedy_ratios(alpha2_grid=[0.0, 0.1], beta2_list=[1.0])
+    table = figure_table(1, alpha2_grid=[0.0, 0.1], beta2_grid=[1.0])
     buf = io.StringIO()
     write_json(table, buf)
     payload = json.loads(buf.getvalue())
     assert payload["metadata"]["library_version"]
     assert payload["rows"][0]["ratio_d"] is None
     assert payload["rows"][1]["p_ken"] == pytest.approx(0.335160023018, rel=1e-11)
+
+
+def test_json_refuses_non_finite_numbers():
+    table = Table(("x",), [{"x": math.inf}])
+    with pytest.raises(ValueError):
+        write_json(table, io.StringIO())
 
 
 def test_figure_table_dispatch():
@@ -210,6 +213,19 @@ def test_figure_table_dispatch():
 def test_figure_table_rejects_options_the_figure_does_not_use(fig_id, options, unused):
     with pytest.raises(ValueError, match=f"figure {fig_id} does not use {unused}$"):
         figure_table(fig_id, **options)
+
+
+@pytest.mark.parametrize(
+    "fig_id,option,value",
+    [
+        *((fig_id, "tail_tol", tol)
+          for fig_id in (2, 3, 4, 5) for tol in (math.nan, 5.0, -1.0, 0.0, 1.0)),
+        *((5, "cross_check_alpha2", x) for x in (math.nan, math.inf, -1.0)),
+    ],
+)
+def test_figure_table_checks_tail_tol_and_cross_check(fig_id, option, value):
+    with pytest.raises(ValueError, match=f"^{option} must "):
+        figure_table(fig_id, **{option: value})
 
 
 @pytest.mark.parametrize("key", sorted(FIGURE_REFERENCES))

@@ -9,7 +9,8 @@ is therefore a weighted sum of pure-state Helstrom terms,
 
     P_err = 1/2 * sum over N of w_N * x_N / (1 + sqrt(1 - x_N)),
 
-a sum of positive terms, so a tiny P keeps full relative precision.
+a sum of positive terms, so a tiny P keeps full relative precision. One
+Poisson search sizes the sum, gives its weights and bounds the mass it drops.
 
 As alpha -> 0 each sector's half trace norm w_N sqrt(1 - x_N) becomes
 linear in alpha, and the sum D = sum over N of w_N sqrt(1 - x_N) tends to
@@ -33,14 +34,9 @@ import math
 
 import numpy as np
 
-from . import numerics
 from .model import DiscriminationResult, PulsePair
-from .numerics import (
-    NEG_INF,
-    log_poisson_pmf_array,
-    poisson_pmfs,
-    poisson_upper_tail,
-)
+from .numerics import NEG_INF, log_poisson_pmf_array, poisson_pmfs
+from .numerics import _log_remainder_bound, _poisson_search
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
@@ -70,32 +66,44 @@ def _log_abs_r(pair: PulsePair) -> float:
     return NEG_INF
 
 
-def _sectors(pair: PulsePair, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sector terms for N = 0 .. n_max; alpha^2 and beta^2 must be positive.
+def _sector_weights(total: float, tail_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """ln w_N and w_N for N = 0 .. n_max, and a bound on the Poisson mass beyond n_max.
+
+    One search gives all three, unless its vector stops short of n_max + 1.
+    """
+    cut, log_w, w, tails, log_rest = _poisson_search(total, tail_tol)
+    n_max = cut + TRUNCATION_SAFETY_MARGIN
+    if len(log_w) > n_max + 1:
+        return log_w[: n_max + 1], w[: n_max + 1], float(tails[n_max + 1]) + math.exp(log_rest)
+    log_w = log_poisson_pmf_array(n_max, total)
+    return log_w, np.exp(log_w), math.exp(_log_remainder_bound(total, n_max, log_w[-1]))
+
+
+def _sectors(pair: PulsePair, log_w: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-sector terms for the weights w_N = exp(log_w); alpha^2 and beta^2 must be positive.
 
     Returns the Helstrom errors w_N x_N / (2 (1 + sqrt(1 - x_N))), the
     values w_N sqrt(1 - x_N) (half the trace norm of block N), and a bound
     on the float rounding of each error.
     """
     log_r = _log_abs_r(pair)
-    ns = np.arange(n_max + 1)
-    log_x = np.zeros(n_max + 1)  # x_0 = r^0 = 1, also when r = 0
+    ns = np.arange(len(log_w))
+    log_x = np.zeros(len(log_w))  # x_0 = r^0 = 1, also when r = 0
     log_x[1:] = 2.0 * ns[1:] * log_r
-    log_w = log_poisson_pmf_array(n_max, pair.total)
     root = np.sqrt(-np.expm1(log_x))
     errors = 0.5 * np.exp(log_w + log_x) / (1.0 + root)
     # every log-space term carries an absolute error of a few ulp of its
     # largest part (ln|r| adds one ulp per unit of 2N), which exp turns into
-    # a relative error of the sector term
+    # a relative error of the sector term; ln N! is read back from log_w
     log_scale = (
         ns * abs(math.log(pair.total))
         + pair.total
-        + numerics._log_factorials[: n_max + 1]  # grown past n_max by the log_w build
+        + (ns * math.log(pair.total) - pair.total - log_w)
         + np.where(np.isfinite(log_x), -log_x, 0.0)
         + 2.0 * ns
         + 2.0
     )
-    return errors, np.exp(log_w) * root, 2.0 * _EPS * errors * log_scale
+    return errors, w * root, 2.0 * _EPS * errors * log_scale
 
 
 def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> DiscriminationResult:
@@ -107,7 +115,8 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
     ``metadata['truncation_bound']`` therefore bounds the error in P by half
     the dropped Poisson mass times x_(n_max+1), plus the float rounding of
     the log-space terms. ``metadata['trace_norm']`` is the trace norm of the
-    truncated state difference. The cost is linear in n_max; the photon-count
+    truncated state difference. One Poisson search gives the cutoff, the
+    weights and the dropped mass, at a cost linear in n_max; the photon-count
     ceiling admits alpha^2 + beta^2 up to about 1.03e6. At alpha^2 = 0 or
     beta^2 = 0 the states are identical, and the exact tie 1/2 comes back
     with n_max = 0 and no cutoff sized.
@@ -125,9 +134,9 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
             truncation_bound=0.0,
             trace_norm=0.0,
         )
-    n_max = poisson_pmfs((pair.total,), tail_tol)[0] + TRUNCATION_SAFETY_MARGIN
-    tail_bound = poisson_upper_tail(pair.total, n_max)
-    errors, half_norms, rounding = _sectors(pair, n_max)
+    log_w, w, tail_bound = _sector_weights(pair.total, tail_tol)
+    n_max = len(log_w) - 1
+    errors, half_norms, rounding = _sectors(pair, log_w, w)
     x_next = math.exp(2.0 * (n_max + 1) * _log_abs_r(pair))
     return DiscriminationResult.from_error_probability(
         math.fsum(errors),

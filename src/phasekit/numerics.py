@@ -3,10 +3,10 @@
 Probability machinery works in log space so that products of Poisson
 weights survive strong reference pulses, and returns to linear space only
 for the final sums. A log-pmf vector subtracts a prefix of the shared ln n!
-table, with no gather. ``poisson_pmfs`` builds one vector per mean: the build
-that finds the tail cutoff is the one the sum uses. Everything here is a pure
-function of its inputs; the shared factorial table is only ever replaced by a
-larger one.
+table, with no gather. One cutoff search per mean is the only place a Poisson
+tail is summed; every truncated sum takes its cutoff and weights from the
+search's vector. Everything here is a pure function of its inputs; the shared
+factorial table is only ever replaced by a larger one.
 
 ``MAX_PHOTON_COUNT`` is the one ceiling on every truncated sum in the package;
 ``checked_count`` enforces it before anything is allocated.
@@ -24,10 +24,8 @@ __all__ = [
     "MAX_PHOTON_COUNT",
     "NumericalResourceError",
     "checked_count",
-    "log_factorial",
     "log_poisson_pmf_array",
     "poisson_pmfs",
-    "poisson_upper_tail",
 ]
 
 NEG_INF = float("-inf")
@@ -76,25 +74,22 @@ _log_factorials = _log_factorial_table(256)
 _install_lock = threading.Lock()
 
 
-def log_factorial(n):
-    """ln(n!) for a scalar or integer array, served from a shared table.
+def _log_factorial_prefix(n: int) -> np.ndarray:
+    """ln(k!) for k = 0 .. n, n within the ceiling: a prefix of the shared table.
 
-    Each call reads the table it indexes into a local, and a rebuilt table
+    Each call reads the table it slices into a local, and a rebuilt table
     replaces the shared one only when it is larger, so a call running
     concurrently with another thread's rebuild never sees the table shrink.
     The table doubles as it grows, but never past ``MAX_PHOTON_COUNT``.
     """
     global _log_factorials
-    if np.min(n) < 0:
-        raise ValueError("factorial argument must be non-negative")
-    top = checked_count(np.max(n))
     table = _log_factorials
-    if top >= len(table):
-        table = _log_factorial_table(min(max(top, 2 * (len(table) - 1)), MAX_PHOTON_COUNT))
+    if n >= len(table):
+        table = _log_factorial_table(min(max(n, 2 * (len(table) - 1)), MAX_PHOTON_COUNT))
         with _install_lock:
             if len(table) > len(_log_factorials):
                 _log_factorials = table
-    return table[n]
+    return table[: n + 1]
 
 
 def log_poisson_pmf_array(n_max: int, mean: float) -> np.ndarray:
@@ -108,9 +103,7 @@ def log_poisson_pmf_array(n_max: int, mean: float) -> np.ndarray:
         out = np.full(n_max + 1, NEG_INF)
         out[0] = 0.0
         return out
-    if n_max >= len(_log_factorials):
-        log_factorial(n_max)  # grows the shared table, which never shrinks
-    return np.arange(n_max + 1) * math.log(mean) - mean - _log_factorials[: n_max + 1]
+    return np.arange(n_max + 1) * math.log(mean) - mean - _log_factorial_prefix(n_max)
 
 
 def _log_remainder_bound(mean: float, upper: int, log_last: float) -> float:
@@ -122,15 +115,25 @@ def _log_remainder_bound(mean: float, upper: int, log_last: float) -> float:
     return log_last + math.log(mean) - math.log(slack) if slack > 0.0 else math.inf
 
 
-def _extended_pmf(mean: float, min_upper: int, log_floor: float) -> tuple[np.ndarray, float]:
-    """pmf values out to where the remaining mass is provably negligible, and ln of that bound."""
+def _poisson_search(mean: float, tail_mass: float):
+    """The tail cutoff of Poisson(mean) at tail_mass, from one vector built past it.
+
+    Returns the smallest cut with P[X > cut] < tail_mass, the log-pmf and pmf at
+    0 .. upper, tails[n] = P[n <= X <= upper], and ln of a bound on P[X > upper],
+    which lies at least e^30 below tail_mass.
+    """
+    if mean == 0.0:
+        return 0, np.zeros(1), np.ones(1), np.ones(1), NEG_INF
+    log_floor = math.log(tail_mass) - 30.0
     margin = 10.0 * math.sqrt(mean + 1.0) + 40.0
     while True:
-        upper = checked_count(max(mean + margin, min_upper))
-        logs = log_poisson_pmf_array(upper, mean)
-        log_rest = _log_remainder_bound(mean, upper, logs[-1])
+        logs = log_poisson_pmf_array(checked_count(mean + margin), mean)
+        log_rest = _log_remainder_bound(mean, len(logs) - 1, logs[-1])
         if log_rest < log_floor:
-            return np.exp(logs), log_rest
+            pmf = np.exp(logs)
+            # summed from the far end so tiny tails keep full accuracy
+            tails = pmf[::-1].cumsum()[::-1]
+            return int((tails < tail_mass).argmax()) - 1, logs, pmf, tails, log_rest
         margin *= 2.0
 
 
@@ -146,25 +149,10 @@ def poisson_pmfs(means, tail_mass: float) -> tuple[int, list[np.ndarray]]:
     for mean in means:
         if mean < 0:
             raise ValueError(f"mean must be non-negative, got {mean}")
-        pmf = _extended_pmf(mean, 0, math.log(tail_mass) - 30.0)[0] if mean > 0.0 else np.ones(1)
-        # tails[n] = P[X >= n], summed from the far end so tiny tails keep full accuracy
-        tails = pmf[::-1].cumsum()[::-1]
-        cut = max(cut, int((tails < tail_mass).argmax()) - 1)
+        own_cut, _, pmf, _, _ = _poisson_search(mean, tail_mass)
+        cut = max(cut, own_cut)
         built.append(pmf)
     return cut, [
         pmf[: cut + 1] if len(pmf) > cut else np.exp(log_poisson_pmf_array(cut, mean))
         for pmf, mean in zip(built, means)
     ]
-
-
-def poisson_upper_tail(mean: float, n: int) -> float:
-    """P[Poisson(mean) > n], accurate even deep in the tail."""
-    if mean < 0:
-        raise ValueError(f"mean must be non-negative, got {mean}")
-    if n < 0:
-        raise ValueError(f"count must be non-negative, got {n}")
-    if mean == 0.0:
-        return 0.0
-    log_n_fact = float(log_factorial(n))  # refuses n above the ceiling first
-    pmf, log_rest = _extended_pmf(mean, n + 20, n * math.log(mean) - mean - log_n_fact - 60.0)
-    return float(pmf[n + 1 :][::-1].cumsum()[-1]) + math.exp(log_rest)

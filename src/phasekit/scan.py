@@ -190,7 +190,8 @@ def _optimal_ratio_rows(beta2_grid, cross_check_alpha2, tail_tol):
         exact = None
         if cross_check_alpha2:
             res = p_err_optimal(PulsePair(cross_check_alpha2, beta2), tail_tol)
-            exact = res.distinguishability / (2.0 * math.sqrt(cross_check_alpha2))
+            # half the trace norm is D, without the cancellation in 1 - 2P
+            exact = res.metadata["trace_norm"] / 2.0 / (2.0 * math.sqrt(cross_check_alpha2))
         return {"beta2": beta2, "d_ratio_series": series, "d_ratio_exact": exact}
 
     return ("beta2", "d_ratio_series", "d_ratio_exact"), [one(float(b2)) for b2 in beta2_grid]

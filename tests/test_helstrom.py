@@ -13,7 +13,7 @@ from phasekit.model import Beamsplitter, PulsePair
 from phasekit.numerics import (
     MAX_PHOTON_COUNT,
     NumericalResourceError,
-    log_factorial,
+    _log_factorial_table,
     log_poisson_pmf_array,
     poisson_pmfs,
 )
@@ -76,6 +76,7 @@ def build_rho_diff(pair: PulsePair, n_max: int | None = None) -> TruncatedOperat
     log_alpha = 0.5 * math.log(pair.alpha2)
     log_beta = 0.5 * math.log(pair.beta2)
     prefactor = 0.5 * math.log(2.0) - 0.5 * pair.total
+    log_factorial = _log_factorial_table(n_max)
     for n_total in range(n_max + 1):
         n_ref = np.arange(n_total + 1)
         n_sig = n_total - n_ref
@@ -83,7 +84,7 @@ def build_rho_diff(pair: PulsePair, n_max: int | None = None) -> TruncatedOperat
             prefactor
             + n_ref * log_beta
             + n_sig * log_alpha
-            - 0.5 * (log_factorial(n_ref) + log_factorial(n_sig))
+            - 0.5 * (log_factorial[n_ref] + log_factorial[n_sig])
         )
         u = np.exp(log_u)
         odd = (n_ref[:, None] + n_ref[None, :]) % 2 == 1
@@ -253,8 +254,9 @@ def test_sector_errors_match_block_spectra(alpha2, beta2):
     # Helstrom error is w_N / 2 - |B_N|_1 / 4
     pair = PulsePair(alpha2, beta2)
     op = build_rho_diff(pair)
-    errors, half_norms, _ = _sectors(pair, op.n_max)
-    weights = np.exp(log_poisson_pmf_array(op.n_max, pair.total))
+    log_weights = log_poisson_pmf_array(op.n_max, pair.total)
+    weights = np.exp(log_weights)
+    errors, half_norms, _ = _sectors(pair, log_weights, weights)
     for n_total, block in enumerate(op.blocks):
         norm = np.abs(np.linalg.eigvalsh(block)).sum()
         assert half_norms[n_total] == pytest.approx(norm / 2.0, rel=1e-12, abs=1e-300)
@@ -268,10 +270,14 @@ def test_p_err_optimal_approaches_pure_state_bound():
     assert abs(res.error_probability - p_min_pure(0.1).error_probability) <= 0.02
 
 
-def test_p_err_optimal_metadata_and_convergence():
-    pair = PulsePair(0.1, 1.0)
+@pytest.mark.parametrize(
+    "alpha2,beta2", [(0.1, 1.0), (0.1, 1e4), (1e-6, 10.0), (5.0, 5.0), (12.0, 40.0)]
+)
+def test_p_err_optimal_metadata_and_convergence(alpha2, beta2):
+    # a recompute at a tighter tolerance stays within the reported bound
+    pair = PulsePair(alpha2, beta2)
     coarse = p_err_optimal(pair, tail_tol=1e-10)
-    fine = p_err_optimal(pair, tail_tol=5e-11)
+    fine = p_err_optimal(pair, tail_tol=1e-14)
     assert abs(coarse.error_probability - fine.error_probability) < coarse.metadata[
         "truncation_bound"
     ]

@@ -24,7 +24,7 @@ from phasekit.montecarlo import (
     _draw_counts,
     run_trials,
 )
-from phasekit.numerics import log_factorial, log_poisson_pmf_array
+from phasekit.numerics import _log_factorial_table, log_poisson_pmf_array
 from phasekit.receivers import (
     TIE_LOG_BAND,
     _ml_score,
@@ -387,7 +387,8 @@ def _log_pmf_rule(counts1, counts2, means):
     def log_pmf(counts, mean):
         if mean == 0.0:
             return np.where(counts == 0, 0.0, -np.inf)
-        return counts * math.log(mean) - mean - log_factorial(counts)
+        log_factorial = _log_factorial_table(int(np.max(counts, initial=0)))
+        return counts * math.log(mean) - mean - log_factorial[counts]
 
     lp = log_pmf(counts1, means.n1_plus) + log_pmf(counts2, means.n2_plus)
     lm = log_pmf(counts1, means.n1_minus) + log_pmf(counts2, means.n2_minus)

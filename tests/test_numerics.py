@@ -18,7 +18,6 @@ from phasekit.numerics import (
     _log_remainder_bound,
     log_poisson_pmf_array,
     poisson_pmfs,
-    poisson_upper_tail,
 )
 from phasekit.receivers import p_beamsplitter_ml, p_homodyne_asymptotic, p_homodyne_generalized
 
@@ -65,19 +64,19 @@ def test_log_factorial_never_shrinks_the_shared_table(monkeypatch):
         return _log_factorial_table(max_n)
 
     monkeypatch.setattr(numerics, "_log_factorial_table", build_during_concurrent_install)
-    assert numerics.log_factorial(40) == pytest.approx(math.lgamma(41), rel=1e-15)
+    assert numerics._log_factorial_prefix(40)[40] == pytest.approx(math.lgamma(41), rel=1e-15)
     assert numerics._log_factorials is larger
 
 
 def test_log_factorial_table_stops_at_the_ceiling(monkeypatch):
     monkeypatch.setattr(numerics, "MAX_PHOTON_COUNT", 4096)
     monkeypatch.setattr(numerics, "_log_factorials", _log_factorial_table(16))
-    numerics.log_factorial(3000)
+    numerics._log_factorial_prefix(3000)
     # doubling from 3001 entries would build 6001; the ceiling caps it
-    assert numerics.log_factorial(3500) == pytest.approx(math.lgamma(3501), rel=1e-15)
+    assert numerics._log_factorial_prefix(3500)[3500] == pytest.approx(math.lgamma(3501), rel=1e-15)
     assert len(numerics._log_factorials) == 4097
     with pytest.raises(NumericalResourceError, match="ceiling"):
-        numerics.log_factorial(np.array([1, 4097]))
+        log_poisson_pmf_array(4097, 1.0)
     with pytest.raises(NumericalResourceError, match="ceiling"):
         poisson_pmfs((4000.0,), 1e-10)
     assert len(numerics._log_factorials) == 4097
@@ -93,13 +92,11 @@ def test_truncations_past_the_ceiling_are_refused_before_allocating():
     # each of these would otherwise ask for terabytes, or overflow int()
     for call in (
         lambda: log_poisson_pmf_array(10**12, 1.0),
-        lambda: poisson_upper_tail(1.0, 10**12),
         lambda: poisson_pmfs((1e12,), 1e-10),
         lambda: poisson_pmfs((math.inf,), 1e-10),
         # ints beyond float range, which have no float form to quote
         lambda: numerics.checked_count(10**400),
         lambda: log_poisson_pmf_array(10**400, 1.0),
-        lambda: poisson_upper_tail(1.0, 10**400),
     ):
         with pytest.raises(NumericalResourceError, match="ceiling"):
             call()
@@ -110,7 +107,7 @@ def test_log_factorial_rejects_negative():
     with pytest.raises(ValueError):
         _log_factorial_table(-1)
     with pytest.raises(ValueError):
-        numerics.log_factorial(-3)
+        log_poisson_pmf_array(-3, 1.0)
 
 
 # ------------------------------------------------------------------- poisson
@@ -133,7 +130,7 @@ def test_log_poisson_pmf_validation():
 
 def _gathered_log_pmf(n_max, mean):
     ns = np.arange(n_max + 1)
-    return ns * math.log(mean) - mean - numerics.log_factorial(ns)
+    return ns * math.log(mean) - mean - _log_factorial_table(n_max)[ns]
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 255, 256, 257, 600, 5000])
@@ -239,9 +236,8 @@ def test_each_sum_builds_each_weight_vector_once(monkeypatch):
         (lambda: p_beamsplitter_ml(pair, Beamsplitter(0.3)), 4),
         (lambda: p_homodyne_generalized(pair), 2),
         (lambda: d_err_small_alpha(pair), 1),
-        # the cutoff search, the sector weights and the tail bound; the tail
-        # bound's floor is one scalar log-pmf, not a vector
-        (lambda: p_err_optimal(pair), 3),
+        # one search gives the cutoff, the sector weights and the tail bound
+        (lambda: p_err_optimal(pair), 1),
     ]:
         builds.clear()
         call()
@@ -281,12 +277,38 @@ def test_poisson_pmf_sums_to_one(mean):
     assert 1.0 - 1e-12 <= total <= 1.0
 
 
-def test_poisson_upper_tail_matches_brute_force():
-    with mp.workdps(60):
-        m = mp.mpf("2.5")
-        exact = 1 - mp.fsum(mp.e ** (-m) * m**n / mp.factorial(n) for n in range(9))
-    assert poisson_upper_tail(2.5, 8) == pytest.approx(float(exact), rel=1e-10)
-    assert poisson_upper_tail(0.0, 3) == 0.0
+def test_optimum_tail_bound_matches_brute_force():
+    # the optimum's bound on P[X > n_max], X ~ Poisson(alpha^2 + beta^2), against
+    # the regularised incomplete gamma; where the search's vector stops short of
+    # n_max + 1 (the `short` cases), the bound is geometric
+    for total, tail_tol, short in [
+        (2.5, 1e-10, False),
+        (1e-6, 1e-10, False),
+        (0.1, 1e-10, False),
+        (0.1, 1e-100, True),
+        (1.0, 1e-60, True),
+        (1e-3, 1e-200, True),
+        (30.0, 1e-14, False),
+        (1e3, 1e-10, False),
+        (1e4, 1e-14, False),
+    ]:
+        log_w, _, bound = helstrom._sector_weights(total, tail_tol)
+        n_max = len(log_w) - 1
+        assert (len(numerics._poisson_search(total, tail_tol)[1]) <= n_max + 1) == short
+        exact = float(mp.gammainc(n_max + 1, 0, mp.mpf(total), regularized=True))
+        # the pmf entries are rounded in log space, at worst as much as the last one
+        lm = math.log(total)
+        rounding = 2.0 * np.finfo(float).eps * (n_max * (abs(lm) + lm + 1.0) + 2.0 - log_w[-1])
+        assert exact * (1.0 - rounding) <= bound <= 1.01 * exact, (total, tail_tol)
+        if not short:
+            assert bound == pytest.approx(exact, rel=1e-10)
+        # the reported bound covers the dropped sectors without that allowance
+        pair = PulsePair(total / 4.0, 3.0 * total / 4.0)
+        res = p_err_optimal(pair, tail_tol)
+        x_next = (0.5 ** 2) ** (n_max + 1)
+        assert res.metadata["n_max"] == n_max
+        assert 0.5 * exact * x_next <= res.metadata["truncation_bound"]
+    assert p_err_optimal(PulsePair(0.0, 0.0)).metadata["truncation_bound"] == 0.0
 
 
 # ------------------------------------------------------------- gaussian tail

@@ -70,3 +70,19 @@ def test_figure_table_is_the_only_table_builder():
     for name in ("figure_kennedy_ratios", "figure_homodyne_ratios", "figure_angle_sweep",
                  "figure_optimal_ratio"):
         assert not hasattr(phasekit, name) and not hasattr(scan, name), name
+
+
+def test_numerics_exports_one_path_per_job():
+    import phasekit.numerics as numerics
+
+    assert sorted(numerics.__all__) == [
+        "MAX_PHOTON_COUNT",
+        "NumericalResourceError",
+        "checked_count",
+        "log_poisson_pmf_array",
+        "poisson_pmfs",
+    ]
+    # the optimum's tail bound comes from the cutoff search, and the ln n!
+    # table is read only through log_poisson_pmf_array
+    for name in ("log_factorial", "poisson_upper_tail", "_extended_pmf"):
+        assert not hasattr(numerics, name), name

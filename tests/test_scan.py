@@ -138,10 +138,12 @@ def test_optimal_ratio_table():
 
 
 def test_optimal_ratio_cross_check_column():
-    table = figure_table(5, beta2_grid=[1.0], cross_check_alpha2=1e-4)
-    row = table.rows[0]
-    assert row["d_ratio_exact"] is not None
-    assert row["d_ratio_exact"] == pytest.approx(row["d_ratio_series"], rel=2e-4)
+    # at the tiny alpha^2, D = 1 - 2P would cancel to a few digits or none
+    for alpha2 in (1e-4, 1e-24, 1e-32):
+        table = figure_table(5, beta2_grid=[1.0], cross_check_alpha2=alpha2)
+        row = table.rows[0]
+        assert row["d_ratio_exact"] is not None
+        assert row["d_ratio_exact"] == pytest.approx(row["d_ratio_series"], rel=2e-4)
 
 
 # -------------------------------------------------------------------- output

@@ -9,13 +9,14 @@ plots are a convenience.
 import argparse
 from pathlib import Path
 
+from phasekit.cli import _non_negative
 from phasekit.scan import FIGURE_IDS, figure_table, write_csv
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="output directory (default ./out)")
-    parser.add_argument("--cross-check-alpha2", type=float, default=None,
+    parser.add_argument("--cross-check-alpha2", type=_non_negative, default=None,
                         help="add the exact-trace-norm column to figure 5")
     parser.add_argument("--no-plots", action="store_true")
     args = parser.parse_args()

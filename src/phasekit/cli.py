@@ -10,6 +10,7 @@ resource limits.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 
@@ -20,7 +21,7 @@ from .model import (
     PulsePair,
     kennedy_angle,
 )
-from .montecarlo import ConfigurationError, DecisionRule, TrialConfig, run_trials
+from .montecarlo import DecisionRule, TrialConfig, run_trials
 from .numerics import NumericalResourceError
 from .receivers import (
     DEFAULT_TAIL_TOL,
@@ -241,15 +242,15 @@ def _cmd_figure(args) -> str | None:
         cross_check_alpha2=args.cross_check_alpha2,
         tail_tol=args.tail_tol,
     )
-    writer = write_csv if args.format == "csv" else write_json
+    text = io.StringIO()
+    (write_csv if args.format == "csv" else write_json)(table, text)
     if args.out is None:
-        import io
-
-        buf = io.StringIO()
-        writer(table, buf)
-        return buf.getvalue()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer(table, fh)
+        return text.getvalue()
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text.getvalue())
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     return None
 
 
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     except NumericalResourceError as exc:
         print(f"phasekit: {exc}", file=sys.stderr)
         return 3
-    except (ConfigurationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"phasekit: {exc}", file=sys.stderr)
         return 2
     if out is not None:

@@ -35,8 +35,7 @@ import math
 import numpy as np
 
 from .model import DiscriminationResult, PulsePair
-from .numerics import NEG_INF, log_poisson_pmf_array, poisson_pmfs
-from .numerics import _log_remainder_bound, _poisson_search
+from .numerics import NEG_INF, _poisson_search, poisson_pmfs
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
@@ -49,7 +48,8 @@ DEFAULT_TAIL_TOL = 1e-10
 
 # sectors kept beyond the Poisson cutoff in total photons; the sector
 # weights are exactly Poisson, so the margin only pushes the neglected mass
-# far below tail_tol, at the cost of ten short terms
+# far below tail_tol, at the cost of ten short terms; it stops early at the
+# end of the cutoff search's vector, past which less than e^-30 * tail_tol lies
 TRUNCATION_SAFETY_MARGIN = 10
 
 _EPS = np.finfo(float).eps
@@ -69,14 +69,12 @@ def _log_abs_r(pair: PulsePair) -> float:
 def _sector_weights(total: float, tail_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """ln w_N and w_N for N = 0 .. n_max, and a bound on the Poisson mass beyond n_max.
 
-    One search gives all three, unless its vector stops short of n_max + 1.
+    All three are read off one search's vector; n_max stops at its end where
+    the margin would run past it.
     """
     cut, log_w, w, tails, log_rest = _poisson_search(total, tail_tol)
-    n_max = cut + TRUNCATION_SAFETY_MARGIN
-    if len(log_w) > n_max + 1:
-        return log_w[: n_max + 1], w[: n_max + 1], float(tails[n_max + 1]) + math.exp(log_rest)
-    log_w = log_poisson_pmf_array(n_max, total)
-    return log_w, np.exp(log_w), math.exp(_log_remainder_bound(total, n_max, log_w[-1]))
+    n_max = min(cut + TRUNCATION_SAFETY_MARGIN, len(w) - 1)
+    return log_w[: n_max + 1], w[: n_max + 1], float(tails[n_max + 1]) + math.exp(log_rest)
 
 
 def _sectors(pair: PulsePair, log_w: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -110,7 +108,8 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
     """Minimum error probability as a sum of per-sector pure-state terms.
 
     Sectors N = 0 .. n_max are kept, n_max being the Poisson cutoff of
-    alpha^2 + beta^2 at ``tail_tol`` plus a safety margin; each dropped
+    alpha^2 + beta^2 at ``tail_tol`` plus a safety margin, or the end of the
+    cutoff search's vector where that comes first; each dropped
     sector N would add at most w_N x_N / 2, and x_N never grows with N.
     ``metadata['truncation_bound']`` therefore bounds the error in P by half
     the dropped Poisson mass times x_(n_max+1), plus the float rounding of

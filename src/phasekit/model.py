@@ -167,7 +167,6 @@ class DiscriminationResult:
     """An error probability with its distinguishability D = 1 - 2P."""
 
     error_probability: float
-    distinguishability: float
     method: str
     metadata: dict = field(default_factory=dict)
 
@@ -175,8 +174,10 @@ class DiscriminationResult:
         p = self.error_probability
         if not (0.0 <= p <= 0.5):
             raise ValueError(f"error probability must lie in [0, 1/2], got {p}")
-        if abs(self.distinguishability - (1.0 - 2.0 * p)) > 1e-14:
-            raise ValueError("distinguishability must equal 1 - 2P")
+
+    @property
+    def distinguishability(self) -> float:
+        return 1.0 - 2.0 * self.error_probability
 
     @classmethod
     def from_error_probability(cls, p: float, method: str, **metadata) -> "DiscriminationResult":
@@ -187,4 +188,4 @@ class DiscriminationResult:
             p = 0.0
         elif 0.5 < p <= 0.5 + 1e-12:
             p = 0.5
-        return cls(p, 1.0 - 2.0 * p, method, dict(metadata))
+        return cls(p, method, dict(metadata))

@@ -93,24 +93,22 @@ class EstimateResult:
     errors: int
     trials: int
     seed: int
-    error_rate: float
-    standard_error: float
-    ci99_low: float
-    ci99_high: float
 
-    @classmethod
-    def from_counts(cls, errors: int, trials: int, seed: int) -> "EstimateResult":
-        rate = errors / trials
-        se = math.sqrt(rate * (1.0 - rate) / trials)
-        return cls(
-            errors=errors,
-            trials=trials,
-            seed=seed,
-            error_rate=rate,
-            standard_error=se,
-            ci99_low=max(0.0, rate - Z99 * se),
-            ci99_high=min(1.0, rate + Z99 * se),
-        )
+    @property
+    def error_rate(self) -> float:
+        return self.errors / self.trials
+
+    @property
+    def standard_error(self) -> float:
+        return math.sqrt(self.error_rate * (1.0 - self.error_rate) / self.trials)
+
+    @property
+    def ci99_low(self) -> float:
+        return max(0.0, self.error_rate - Z99 * self.standard_error)
+
+    @property
+    def ci99_high(self) -> float:
+        return min(1.0, self.error_rate + Z99 * self.standard_error)
 
     def contains(self, value: float) -> bool:
         return self.ci99_low <= value <= self.ci99_high
@@ -260,5 +258,5 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
         return _simulate_block(cfg, slopes, tables, rng, sizes[i])
 
     errors = sum(parallel_map(run_block, range(n_blocks)))
-    return EstimateResult.from_counts(errors, cfg.trials, cfg.seed)
+    return EstimateResult(errors, cfg.trials, cfg.seed)
 

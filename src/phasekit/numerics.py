@@ -3,10 +3,11 @@
 Probability machinery works in log space so that products of Poisson
 weights survive strong reference pulses, and returns to linear space only
 for the final sums. A log-pmf vector subtracts a prefix of the shared ln n!
-table, with no gather. One cutoff search per mean is the only place a Poisson
-tail is summed; every truncated sum takes its cutoff and weights from the
-search's vector. Everything here is a pure function of its inputs; the shared
-factorial table is only ever replaced by a larger one.
+table, with no gather. The cutoff search is the only place a Poisson tail is
+summed, and each truncated sum runs it once, on its largest mean: every
+cutoff and the optimum's sector weights come from that search's vector.
+Everything here is a pure function of its inputs; the shared factorial table
+is only ever replaced by a larger one.
 
 ``MAX_PHOTON_COUNT`` is the one ceiling on every truncated sum in the package;
 ``checked_count`` enforces it before anything is allocated.
@@ -119,11 +120,11 @@ def _poisson_search(mean: float, tail_mass: float):
     """The tail cutoff of Poisson(mean) at tail_mass, from one vector built past it.
 
     Returns the smallest cut with P[X > cut] < tail_mass, the log-pmf and pmf at
-    0 .. upper, tails[n] = P[n <= X <= upper], and ln of a bound on P[X > upper],
-    which lies at least e^30 below tail_mass.
+    0 .. upper, tails[n] = P[n <= X <= upper] for n up to upper + 1 (where it is
+    0), and ln of a bound on P[X > upper], at least e^30 below tail_mass.
     """
     if mean == 0.0:
-        return 0, np.zeros(1), np.ones(1), np.ones(1), NEG_INF
+        return 0, np.zeros(1), np.ones(1), np.array([1.0, 0.0]), NEG_INF
     log_floor = math.log(tail_mass) - 30.0
     margin = 10.0 * math.sqrt(mean + 1.0) + 40.0
     while True:
@@ -132,7 +133,7 @@ def _poisson_search(mean: float, tail_mass: float):
         if log_rest < log_floor:
             pmf = np.exp(logs)
             # summed from the far end so tiny tails keep full accuracy
-            tails = pmf[::-1].cumsum()[::-1]
+            tails = np.append(pmf[::-1].cumsum()[::-1], 0.0)
             return int((tails < tail_mass).argmax()) - 1, logs, pmf, tails, log_rest
         margin *= 2.0
 
@@ -140,19 +141,17 @@ def _poisson_search(mean: float, tail_mass: float):
 def poisson_pmfs(means, tail_mass: float) -> tuple[int, list[np.ndarray]]:
     """Smallest N with P[Poisson(mean) > N] < tail_mass for every mean, and their pmfs at 0 .. N.
 
-    Each pmf is a prefix of the vector its cutoff search built; only a mean whose
-    vector stops short of N (0, or one far below the others) is built again.
+    The tail grows with the mean, so one search on the largest mean gives N and its
+    pmf; each other pmf is built at N, bit for bit the prefix its own search gives.
     """
     if not (0.0 < tail_mass < 1.0):
         raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    cut, built = 0, []
     for mean in means:
-        if mean < 0:
+        if not mean >= 0:  # also NaN, which max() would pass over
             raise ValueError(f"mean must be non-negative, got {mean}")
-        own_cut, _, pmf, _, _ = _poisson_search(mean, tail_mass)
-        cut = max(cut, own_cut)
-        built.append(pmf)
+    top = max(means)
+    cut, _, pmf, _, _ = _poisson_search(top, tail_mass)
     return cut, [
-        pmf[: cut + 1] if len(pmf) > cut else np.exp(log_poisson_pmf_array(cut, mean))
-        for pmf, mean in zip(built, means)
+        pmf[: cut + 1] if mean == top else np.exp(log_poisson_pmf_array(cut, mean))
+        for mean in means
     ]

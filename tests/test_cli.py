@@ -104,6 +104,22 @@ def test_resource_errors_exit_3(capsys):
         assert "ceiling of 1048576" in captured.err
 
 
+def test_unwritable_figure_output_exits_2(tmp_path, capsys):
+    # a missing directory and a directory in place of a file
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli.main(["figure", "--id", "1", "--out", str(out)]) == 2, out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"phasekit: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+    # a writable path gets the bytes standard output would have shown
+    out = tmp_path / "figure1.csv"
+    assert cli.main(["figure", "--id", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(["figure", "--id", "1"]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
+
+
 def test_optimum_at_a_strong_reference(capsys):
     # the old 2048-photon ceiling refused this; the value is the sector sum
     # with that ceiling lifted, at 12 digits

@@ -20,3 +20,16 @@ def test_csvs_match_the_figure_command(tmp_path, capsys):
         assert cli.main(["figure", "--id", str(fig_id)]) == 0
         expected = capsys.readouterr().out.encode()
         assert (tmp_path / f"figure{fig_id}.csv").read_bytes() == expected
+
+
+def test_bad_cross_check_alpha2_exits_2_before_writing(tmp_path):
+    for value in ("-1", "nan"):
+        outdir = tmp_path / value
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), "--no-plots", "--outdir", str(outdir),
+             "--cross-check-alpha2", value],
+            capture_output=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert b"non-negative" in proc.stderr
+        assert not outdir.exists()

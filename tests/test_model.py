@@ -152,8 +152,10 @@ def test_discrimination_result_invariants():
         DiscriminationResult.from_error_probability(0.62, "x")
     with pytest.raises(ValueError):
         DiscriminationResult.from_error_probability(float("nan"), "x")
+    # D is derived from P, never stored apart from it
+    assert DiscriminationResult(0.2, "x").distinguishability == 0.6
     with pytest.raises(ValueError):
-        DiscriminationResult(0.2, 0.7, "x")
+        DiscriminationResult(0.62, "x")
 
 
 @given(st.floats(min_value=0.0, max_value=0.5))

@@ -248,11 +248,11 @@ def test_trial_config_validation():
 
 
 def test_estimate_result_invariants():
-    est = EstimateResult.from_counts(300, 1000, seed=5)
+    est = EstimateResult(300, 1000, seed=5)
     assert est.error_rate == 0.3
     assert est.standard_error == pytest.approx(math.sqrt(0.3 * 0.7 / 1000), rel=1e-15)
     assert est.ci99_low <= est.error_rate <= est.ci99_high
-    edge = EstimateResult.from_counts(0, 50, seed=0)
+    edge = EstimateResult(0, 50, seed=0)
     assert edge.ci99_low == 0.0 and edge.ci99_high == 0.0
 
 

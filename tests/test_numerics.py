@@ -192,6 +192,8 @@ def test_poisson_pmfs_validation():
     with pytest.raises(ValueError):
         poisson_pmfs((1.0, -1.0), 1e-6)
     with pytest.raises(ValueError):
+        poisson_pmfs((1.0, math.nan), 1e-6)
+    with pytest.raises(ValueError):
         poisson_pmfs((1.0,), 0.0)
     with pytest.raises(ValueError):
         poisson_pmfs((1.0,), 1.0)
@@ -222,26 +224,36 @@ def test_remainder_bound_covers_the_exact_tail(mean, upper):
 
 
 def test_each_sum_builds_each_weight_vector_once(monkeypatch):
-    builds = []
+    builds, searches = [], []
 
     def counted(n_max, mean):
         builds.append(mean)
         return log_poisson_pmf_array(n_max, mean)
 
+    search = numerics._poisson_search
+
+    def counted_search(mean, tail_mass):
+        searches.append(mean)
+        return search(mean, tail_mass)
+
     # every module's binding, so a sum that builds its own vectors is counted too
     for module in (numerics, receivers, helstrom):
         monkeypatch.setattr(module, "log_poisson_pmf_array", counted, raising=False)
+        monkeypatch.setattr(module, "_poisson_search", counted_search, raising=False)
     pair = PulsePair(0.1, 10.0)
-    for call, most in [
-        (lambda: p_beamsplitter_ml(pair, Beamsplitter(0.3)), 4),
-        (lambda: p_homodyne_generalized(pair), 2),
-        (lambda: d_err_small_alpha(pair), 1),
+    for call, most, n_searches in [
+        # one search per port, on its larger mean
+        (lambda: p_beamsplitter_ml(pair, Beamsplitter(0.3)), 4, 2),
+        (lambda: p_homodyne_generalized(pair), 2, 1),
+        (lambda: d_err_small_alpha(pair), 1, 1),
         # one search gives the cutoff, the sector weights and the tail bound
-        (lambda: p_err_optimal(pair), 1),
+        (lambda: p_err_optimal(pair), 1, 1),
     ]:
         builds.clear()
+        searches.clear()
         call()
         assert 0 < len(builds) <= most
+        assert len(searches) == n_searches
 
 
 @pytest.mark.parametrize("mean,cutoff", [(9e3, 9610), (9e4, 91915)])
@@ -270,6 +282,30 @@ def test_poisson_pmfs_cutoff_monotone_in_tail_mass(mean, tail, factor):
     assert _cutoff(mean, smaller) >= _cutoff(mean, tail)
 
 
+_means = st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=1e5))
+
+
+@st.composite
+def _mean_tuples(draw):
+    means = draw(st.lists(_means, min_size=2, max_size=3))
+    # often a near-equal pair: equal, one ulp, 1e-12 or 1e-9 apart
+    scale = draw(st.sampled_from([None, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-12, 1.0 - 1e-9]))
+    if scale is not None:
+        means[1] = means[0] * scale
+    return tuple(draw(st.permutations(means)))
+
+
+@given(_mean_tuples(), st.floats(min_value=1e-200, max_value=0.5))
+@settings(max_examples=60, deadline=None)
+def test_poisson_pmfs_is_one_search_on_the_largest_mean(means, tail_mass):
+    # the tail beyond any N grows with the mean, so the largest mean's search
+    # gives every mean's cutoff; each pmf is then a fresh build at that cutoff
+    cut, pmfs = poisson_pmfs(means, tail_mass)
+    assert cut == max(numerics._poisson_search(m, tail_mass)[0] for m in means)
+    for mean, pmf in zip(means, pmfs):
+        assert np.array_equal(pmf, np.exp(log_poisson_pmf_array(cut, mean)))
+
+
 @pytest.mark.parametrize("mean", [0.1, 1.0, 10.0])
 def test_poisson_pmf_sums_to_one(mean):
     _, (pmf,) = poisson_pmfs((mean,), 1e-14)
@@ -279,8 +315,8 @@ def test_poisson_pmf_sums_to_one(mean):
 
 def test_optimum_tail_bound_matches_brute_force():
     # the optimum's bound on P[X > n_max], X ~ Poisson(alpha^2 + beta^2), against
-    # the regularised incomplete gamma; where the search's vector stops short of
-    # n_max + 1 (the `short` cases), the bound is geometric
+    # the regularised incomplete gamma; where the search's vector ends before
+    # cut + margin (the `short` cases), n_max is that end and the bound is geometric
     for total, tail_tol, short in [
         (2.5, 1e-10, False),
         (1e-6, 1e-10, False),
@@ -294,7 +330,11 @@ def test_optimum_tail_bound_matches_brute_force():
     ]:
         log_w, _, bound = helstrom._sector_weights(total, tail_tol)
         n_max = len(log_w) - 1
-        assert (len(numerics._poisson_search(total, tail_tol)[1]) <= n_max + 1) == short
+        cut, search_log_w = numerics._poisson_search(total, tail_tol)[:2]
+        if short:
+            assert n_max == len(search_log_w) - 1 < cut + helstrom.TRUNCATION_SAFETY_MARGIN
+        else:
+            assert n_max == cut + helstrom.TRUNCATION_SAFETY_MARGIN < len(search_log_w) - 1
         exact = float(mp.gammainc(n_max + 1, 0, mp.mpf(total), regularized=True))
         # the pmf entries are rounded in log space, at worst as much as the last one
         lm = math.log(total)

@@ -22,7 +22,10 @@ def main() -> int:
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: cannot create {outdir}: {exc.strerror}\n")
 
     tables = {}
     for fig_id in FIGURE_IDS:
@@ -32,8 +35,11 @@ def main() -> int:
         table = figure_table(fig_id, **kwargs)
         tables[fig_id] = table
         path = outdir / f"figure{fig_id}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_csv(table, fh)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                write_csv(table, fh)
+        except OSError as exc:
+            parser.exit(2, f"{parser.prog}: cannot write {path}: {exc.strerror}\n")
         print(f"wrote {path} ({len(table.rows)} rows)")
 
     if args.no_plots:

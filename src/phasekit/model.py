@@ -181,11 +181,18 @@ class DiscriminationResult:
 
     @classmethod
     def from_error_probability(cls, p: float, method: str, **metadata) -> "DiscriminationResult":
-        if not math.isfinite(p):
-            raise ValueError(f"error probability must be finite, got {p}")
-        # absorb float dust from long sums, never a real violation
-        if -1e-12 <= p < 0.0:
-            p = 0.0
-        elif 0.5 < p <= 0.5 + 1e-12:
-            p = 0.5
-        return cls(p, method, dict(metadata))
+        return cls(_checked_probability(p), method, dict(metadata))
+
+
+def _checked_probability(p: float) -> float:
+    """An error probability as a result stores it: finite, with float dust absorbed."""
+    if not math.isfinite(p):
+        raise ValueError(f"error probability must be finite, got {p}")
+    # absorb float dust from long sums, never a real violation
+    if -1e-12 <= p < 0.0:
+        return 0.0
+    if 0.5 < p <= 0.5 + 1e-12:
+        return 0.5
+    if not (0.0 <= p <= 0.5):
+        raise ValueError(f"error probability must lie in [0, 1/2], got {p}")
+    return p

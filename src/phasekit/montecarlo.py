@@ -240,7 +240,7 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
     estimate is identical however the blocks are scheduled.
     """
     means = output_means(cfg.pair, cfg.splitter)
-    slopes = _ml_slopes(means)
+    slopes = _ml_slopes(means.n1_plus, means.n1_minus, means.n2_plus, means.n2_minus)
     # one table per port, row 0 for PLUS trials and row 1 for MINUS trials;
     # blocks only read them, so every block sees the same CDFs
     tables = (

@@ -2,10 +2,12 @@
 
 Probability machinery works in log space so that products of Poisson
 weights survive strong reference pulses, and returns to linear space only
-for the final sums. A log-pmf vector subtracts a prefix of the shared ln n!
-table, with no gather. The cutoff search is the only place a Poisson tail is
-summed, and each truncated sum runs it once, on its largest mean: every
-cutoff and the optimum's sector weights come from that search's vector.
+for the final sums. A log-pmf vector subtracts the mean and a prefix of the
+shared ln n! table in place, with no gather and no temporaries. The cutoff
+search is the only place a Poisson tail is summed, from the far end straight
+into one preallocated vector, and each truncated sum runs it once, on its
+largest mean: every cutoff and the optimum's sector weights come from that
+search's vector.
 Everything here is a pure function of its inputs; the shared factorial table
 is only ever replaced by a larger one.
 
@@ -104,7 +106,10 @@ def log_poisson_pmf_array(n_max: int, mean: float) -> np.ndarray:
         out = np.full(n_max + 1, NEG_INF)
         out[0] = 0.0
         return out
-    return np.arange(n_max + 1) * math.log(mean) - mean - _log_factorial_prefix(n_max)
+    out = np.arange(n_max + 1) * math.log(mean)
+    out -= mean
+    out -= _log_factorial_prefix(n_max)
+    return out
 
 
 def _log_remainder_bound(mean: float, upper: int, log_last: float) -> float:
@@ -133,7 +138,9 @@ def _poisson_search(mean: float, tail_mass: float):
         if log_rest < log_floor:
             pmf = np.exp(logs)
             # summed from the far end so tiny tails keep full accuracy
-            tails = np.append(pmf[::-1].cumsum()[::-1], 0.0)
+            tails = np.empty(len(pmf) + 1)
+            tails[-1] = 0.0
+            pmf[::-1].cumsum(out=tails[-2::-1])
             return int((tails < tail_mass).argmax()) - 1, logs, pmf, tails, log_rest
         margin *= 2.0
 

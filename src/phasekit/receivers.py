@@ -13,6 +13,12 @@ the one-parameter splitter family:
 
 Every finite sum is truncated with an explicit Poisson tail budget, and
 each result carries its truncation bookkeeping in ``metadata``.
+
+One kernel, ``_ml_error``, computes every maximum-likelihood P from the
+four port means. ``p_beamsplitter_ml`` wraps it with the bookkeeping;
+``best_angle`` and the figure 3-4 sweeps call it per angle, with means from
+``model.port_means`` at (cos phi, sin phi), so only the angle a search
+reports pays for a validated splitter, mass accounting and metadata.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ import numpy as np
 from .model import (
     Beamsplitter,
     DiscriminationResult,
-    OutputMeans,
     PulsePair,
+    _checked_probability,
     homodyne_splitter,
     output_means,
+    port_means,
 )
 from .numerics import poisson_pmfs
 
@@ -65,7 +72,9 @@ def _mass_accounting(*pmfs: np.ndarray) -> tuple[float, float]:
     return neglected, excess
 
 
-def _ml_slopes(means: OutputMeans) -> tuple[float, float]:
+def _ml_slopes(
+    n1_plus: float, n1_minus: float, n2_plus: float, n2_minus: float
+) -> tuple[float, float]:
     """Slopes (a, b) of the log-likelihood ratio ln L+ - ln L- = a*n + b*m.
 
     Energy conservation cancels the Poisson constants, leaving
@@ -73,8 +82,8 @@ def _ml_slopes(means: OutputMeans) -> tuple[float, float]:
     hypothesis gives an infinite slope, so a count there settles the
     decision outright.
     """
-    a = math.inf if means.n1_minus == 0.0 else math.log(means.n1_plus / means.n1_minus)
-    b = -math.inf if means.n2_plus == 0.0 else math.log(means.n2_plus / means.n2_minus)
+    a = math.inf if n1_minus == 0.0 else math.log(n1_plus / n1_minus)
+    b = -math.inf if n2_plus == 0.0 else math.log(n2_plus / n2_minus)
     return a, b
 
 
@@ -165,10 +174,12 @@ def p_homodyne_generalized(
     )
 
 
-def p_beamsplitter_ml(
-    pair: PulsePair, splitter: Beamsplitter, tail_tol: float = DEFAULT_TAIL_TOL
-) -> DiscriminationResult:
-    """Maximum-likelihood decision over joint counts (n, m) behind a splitter.
+def _ml_error(n1_plus: float, n1_minus: float, n2_plus: float, n2_minus: float, tail_tol: float):
+    """Error probability of the maximum-likelihood decision at these port means.
+
+    Returns (P, (n_cut, m_cut, pmfs)), or (1/2, None) when both hypotheses
+    give the same port statistics; P is absorbed into [0, 1/2] as a result
+    would store it.
 
     The log-likelihood ratio of an outcome is linear, ln L+ - ln L- =
     a*n + b*m (``_ml_slopes``), so the decision boundary is a line through
@@ -181,16 +192,13 @@ def p_beamsplitter_ml(
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    means = output_means(pair, splitter)
-    if means.n1_plus == means.n1_minus and means.n2_plus == means.n2_minus:
+    if n1_plus == n1_minus and n2_plus == n2_minus:
         # identical port statistics under both hypotheses (no signal, no
         # reference, or phi = 0): every outcome is an exact tie
-        return DiscriminationResult.from_error_probability(
-            0.5, "beamsplitter_ml", degenerate=True, phi=splitter.phi
-        )
-    a, b = _ml_slopes(means)
-    n_cut, (pmf1p, pmf1m) = poisson_pmfs((means.n1_plus, means.n1_minus), tail_tol)
-    m_cut, (pmf2p, pmf2m) = poisson_pmfs((means.n2_plus, means.n2_minus), tail_tol)
+        return 0.5, None
+    a, b = _ml_slopes(n1_plus, n1_minus, n2_plus, n2_minus)
+    n_cut, (pmf1p, pmf1m) = poisson_pmfs((n1_plus, n1_minus), tail_tol)
+    m_cut, (pmf2p, pmf2m) = poisson_pmfs((n2_plus, n2_minus), tail_tol)
     score1 = _ml_score(a, np.arange(n_cut + 1))
     score2 = _ml_score(-b, np.arange(m_cut + 1))
     k1 = score2.searchsorted(score1 - TIE_LOG_BAND, side="left")
@@ -199,12 +207,37 @@ def p_beamsplitter_ml(
     # end, so tails are summed from the far end and heads from zero: each
     # term keeps its relative precision when P is tiny. Half of the tie run
     # [k1, k2) added to the decided run is the mean of the two lookups.
-    tail2p = np.concatenate((pmf2p[::-1].cumsum()[::-1], [0.0]))
-    head2m = np.concatenate(([0.0], pmf2m.cumsum()))
+    tail2p = np.empty(m_cut + 2)
+    tail2p[-1] = 0.0
+    pmf2p[::-1].cumsum(out=tail2p[-2::-1])
+    head2m = np.empty(m_cut + 2)
+    head2m[0] = 0.0
+    pmf2m.cumsum(out=head2m[1:])
     err_plus = 0.5 * float(pmf1p @ (tail2p[k1] + tail2p[k2]))
     err_minus = 0.5 * float(pmf1m @ (head2m[k1] + head2m[k2]))
-    p = 0.5 * (err_plus + err_minus)
-    neglected, excess = _mass_accounting(pmf1p, pmf1m, pmf2p, pmf2m)
+    p = _checked_probability(0.5 * (err_plus + err_minus))
+    return p, (n_cut, m_cut, (pmf1p, pmf1m, pmf2p, pmf2m))
+
+
+def p_beamsplitter_ml(
+    pair: PulsePair, splitter: Beamsplitter, tail_tol: float = DEFAULT_TAIL_TOL
+) -> DiscriminationResult:
+    """Maximum-likelihood decision over joint counts (n, m) behind a splitter.
+
+    P comes from ``_ml_error`` at the validated ``output_means``; this
+    wrapper adds the truncation bookkeeping: the mass the pmfs drop, their
+    rounding excess above 1, and the error bound.
+    """
+    means = output_means(pair, splitter)
+    p, truncation = _ml_error(
+        means.n1_plus, means.n1_minus, means.n2_plus, means.n2_minus, tail_tol
+    )
+    if truncation is None:
+        return DiscriminationResult.from_error_probability(
+            p, "beamsplitter_ml", degenerate=True, phi=splitter.phi
+        )
+    n_cut, m_cut, pmfs = truncation
+    neglected, excess = _mass_accounting(*pmfs)
     return DiscriminationResult.from_error_probability(
         p,
         "beamsplitter_ml",
@@ -229,19 +262,23 @@ def best_angle(
     A uniform grid over [0, pi/4] locates the rough minimum; golden-section
     refinement narrows the bracket to 1e-6 rad. The error curve has kinks
     where decision regions change, so the search is derivative-free and the
-    reported optimum is the best of every angle actually evaluated.
+    reported optimum is the best of every angle actually evaluated. Each
+    angle's P comes from the kernel ``_ml_error`` alone; only the winning
+    angle goes through ``p_beamsplitter_ml``, whose result (the same P) gets
+    the truncation metadata plus ``grid_points`` and ``angle_tol``.
     """
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         return homodyne_splitter(), p_beamsplitter_ml(pair, homodyne_splitter(), tail_tol)
 
-    evaluated: dict[float, DiscriminationResult] = {}
+    alpha, beta = pair.alpha, pair.beta
+    evaluated: dict[float, float] = {}
 
     def evaluate(phi: float) -> float:
-        result = p_beamsplitter_ml(pair, Beamsplitter(phi), tail_tol)
-        evaluated[phi] = result
-        return result.error_probability
+        p = _ml_error(*port_means(alpha, beta, math.cos(phi), math.sin(phi)), tail_tol)[0]
+        evaluated[phi] = p
+        return p
 
     phis = np.linspace(0.0, math.pi / 4.0, grid_points)
     idx = int(np.argmin([evaluate(float(phi)) for phi in phis]))
@@ -262,14 +299,13 @@ def best_angle(
             d = a + _INV_GOLDEN * (b - a)
             fd = evaluate(d)
 
-    best_phi = min(evaluated, key=lambda phi: (evaluated[phi].error_probability, phi))
-    result = evaluated[best_phi]
-    metadata = dict(result.metadata)
-    metadata.update(grid_points=grid_points, angle_tol=ANGLE_TOL)
-    return (
-        Beamsplitter(best_phi),
-        DiscriminationResult.from_error_probability(
-            result.error_probability, result.method, **metadata
-        ),
+    best_phi = min(evaluated, key=lambda phi: (evaluated[phi], phi))
+    splitter = Beamsplitter(best_phi)
+    result = p_beamsplitter_ml(pair, splitter, tail_tol)
+    return splitter, DiscriminationResult.from_error_probability(
+        result.error_probability,
+        result.method,
+        **result.metadata,
+        grid_points=grid_points,
+        angle_tol=ANGLE_TOL,
     )
-

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, d_err_small_alpha, p_err_optimal
-from .model import Beamsplitter, PulsePair, kennedy_angle
+from .model import PulsePair, kennedy_angle, port_means
 from .receivers import (
     DEFAULT_TAIL_TOL,
-    p_beamsplitter_ml,
+    _ml_error,
     p_homodyne_asymptotic,
     p_homodyne_generalized,
     p_kennedy_asymptotic,
@@ -144,21 +144,22 @@ def _ratio_rows(name: str, asymptotic, generalized, alpha2_grid, beta2_grid):
 def _sweep_rows(alpha2, beta2, n_angles, tail_tol):
     """Maximum-likelihood error across the splitter family, with references.
 
-    Sweep rows carry kind="sweep"; the two dashed-line references appear as
+    Sweep rows carry kind="sweep", each P from the kernel ``_ml_error`` that
+    ``p_beamsplitter_ml`` wraps; the two dashed-line references appear as
     kind="ref_kennedy" (at the cancellation angle, when it exists) and
     kind="ref_homodyne" (at pi/4).
     """
     pair = PulsePair(alpha2, beta2)
     if n_angles < 64:
         raise ValueError(f"n_angles must be at least 64, got {n_angles}")
-    phis = np.linspace(0.0, math.pi / 4.0, n_angles)
+    alpha, beta = pair.alpha, pair.beta
     rows = [
         {
             "kind": "sweep",
-            "phi_over_pi": float(phi) / math.pi,
-            "p_err": p_beamsplitter_ml(pair, Beamsplitter(float(phi)), tail_tol).error_probability,
+            "phi_over_pi": phi / math.pi,
+            "p_err": _ml_error(*port_means(alpha, beta, math.cos(phi), math.sin(phi)), tail_tol)[0],
         }
-        for phi in phis
+        for phi in np.linspace(0.0, math.pi / 4.0, n_angles).tolist()
     ]
     try:
         ken_angle = kennedy_angle(pair)

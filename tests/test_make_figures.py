@@ -33,3 +33,29 @@ def test_bad_cross_check_alpha2_exits_2_before_writing(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert b"non-negative" in proc.stderr
         assert not outdir.exists()
+
+
+def test_unusable_output_paths_exit_2_with_one_line(tmp_path):
+    # an existing file in place of the output directory
+    blocker = tmp_path / "file"
+    blocker.write_text("kept", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--no-plots", "--outdir", str(blocker)],
+        capture_output=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"make_figures.py: cannot create {blocker}: File exists\n"
+    assert blocker.read_text(encoding="utf-8") == "kept"
+    # a directory in place of one table's file
+    outdir = tmp_path / "out"
+    (outdir / "figure3.csv").mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--no-plots", "--outdir", str(outdir)],
+        capture_output=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    stderr = proc.stderr.decode()
+    assert stderr.startswith(f"make_figures.py: cannot write {outdir / 'figure3.csv'}: ")
+    assert stderr.count("\n") == 1
+    assert sorted(p.name for p in outdir.iterdir()) == ["figure1.csv", "figure2.csv", "figure3.csv"]

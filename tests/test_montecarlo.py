@@ -1,6 +1,9 @@
 import hashlib
+import json
 import math
 import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,13 @@ from phasekit.receivers import (
     p_homodyne_generalized,
     p_kennedy_generalized,
 )
+
+# the benchmark's recorded `run_trials` outputs at its default seed
+MONTECARLO_REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text(
+        encoding="utf-8"
+    )
+)["montecarlo"]
 
 
 # ------------------------------------------------------------------ sampling
@@ -360,7 +370,7 @@ def test_ml_score_orders_outcomes_like_joint_likelihoods(angle):
         "dark_port": kennedy_angle(pair),
     }[angle]
     means = output_means(pair, splitter)
-    a, b = _ml_slopes(means)
+    a, b = _ml_slopes(*astuple(means))
     assert (b == -math.inf) == (angle == "dark_port")
     n, m = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
     score = _ml_score(a, n) + _ml_score(b, m)
@@ -429,7 +439,7 @@ def test_ml_scoring_decides_every_golden_trial_like_the_log_pmf_rule(monkeypatch
         if errors is not None:
             assert est.errors == errors
         means = output_means(cfg.pair, cfg.splitter)
-        a, b = _ml_slopes(means)
+        a, b = _ml_slopes(*astuple(means))
         for counts1, counts2 in zip(draws[::2], draws[1::2]):
             score = _ml_score(a, counts1) + _ml_score(b, counts2)
             old_guess, old_tie = _log_pmf_rule(counts1, counts2, means)
@@ -486,7 +496,7 @@ def _reference_block(cfg, means, rng, size):
     elif cfg.rule is DecisionRule.HOMODYNE_COMPARE:
         guess_plus, tie = counts1 > counts2, counts1 == counts2
     else:
-        a, b = _ml_slopes(means)
+        a, b = _ml_slopes(*astuple(means))
         diff = _ml_score(a, counts1) + _ml_score(b, counts2)
         guess_plus, tie = diff > TIE_LOG_BAND, np.abs(diff) <= TIE_LOG_BAND
     tied = np.flatnonzero(tie)
@@ -553,3 +563,23 @@ def test_huge_means_score_in_memory_set_by_the_block(monkeypatch, beta2):
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert errors == _reference_errors(cfg)
+
+
+@pytest.mark.parametrize("key", sorted(MONTECARLO_REFERENCES))
+def test_run_matches_benchmark_reference(key):
+    options = dict(option.split("=") for option in key.split()[1:])
+    pair = PulsePair(float(options["alpha2"]), float(options["beta2"]))
+    rule = DecisionRule(options["rule"])
+    if rule is DecisionRule.HOMODYNE_COMPARE:
+        splitter = homodyne_splitter()
+    elif rule is DecisionRule.KENNEDY_SINGLE_PORT:
+        splitter = kennedy_angle(pair)
+    else:
+        splitter = Beamsplitter(float(options["phi_over_pi"]) * math.pi)
+    # the key records the angle the run used, at 12 significant digits
+    assert f"{splitter.phi / math.pi:.12g}" == options["phi_over_pi"]
+    est = run_trials(
+        TrialConfig(pair, splitter, rule, trials=int(options["trials"]), seed=int(options["seed"]))
+    )
+    text = f"error_rate = {est.error_rate:.12g}\nerrors = {est.errors}\ntrials = {est.trials}\n"
+    assert text == MONTECARLO_REFERENCES[key]

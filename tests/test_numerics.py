@@ -369,3 +369,11 @@ def test_gaussian_upper_tail_reference_points(x):
     expected = mp.erfc(mp.mpf(float(x)) / mp.sqrt(2)) / 2
     p = p_homodyne_asymptotic(float(x) ** 2 / 4.0).error_probability
     assert (p if x >= 0 else 1.0 - p) == pytest.approx(float(expected), rel=1e-12)
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e-300, 0.3, 7.5, 250.0, 9e3])
+@pytest.mark.parametrize("tail_mass", [0.1, 1e-12, 1e-100])
+def test_search_tails_are_the_reversed_cumsum_bit_for_bit(mean, tail_mass):
+    _, _, pmf, tails, _ = numerics._poisson_search(mean, tail_mass)
+    expected = np.append(pmf[::-1].cumsum()[::-1], 0.0)
+    assert tails.dtype == expected.dtype and tails.tobytes() == expected.tobytes()

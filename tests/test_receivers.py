@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,9 +10,20 @@ from hypothesis import strategies as st
 
 from oracles import oracle_homodyne, oracle_kennedy, oracle_ml
 from phasekit.helstrom import p_err_optimal
-from phasekit.model import Beamsplitter, PulsePair, homodyne_splitter, kennedy_angle, output_means
+from phasekit.model import (
+    QUARTER_PI,
+    Beamsplitter,
+    PulsePair,
+    homodyne_splitter,
+    kennedy_angle,
+    output_means,
+    port_means,
+)
 from phasekit.numerics import log_poisson_pmf_array
 from phasekit.receivers import (
+    ANGLE_TOL,
+    DEFAULT_TAIL_TOL,
+    _ml_error,
     best_angle,
     p_beamsplitter_ml,
     p_homodyne_asymptotic,
@@ -21,6 +34,13 @@ from phasekit.receivers import (
 )
 
 mp.mp.dps = 40
+
+# the benchmark's recorded angle_search outputs at its default seed
+ANGLE_SEARCH_REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text(
+        encoding="utf-8"
+    )
+)["angle_search"]
 
 
 # ---------------------------------------------------------- pure-state bound
@@ -294,3 +314,80 @@ def test_best_angle_is_deterministic():
     second = best_angle(pair, grid_points=64)
     assert first[0].phi == second[0].phi
     assert first[1].error_probability == second[1].error_probability
+
+
+def _kernel_p(pair, r, t, tail_tol=DEFAULT_TAIL_TOL):
+    return _ml_error(*port_means(pair.alpha, pair.beta, r, t), tail_tol)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha2=st.sampled_from([0.0, 1e-300]) | st.floats(1e-6, 10.0),
+    beta2=st.sampled_from([0.0, 1e-300, 1e5]) | st.floats(1e-6, 1e5),
+    phi=st.sampled_from([0.0, QUARTER_PI]) | st.floats(0.0, QUARTER_PI),
+    tail_tol=st.sampled_from([DEFAULT_TAIL_TOL, 1e-3, 1e-30]),
+)
+def test_kernel_p_is_the_public_p_bit_for_bit(alpha2, beta2, phi, tail_tol):
+    pair = PulsePair(alpha2, beta2)
+    splitters = [Beamsplitter(phi)]
+    if 0.0 < pair.total and alpha2 <= beta2:
+        # the cancellation angle both as best_angle evaluates it (cos, sin of
+        # the angle) and with the exact magnitudes kennedy_angle carries
+        dark = kennedy_angle(pair)
+        splitters += [dark, Beamsplitter(dark.phi)]
+    for splitter in splitters:
+        # P, or the same refusal of a P that rounding pushed past 1/2
+        outcomes = []
+        for compute in (
+            lambda: p_beamsplitter_ml(pair, splitter, tail_tol).error_probability,
+            lambda: _kernel_p(pair, splitter.r, splitter.t, tail_tol),
+        ):
+            try:
+                outcomes.append(compute().hex())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_kernel_validates_tail_tol_even_when_degenerate():
+    for tail_tol in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="tail_tol"):
+            _kernel_p(PulsePair(0.0, 1.0), 1.0, 0.0, tail_tol)
+        with pytest.raises(ValueError, match="tail_tol"):
+            best_angle(PulsePair(0.1, 1.0), tail_tol=tail_tol)
+
+
+@pytest.mark.parametrize(
+    "alpha2,beta2,grid_points",
+    [(0.1, 1.0, 64), (0.1, 10.0, 16), (1.0, 1000.0, 64), (0.3, 0.05, 32), (1e-300, 1.0, 16),
+     (0.0, 1.0, 64)],
+)
+def test_best_angle_result_is_the_public_result_at_its_angle(alpha2, beta2, grid_points):
+    pair = PulsePair(alpha2, beta2)
+    splitter, result = best_angle(pair, grid_points=grid_points)
+    at_angle = p_beamsplitter_ml(pair, splitter)
+    assert result.method == at_angle.method
+    assert result.error_probability.hex() == at_angle.error_probability.hex()
+    extra = {"grid_points": grid_points, "angle_tol": ANGLE_TOL} if alpha2 and beta2 else {}
+    assert list(result.metadata.items()) == [*at_angle.metadata.items(), *extra.items()]
+    # the best of every angle evaluated, the grid's included
+    for phi in np.linspace(0.0, QUARTER_PI, grid_points).tolist():
+        assert result.error_probability <= _kernel_p(pair, math.cos(phi), math.sin(phi))
+
+
+@pytest.mark.parametrize("key", sorted(ANGLE_SEARCH_REFERENCES))
+def test_angle_search_matches_benchmark_reference(key):
+    name, *options = key.split()
+    options = dict(option.split("=") for option in options)
+    pair = PulsePair(float(options["alpha2"]), float(options["beta2"]))
+    text = ""
+    if name == "best_angle":
+        splitter, result = best_angle(pair)
+        text = f"phi_over_pi = {splitter.phi / math.pi:.12g}\n"
+    elif name == "p_beamsplitter_ml":
+        result = p_beamsplitter_ml(pair, Beamsplitter(float(options["phi_over_pi"]) * math.pi))
+    else:
+        assert name == "p_homodyne_generalized"
+        result = p_homodyne_generalized(pair)
+    text += f"P = {result.error_probability:.12g}\n"
+    assert text == ANGLE_SEARCH_REFERENCES[key]

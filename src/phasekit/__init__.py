@@ -13,12 +13,10 @@ from .helstrom import d_err_small_alpha, p_err_optimal
 from .model import (
     Beamsplitter,
     DiscriminationResult,
-    OutputMeans,
     PulsePair,
     SplitterRangeError,
     homodyne_splitter,
     kennedy_angle,
-    output_means,
 )
 from .montecarlo import (
     ConfigurationError,
@@ -52,7 +50,6 @@ __all__ = [
     "DiscriminationResult",
     "EstimateResult",
     "NumericalResourceError",
-    "OutputMeans",
     "PulsePair",
     "SplitterRangeError",
     "Table",
@@ -62,7 +59,6 @@ __all__ = [
     "figure_table",
     "homodyne_splitter",
     "kennedy_angle",
-    "output_means",
     "p_beamsplitter_ml",
     "p_err_optimal",
     "p_homodyne_asymptotic",

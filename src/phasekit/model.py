@@ -7,6 +7,9 @@ explicitly: every quantity downstream depends on the inputs only through
 the moduli |r*beta +/- t*alpha|, which a common phase rotation leaves
 unchanged. The splitter angle ``phi`` below is unrelated to that mixture
 phase.
+
+``port_means`` is the one place the four port means are computed, from raw
+amplitudes and splitter magnitudes, so an angle search needs no splitter.
 """
 
 from __future__ import annotations
@@ -14,16 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .numerics import NumericalResourceError
+
 __all__ = [
     "QUARTER_PI",
     "SplitterRangeError",
     "PulsePair",
     "Beamsplitter",
-    "OutputMeans",
     "DiscriminationResult",
     "homodyne_splitter",
     "kennedy_angle",
-    "output_means",
+    "port_means",
 ]
 
 QUARTER_PI = math.pi / 4.0
@@ -117,25 +121,6 @@ def kennedy_angle(pair: PulsePair) -> Beamsplitter:
     return Beamsplitter(math.atan2(pair.alpha, pair.beta), r=pair.beta / h, t=pair.alpha / h)
 
 
-@dataclass(frozen=True)
-class OutputMeans:
-    """Expected counts in the two output ports under each hypothesis."""
-
-    n1_plus: float
-    n1_minus: float
-    n2_plus: float
-    n2_minus: float
-
-    def __post_init__(self) -> None:
-        vals = (self.n1_plus, self.n1_minus, self.n2_plus, self.n2_minus)
-        if any(not math.isfinite(v) or v < 0 for v in vals):
-            raise ValueError("output means must be finite and non-negative")
-        plus = self.n1_plus + self.n2_plus
-        minus = self.n1_minus + self.n2_minus
-        if abs(plus - minus) > 1e-12 * max(1.0, plus, minus):
-            raise ValueError("a lossless splitter must conserve energy per hypothesis")
-
-
 def _squared_amplitude(diff: float, scale: float) -> float:
     # amplitudes cancelling below float resolution are a dark port,
     # not 1e-33 photons
@@ -144,22 +129,26 @@ def _squared_amplitude(diff: float, scale: float) -> float:
     return diff * diff
 
 
+def _square(x: float) -> float:
+    """x^2 as a port mean, refused as a resource limit where it overflows a float."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise NumericalResourceError(f"a port mean of ({x:.4g})^2 overflows a float") from None
+
+
 def port_means(alpha: float, beta: float, r: float, t: float) -> tuple[float, float, float, float]:
-    """Raw port means for arbitrary (r, t); see ``output_means``."""
-    n1_plus = (r * beta + t * alpha) ** 2
-    n1_minus = _squared_amplitude(r * beta - t * alpha, r * beta + t * alpha)
-    n2_plus = _squared_amplitude(t * beta - r * alpha, t * beta + r * alpha)
-    n2_minus = (t * beta + r * alpha) ** 2
-    return n1_plus, n1_minus, n2_plus, n2_minus
-
-
-def output_means(pair: PulsePair, splitter: Beamsplitter) -> OutputMeans:
     """Mean photon numbers (r*beta +/- t*alpha)^2 and (t*beta -/+ r*alpha)^2.
 
-    Only relative phase enters: rotating both input amplitudes by a common
-    phase leaves every modulus, and hence every click statistic, unchanged.
+    Returned as (n1_plus, n1_minus, n2_plus, n2_minus): port 1 and port 2
+    under each hypothesis. Only relative phase enters: rotating both input
+    amplitudes by a common phase leaves every modulus, and hence every click
+    statistic, unchanged.
     """
-    return OutputMeans(*port_means(pair.alpha, pair.beta, splitter.r, splitter.t))
+    bright1, bright2 = r * beta + t * alpha, t * beta + r * alpha
+    dark1 = _squared_amplitude(r * beta - t * alpha, bright1)
+    dark2 = _squared_amplitude(t * beta - r * alpha, bright2)
+    return _square(bright1), dark1, dark2, _square(bright2)
 
 
 @dataclass(frozen=True)

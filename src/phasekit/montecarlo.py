@@ -28,7 +28,7 @@ from .model import (
     QUARTER_PI,
     Beamsplitter,
     PulsePair,
-    output_means,
+    port_means,
 )
 from .receivers import TIE_LOG_BAND, _ml_score, _ml_slopes
 
@@ -79,7 +79,8 @@ class TrialConfig:
                     "count comparison is only meaningful at the balanced angle pi/4"
                 )
         if self.rule is DecisionRule.KENNEDY_SINGLE_PORT:
-            if output_means(self.pair, self.splitter).n2_plus != 0.0:
+            pair, splitter = self.pair, self.splitter
+            if port_means(pair.alpha, pair.beta, splitter.r, splitter.t)[2] != 0.0:
                 raise ConfigurationError(
                     "the single-port rule needs port 2 dark under PLUS, i.e. the "
                     "cancellation angle arctan(alpha/beta)"
@@ -239,14 +240,11 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
     stream each; the error count is the plain sum over blocks, so the
     estimate is identical however the blocks are scheduled.
     """
-    means = output_means(cfg.pair, cfg.splitter)
-    slopes = _ml_slopes(means.n1_plus, means.n1_minus, means.n2_plus, means.n2_minus)
+    means = port_means(cfg.pair.alpha, cfg.pair.beta, cfg.splitter.r, cfg.splitter.t)
+    slopes = _ml_slopes(*means)
     # one table per port, row 0 for PLUS trials and row 1 for MINUS trials;
     # blocks only read them, so every block sees the same CDFs
-    tables = (
-        _InversionTable([means.n1_plus, means.n1_minus]),
-        _InversionTable([means.n2_plus, means.n2_minus]),
-    )
+    tables = (_InversionTable(means[:2]), _InversionTable(means[2:]))
     n_blocks = (cfg.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     children = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
     sizes = [

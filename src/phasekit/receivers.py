@@ -15,10 +15,10 @@ Every finite sum is truncated with an explicit Poisson tail budget, and
 each result carries its truncation bookkeeping in ``metadata``.
 
 One kernel, ``_ml_error``, computes every maximum-likelihood P from the
-four port means. ``p_beamsplitter_ml`` wraps it with the bookkeeping;
-``best_angle`` and the figure 3-4 sweeps call it per angle, with means from
-``model.port_means`` at (cos phi, sin phi), so only the angle a search
-reports pays for a validated splitter, mass accounting and metadata.
+four port means of ``model.port_means``, the one means path.
+``p_beamsplitter_ml`` wraps it with the bookkeeping; ``best_angle`` and the
+figure 3-4 sweeps call it per angle at (cos phi, sin phi), so only the angle
+a search reports pays for a validated splitter, mass accounting and metadata.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .model import (
     DiscriminationResult,
     PulsePair,
     _checked_probability,
+    _square,
     homodyne_splitter,
-    output_means,
     port_means,
 )
 from .numerics import poisson_pmfs
@@ -130,13 +130,19 @@ def p_kennedy_generalized(pair: PulsePair) -> DiscriminationResult:
 
     Closed form exp(-4 alpha^2 beta^2 / (alpha^2 + beta^2)) / 2, exactly
     symmetric under swapping the signal and reference strengths. With no
-    light at all the guess is forced random.
+    light at all the guess is forced random. Where 4 alpha^2 beta^2
+    overflows, the exponent is taken in the equivalent form 4 lo / (1 + lo / hi)
+    of the smaller and larger strength, which cannot overflow.
     """
     if pair.total == 0.0:
         return DiscriminationResult.from_error_probability(
             0.5, "kennedy_generalized", degenerate=True
         )
-    p = 0.5 * math.exp(-4.0 * pair.alpha2 * pair.beta2 / (pair.alpha2 + pair.beta2))
+    exponent = 4.0 * pair.alpha2 * pair.beta2 / pair.total
+    if not exponent < math.inf:
+        lo, hi = sorted((pair.alpha2, pair.beta2))
+        exponent = 4.0 * lo / (1.0 + lo / hi)
+    p = 0.5 * math.exp(-exponent)
     return DiscriminationResult.from_error_probability(p, "kennedy_generalized")
 
 
@@ -152,7 +158,7 @@ def p_homodyne_generalized(
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     alpha, beta = pair.alpha, pair.beta
-    mean_hi = 0.5 * (beta + alpha) ** 2
+    mean_hi = 0.5 * _square(beta + alpha)
     mean_lo = 0.5 * (beta - alpha) ** 2
     if mean_hi == mean_lo:
         # identical port statistics under both hypotheses (no signal, no
@@ -179,7 +185,8 @@ def _ml_error(n1_plus: float, n1_minus: float, n2_plus: float, n2_minus: float, 
 
     Returns (P, (n_cut, m_cut, pmfs)), or (1/2, None) when both hypotheses
     give the same port statistics; P is absorbed into [0, 1/2] as a result
-    would store it.
+    would store it; that includes a P above 1/2 by no more than the pmfs'
+    rounding excess, which ``error_bound`` carries.
 
     The log-likelihood ratio of an outcome is linear, ln L+ - ln L- =
     a*n + b*m (``_ml_slopes``), so the decision boundary is a line through
@@ -215,8 +222,11 @@ def _ml_error(n1_plus: float, n1_minus: float, n2_plus: float, n2_minus: float, 
     pmf2m.cumsum(out=head2m[1:])
     err_plus = 0.5 * float(pmf1p @ (tail2p[k1] + tail2p[k2]))
     err_minus = 0.5 * float(pmf1m @ (head2m[k1] + head2m[k2]))
-    p = _checked_probability(0.5 * (err_plus + err_minus))
-    return p, (n_cut, m_cut, (pmf1p, pmf1m, pmf2p, pmf2m))
+    p = 0.5 * (err_plus + err_minus)
+    pmfs = (pmf1p, pmf1m, pmf2p, pmf2m)
+    if p > 0.5 and p - 0.5 <= _mass_accounting(*pmfs)[1]:
+        p = 0.5
+    return _checked_probability(p), (n_cut, m_cut, pmfs)
 
 
 def p_beamsplitter_ml(
@@ -224,14 +234,11 @@ def p_beamsplitter_ml(
 ) -> DiscriminationResult:
     """Maximum-likelihood decision over joint counts (n, m) behind a splitter.
 
-    P comes from ``_ml_error`` at the validated ``output_means``; this
-    wrapper adds the truncation bookkeeping: the mass the pmfs drop, their
-    rounding excess above 1, and the error bound.
+    P comes from ``_ml_error`` at the ``port_means`` of the validated pair
+    and splitter; this wrapper adds the truncation bookkeeping: the mass the
+    pmfs drop, their rounding excess above 1, and the error bound.
     """
-    means = output_means(pair, splitter)
-    p, truncation = _ml_error(
-        means.n1_plus, means.n1_minus, means.n2_plus, means.n2_minus, tail_tol
-    )
+    p, truncation = _ml_error(*port_means(pair.alpha, pair.beta, splitter.r, splitter.t), tail_tol)
     if truncation is None:
         return DiscriminationResult.from_error_probability(
             p, "beamsplitter_ml", degenerate=True, phi=splitter.phi
@@ -264,8 +271,8 @@ def best_angle(
     where decision regions change, so the search is derivative-free and the
     reported optimum is the best of every angle actually evaluated. Each
     angle's P comes from the kernel ``_ml_error`` alone; only the winning
-    angle goes through ``p_beamsplitter_ml``, whose result (the same P) gets
-    the truncation metadata plus ``grid_points`` and ``angle_tol``.
+    angle goes through ``p_beamsplitter_ml``, and its result (the same P)
+    is returned with ``grid_points`` and ``angle_tol`` added to the metadata.
     """
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
@@ -302,10 +309,6 @@ def best_angle(
     best_phi = min(evaluated, key=lambda phi: (evaluated[phi], phi))
     splitter = Beamsplitter(best_phi)
     result = p_beamsplitter_ml(pair, splitter, tail_tol)
-    return splitter, DiscriminationResult.from_error_probability(
-        result.error_probability,
-        result.method,
-        **result.metadata,
-        grid_points=grid_points,
-        angle_tol=ANGLE_TOL,
-    )
+    # the result was built here and owns its metadata dict
+    result.metadata.update(grid_points=grid_points, angle_tol=ANGLE_TOL)
+    return splitter, result

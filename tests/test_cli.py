@@ -142,7 +142,7 @@ def test_degenerate_strengths_need_no_truncation(capsys):
     assert capsys.readouterr().out == "beta2,d_ratio_series,d_ratio_exact\n0,0,0\n"
 
 
-EDGE_STRENGTHS = ("0", "1e-300", "1", "1e12", "1e300")
+EDGE_STRENGTHS = ("0", "1e-300", "1", "1e12", "1e300", "1.7976931348623157e308")
 
 
 @pytest.mark.parametrize(
@@ -159,8 +159,9 @@ EDGE_STRENGTHS = ("0", "1e-300", "1", "1e12", "1e300")
     ids=" ".join,
 )
 def test_every_strength_ends_in_an_exit_code(command, capsys):
-    # zero, tiny, ordinary, huge and near-overflow strengths must each end in
-    # a result, an argument error or a resource error, never an exception
+    # zero, tiny, ordinary, huge, near-overflow and largest-float strengths must
+    # each end in a result, an argument error or a resource error, never an
+    # exception, and a refusal is one `phasekit:` line
     for alpha2 in EDGE_STRENGTHS:
         for beta2 in EDGE_STRENGTHS:
             if command[0] != "figure":
@@ -169,8 +170,25 @@ def test_every_strength_ends_in_an_exit_code(command, capsys):
                 argv = [*command, "--alpha2-grid", alpha2, "--beta2-grid", beta2]
             else:
                 argv = [*command, "--beta2-grid", beta2, "--cross-check-alpha2", alpha2]
-            assert cli.main(argv) in (0, 2, 3), argv
-    capsys.readouterr()
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), argv
+            assert code == 0 or (err.startswith("phasekit: ") and err.count("\n") == 1), argv
+
+
+def test_kennedy_at_the_largest_float_strength(capsys):
+    # 4 alpha^2 beta^2 / (alpha^2 + beta^2) is inf / inf in floats; its limit is P = 0
+    largest = "1.7976931348623157e308"
+    assert cli.main(["kennedy", "--alpha2", largest, "--beta2", largest]) == 0
+    assert capsys.readouterr().out.startswith("P = 0\nD = 1\n")
+
+
+def test_bsclass_absorbs_the_rounding_excess_at_a_cancellation_angle(capsys):
+    # the truncated pmfs at mean 1e5 sum above 1, which pushes P 1e-11 past 1/2
+    argv = ["bsclass", "--alpha2", "1e-300", "--beta2", "1e5",
+            "--phi-over-pi", "3.1830988618379067e-153"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("P = 0.5\nD = 0\n")
 
 
 def test_montecarlo_command_and_determinism():

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasekit import NumericalResourceError
 from phasekit.model import (
     QUARTER_PI,
     Beamsplitter,
     DiscriminationResult,
-    OutputMeans,
     PulsePair,
     SplitterRangeError,
     homodyne_splitter,
     kennedy_angle,
-    output_means,
     port_means,
 )
 
@@ -75,36 +74,40 @@ def test_kennedy_angle_requires_reference_at_least_signal():
         kennedy_angle(PulsePair(0.0, 0.0))
 
 
-def test_output_means_balanced_example():
-    means = output_means(PulsePair(0.1, 1.0), homodyne_splitter())
+def _means(pair, splitter):
+    return port_means(pair.alpha, pair.beta, splitter.r, splitter.t)
+
+
+def test_port_means_balanced_example():
+    n1_plus, n1_minus, n2_plus, n2_minus = _means(PulsePair(0.1, 1.0), homodyne_splitter())
     hi = (1.0 + math.sqrt(0.1)) ** 2 / 2.0
     lo = (1.0 - math.sqrt(0.1)) ** 2 / 2.0
-    assert means.n1_plus == pytest.approx(hi, rel=1e-12)
-    assert means.n1_minus == pytest.approx(lo, rel=1e-12)
-    assert means.n2_plus == pytest.approx(lo, rel=1e-12)
-    assert means.n2_minus == pytest.approx(hi, rel=1e-12)
+    assert n1_plus == pytest.approx(hi, rel=1e-12)
+    assert n1_minus == pytest.approx(lo, rel=1e-12)
+    assert n2_plus == pytest.approx(lo, rel=1e-12)
+    assert n2_minus == pytest.approx(hi, rel=1e-12)
 
 
-def test_output_means_no_signal_is_hypothesis_blind():
-    means = output_means(PulsePair(0.0, 3.0), Beamsplitter(0.31))
-    assert means.n1_plus == means.n1_minus
-    assert means.n2_plus == means.n2_minus
+def test_port_means_no_signal_is_hypothesis_blind():
+    n1_plus, n1_minus, n2_plus, n2_minus = _means(PulsePair(0.0, 3.0), Beamsplitter(0.31))
+    assert n1_plus == n1_minus
+    assert n2_plus == n2_minus
 
 
-def test_output_means_cancellation_port_is_exactly_dark():
+def test_port_means_cancellation_port_is_exactly_dark():
     pair = PulsePair(0.1, 1.0)
-    means = output_means(pair, kennedy_angle(pair))
-    assert means.n2_plus == 0.0
-    assert means.n2_minus == pytest.approx(4.0 * 0.1 * 1.0 / 1.1, rel=1e-12)
+    _, _, n2_plus, n2_minus = _means(pair, kennedy_angle(pair))
+    assert n2_plus == 0.0
+    assert n2_minus == pytest.approx(4.0 * 0.1 * 1.0 / 1.1, rel=1e-12)
 
 
 @given(strengths, strengths, st.floats(min_value=0.0, max_value=QUARTER_PI))
 @settings(max_examples=120)
-def test_output_means_conserve_energy(alpha2, beta2, phi):
+def test_port_means_conserve_energy(alpha2, beta2, phi):
     pair = PulsePair(alpha2, beta2)
-    means = output_means(pair, Beamsplitter(phi))
-    assert means.n1_plus + means.n2_plus == pytest.approx(pair.total, abs=1e-12 * max(1.0, pair.total))
-    assert means.n1_minus + means.n2_minus == pytest.approx(pair.total, abs=1e-12 * max(1.0, pair.total))
+    n1_plus, n1_minus, n2_plus, n2_minus = _means(pair, Beamsplitter(phi))
+    assert n1_plus + n2_plus == pytest.approx(pair.total, abs=1e-12 * max(1.0, pair.total))
+    assert n1_minus + n2_minus == pytest.approx(pair.total, abs=1e-12 * max(1.0, pair.total))
 
 
 @given(strengths, strengths, st.floats(min_value=0.0, max_value=QUARTER_PI))
@@ -112,13 +115,13 @@ def test_output_means_conserve_energy(alpha2, beta2, phi):
 def test_swapping_pulses_swaps_ports_and_hypotheses(alpha2, beta2, phi):
     pair = PulsePair(alpha2, beta2)
     bs = Beamsplitter(phi)
-    direct = output_means(pair, bs)
-    swapped = output_means(pair.swapped(), bs)
+    n1_plus, n1_minus, n2_plus, n2_minus = _means(pair, bs)
+    swapped = _means(pair.swapped(), bs)
     tol = 1e-12 * max(1.0, pair.total)
-    assert swapped.n1_plus == pytest.approx(direct.n2_minus, abs=tol)
-    assert swapped.n1_minus == pytest.approx(direct.n2_plus, abs=tol)
-    assert swapped.n2_plus == pytest.approx(direct.n1_minus, abs=tol)
-    assert swapped.n2_minus == pytest.approx(direct.n1_plus, abs=tol)
+    assert swapped[0] == pytest.approx(n2_minus, abs=tol)
+    assert swapped[1] == pytest.approx(n2_plus, abs=tol)
+    assert swapped[2] == pytest.approx(n1_minus, abs=tol)
+    assert swapped[3] == pytest.approx(n1_plus, abs=tol)
 
 
 @given(strengths, strengths, st.floats(min_value=0.0, max_value=QUARTER_PI))
@@ -134,11 +137,12 @@ def test_double_swap_is_identity(alpha2, beta2, phi):
         assert x == pytest.approx(y, abs=1e-12 * max(1.0, alpha2 + beta2))
 
 
-def test_output_means_type_rejects_energy_mismatch():
-    with pytest.raises(ValueError):
-        OutputMeans(1.0, 2.0, 1.0, 3.0)
-    with pytest.raises(ValueError):
-        OutputMeans(-1.0, 0.0, 1.0, 0.0)
+def test_port_means_refuse_a_square_past_the_float_range():
+    huge = math.sqrt(1.7976931348623157e308)
+    with pytest.raises(NumericalResourceError, match="overflows"):
+        port_means(huge, huge, math.cos(0.3), math.sin(0.3))
+    # the largest strength alone still squares to a float
+    assert port_means(huge, 0.0, 1.0, 0.0) == (0.0, 0.0, huge**2, huge**2)
 
 
 def test_discrimination_result_invariants():

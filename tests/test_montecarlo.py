@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from phasekit.model import (
     PulsePair,
     homodyne_splitter,
     kennedy_angle,
-    output_means,
+    port_means,
 )
 from phasekit.montecarlo import (
     ConfigurationError,
@@ -43,6 +42,10 @@ MONTECARLO_REFERENCES = json.loads(
         encoding="utf-8"
     )
 )["montecarlo"]
+
+
+def _means(pair, splitter):
+    return port_means(pair.alpha, pair.beta, splitter.r, splitter.t)
 
 
 # ------------------------------------------------------------------ sampling
@@ -301,7 +304,7 @@ def test_run_trials_on_the_generator_sampler_independent_of_thread_cap(
     monkeypatch, pair, splitter, rule, trials
 ):
     cfg = TrialConfig(pair, splitter, rule, trials=trials, seed=9)
-    assert output_means(pair, splitter).n1_plus >= montecarlo._INVERSION_MEAN_LIMIT
+    assert _means(pair, splitter)[0] >= montecarlo._INVERSION_MEAN_LIMIT
     monkeypatch.setenv("PHASEKIT_THREADS", "1")
     serial = run_trials(cfg)
     monkeypatch.setenv("PHASEKIT_THREADS", "2")
@@ -369,8 +372,8 @@ def test_ml_score_orders_outcomes_like_joint_likelihoods(angle):
         "balanced": homodyne_splitter(),
         "dark_port": kennedy_angle(pair),
     }[angle]
-    means = output_means(pair, splitter)
-    a, b = _ml_slopes(*astuple(means))
+    means = _means(pair, splitter)
+    a, b = _ml_slopes(*means)
     assert (b == -math.inf) == (angle == "dark_port")
     n, m = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
     score = _ml_score(a, n) + _ml_score(b, m)
@@ -378,8 +381,9 @@ def test_ml_score_orders_outcomes_like_joint_likelihoods(angle):
     def joint(mean1, mean2):
         return log_poisson_pmf_array(5, mean1)[:, None] + log_poisson_pmf_array(5, mean2)
 
-    lp_grid = joint(means.n1_plus, means.n2_plus)
-    lm_grid = joint(means.n1_minus, means.n2_minus)
+    n1_plus, n1_minus, n2_plus, n2_minus = means
+    lp_grid = joint(n1_plus, n2_plus)
+    lm_grid = joint(n1_minus, n2_minus)
     for (i, j), got in np.ndenumerate(score):
         lp, lm = lp_grid[i, j], lm_grid[i, j]
         if lp > lm + 1e-12:
@@ -400,8 +404,9 @@ def _log_pmf_rule(counts1, counts2, means):
         log_factorial = _log_factorial_table(int(np.max(counts, initial=0)))
         return counts * math.log(mean) - mean - log_factorial[counts]
 
-    lp = log_pmf(counts1, means.n1_plus) + log_pmf(counts2, means.n2_plus)
-    lm = log_pmf(counts1, means.n1_minus) + log_pmf(counts2, means.n2_minus)
+    n1_plus, n1_minus, n2_plus, n2_minus = means
+    lp = log_pmf(counts1, n1_plus) + log_pmf(counts2, n2_plus)
+    lm = log_pmf(counts1, n1_minus) + log_pmf(counts2, n2_minus)
     with np.errstate(invalid="ignore"):
         diff = lp - lm
     return diff > TIE_LOG_BAND, np.abs(diff) <= TIE_LOG_BAND
@@ -438,8 +443,8 @@ def test_ml_scoring_decides_every_golden_trial_like_the_log_pmf_rule(monkeypatch
         est = run_trials(cfg)
         if errors is not None:
             assert est.errors == errors
-        means = output_means(cfg.pair, cfg.splitter)
-        a, b = _ml_slopes(*astuple(means))
+        means = _means(cfg.pair, cfg.splitter)
+        a, b = _ml_slopes(*means)
         for counts1, counts2 in zip(draws[::2], draws[1::2]):
             score = _ml_score(a, counts1) + _ml_score(b, counts2)
             old_guess, old_tie = _log_pmf_rule(counts1, counts2, means)
@@ -483,8 +488,7 @@ def _reference_block(cfg, means, rng, size):
     generator's sampler above, and per-trial ML scores."""
     hyp_plus = rng.random(size) < 0.5
     counts = []
-    for mean_plus, mean_minus in ((means.n1_plus, means.n1_minus),
-                                  (means.n2_plus, means.n2_minus)):
+    for mean_plus, mean_minus in (means[:2], means[2:]):
         mean_vec = np.where(hyp_plus, mean_plus, mean_minus)
         if np.max(mean_vec) < montecarlo._INVERSION_MEAN_LIMIT:
             counts.append(_sequential_cdf_search(rng.random(size), mean_vec))
@@ -496,7 +500,7 @@ def _reference_block(cfg, means, rng, size):
     elif cfg.rule is DecisionRule.HOMODYNE_COMPARE:
         guess_plus, tie = counts1 > counts2, counts1 == counts2
     else:
-        a, b = _ml_slopes(*astuple(means))
+        a, b = _ml_slopes(*means)
         diff = _ml_score(a, counts1) + _ml_score(b, counts2)
         guess_plus, tie = diff > TIE_LOG_BAND, np.abs(diff) <= TIE_LOG_BAND
     tied = np.flatnonzero(tie)
@@ -506,7 +510,7 @@ def _reference_block(cfg, means, rng, size):
 
 
 def _reference_errors(cfg):
-    means = output_means(cfg.pair, cfg.splitter)
+    means = _means(cfg.pair, cfg.splitter)
     n_blocks = -(-cfg.trials // montecarlo.BLOCK_TRIALS)
     children = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
     return sum(

@@ -12,7 +12,6 @@ PUBLIC_NAMES = {
     "DiscriminationResult",
     "EstimateResult",
     "NumericalResourceError",
-    "OutputMeans",
     "PulsePair",
     "SplitterRangeError",
     "Table",
@@ -22,7 +21,6 @@ PUBLIC_NAMES = {
     "figure_table",
     "homodyne_splitter",
     "kennedy_angle",
-    "output_means",
     "p_beamsplitter_ml",
     "p_err_optimal",
     "p_homodyne_asymptotic",
@@ -60,7 +58,7 @@ def test_every_exported_name_resolves():
 
 
 def test_package_exports_the_intended_names():
-    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 28
+    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 26
     assert set(phasekit.__all__) == PUBLIC_NAMES
 
 
@@ -86,3 +84,21 @@ def test_numerics_exports_one_path_per_job():
     # table is read only through log_poisson_pmf_array
     for name in ("log_factorial", "poisson_upper_tail", "_extended_pmf"):
         assert not hasattr(numerics, name), name
+
+
+def test_model_exports_one_means_path():
+    import phasekit.model as model
+
+    assert sorted(model.__all__) == [
+        "Beamsplitter",
+        "DiscriminationResult",
+        "PulsePair",
+        "QUARTER_PI",
+        "SplitterRangeError",
+        "homodyne_splitter",
+        "kennedy_angle",
+        "port_means",
+    ]
+    # port_means is the one function that computes the four port means
+    for name in ("OutputMeans", "output_means"):
+        assert not hasattr(model, name) and not hasattr(phasekit, name), name

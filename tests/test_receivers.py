@@ -9,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_homodyne, oracle_kennedy, oracle_ml
+from phasekit import receivers
 from phasekit.helstrom import p_err_optimal
 from phasekit.model import (
     QUARTER_PI,
     Beamsplitter,
+    DiscriminationResult,
     PulsePair,
     homodyne_splitter,
     kennedy_angle,
-    output_means,
     port_means,
 )
-from phasekit.numerics import log_poisson_pmf_array
+from phasekit.numerics import NumericalResourceError, log_poisson_pmf_array
 from phasekit.receivers import (
     ANGLE_TOL,
     DEFAULT_TAIL_TOL,
@@ -98,6 +99,24 @@ def test_kennedy_generalized_limits():
     degenerate = p_kennedy_generalized(PulsePair(0.0, 0.0))
     assert degenerate.error_probability == 0.5
     assert degenerate.metadata["degenerate"]
+
+
+LARGEST = 1.7976931348623157e308
+
+
+def test_kennedy_generalized_where_the_product_overflows():
+    # 4 alpha^2 beta^2 overflows: its limit where both strengths are huge, and
+    # the closed form itself (not the 0 the overflow gave) where one is small
+    assert p_kennedy_generalized(PulsePair(LARGEST, LARGEST)).error_probability == 0.0
+    assert p_kennedy_generalized(PulsePair(LARGEST, 0.0)).error_probability == 0.5
+    for pair in (PulsePair(LARGEST, 1.0), PulsePair(1.0, LARGEST)):
+        p = p_kennedy_generalized(pair).error_probability
+        assert p == pytest.approx(0.5 * math.exp(-4.0), rel=1e-15)
+
+
+def test_homodyne_generalized_refuses_a_mean_past_the_float_range():
+    with pytest.raises(NumericalResourceError, match="overflows"):
+        p_homodyne_generalized(PulsePair(LARGEST, LARGEST))
 
 
 @given(strengths := st.floats(min_value=0.0, max_value=20.0), strengths)
@@ -247,6 +266,23 @@ def test_ml_receiver_keeps_relative_precision_at_tiny_error(alpha2, beta2):
         assert abs(got - float(expected)) <= 1e-12 * float(expected)
 
 
+def test_ml_receiver_absorbs_only_the_rounding_excess_past_one_half(monkeypatch):
+    # at the cancellation angle port 1 is hypothesis-blind at mean 1e5, whose
+    # truncated pmfs sum 2e-11 above 1 each; P lands 1.0e-11 past 1/2, within
+    # that excess, which error_bound carries
+    pair = PulsePair(1e-300, 1e5)
+    splitters = (kennedy_angle(pair), Beamsplitter(3.1830988618379067e-153 * math.pi))
+    for splitter in splitters:
+        res = p_beamsplitter_ml(pair, splitter)
+        assert res.error_probability == 0.5
+        assert 4e-12 + 1e-11 < res.metadata["error_bound"] < 4e-12 + 1e-10
+    # without the excess the same overshoot is a violation, and still refused
+    monkeypatch.setattr(receivers, "_mass_accounting", lambda *pmfs: (0.0, 0.0))
+    for splitter in splitters:
+        with pytest.raises(ValueError, match="must lie in"):
+            p_beamsplitter_ml(pair, splitter)
+
+
 def test_ml_receiver_metadata_bounds():
     res = p_beamsplitter_ml(PulsePair(0.1, 1.0), Beamsplitter(0.2))
     assert res.metadata["neglected_mass"] < 4e-12
@@ -267,10 +303,10 @@ def test_error_bound_covers_log_pmf_rounding_at_large_means():
     # is error the truncation budget alone does not cover
     pair = PulsePair(0.1, 1e4)
     splitter = Beamsplitter(0.15 * math.pi)
-    means = output_means(pair, splitter)
+    n1_plus, n1_minus, n2_plus, n2_minus = port_means(pair.alpha, pair.beta, splitter.r, splitter.t)
     ml = p_beamsplitter_ml(pair, splitter).metadata
-    excess = _rounding_excess(ml["n_cut"], means.n1_plus, means.n1_minus) + _rounding_excess(
-        ml["m_cut"], means.n2_plus, means.n2_minus
+    excess = _rounding_excess(ml["n_cut"], n1_plus, n1_minus) + _rounding_excess(
+        ml["m_cut"], n2_plus, n2_minus
     )
     assert excess > 1e-12
     # the receiver sums each pmf pairwise, the test exactly: allow for that
@@ -370,6 +406,9 @@ def test_best_angle_result_is_the_public_result_at_its_angle(alpha2, beta2, grid
     assert result.error_probability.hex() == at_angle.error_probability.hex()
     extra = {"grid_points": grid_points, "angle_tol": ANGLE_TOL} if alpha2 and beta2 else {}
     assert list(result.metadata.items()) == [*at_angle.metadata.items(), *extra.items()]
+    assert result == DiscriminationResult(
+        at_angle.error_probability, at_angle.method, {**at_angle.metadata, **extra}
+    )
     # the best of every angle evaluated, the grid's included
     for phi in np.linspace(0.0, QUARTER_PI, grid_points).tolist():
         assert result.error_probability <= _kernel_p(pair, math.cos(phi), math.sin(phi))

@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Subcommands: kennedy, homodyne, bsclass, optimum, montecarlo, figure.
+``build_parser`` is the one subcommand table, each subparser carrying its
+handler; ``kennedy`` and ``homodyne`` read their two receiver forms from
+``receivers._limit_pair``, and ``figure`` its ids from ``scan.FIGURE_IDS``.
 Strengths are always mean photon numbers, matching the library and every
 tabulated figure. Output for fixed flags (and seed) is byte-identical
 across runs. Exit codes: 0 success, 2 argument problems, 3 numerical
@@ -10,28 +13,16 @@ resource limits.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import math
 import sys
 
 from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, p_err_optimal
-from .model import (
-    Beamsplitter,
-    DiscriminationResult,
-    PulsePair,
-    kennedy_angle,
-)
+from .model import Beamsplitter, DiscriminationResult, PulsePair, kennedy_angle
 from .montecarlo import DecisionRule, TrialConfig, run_trials
 from .numerics import NumericalResourceError
-from .receivers import (
-    DEFAULT_TAIL_TOL,
-    best_angle,
-    p_beamsplitter_ml,
-    p_homodyne_asymptotic,
-    p_homodyne_generalized,
-    p_kennedy_asymptotic,
-    p_kennedy_generalized,
-)
+from .receivers import DEFAULT_TAIL_TOL, _limit_pair, best_angle, p_beamsplitter_ml
 from .scan import FIGURE_IDS, figure_table, format_value, write_csv, write_json
 
 __all__ = ["main"]
@@ -94,11 +85,13 @@ def _result_lines(
     return lines
 
 
-def _add_strength_flags(p: argparse.ArgumentParser, beta2_required: bool = True) -> None:
+def _add_strength_flags(p: argparse.ArgumentParser, reference=None) -> None:
+    """--alpha2, and --beta2: required, or one choice of the required group ``reference``."""
     p.add_argument("--alpha2", type=_non_negative, required=True,
                    help="signal mean photon number")
-    p.add_argument("--beta2", type=_non_negative, required=beta2_required,
-                   help="reference mean photon number")
+    (p if reference is None else reference).add_argument(
+        "--beta2", type=_non_negative, required=reference is None,
+        help="reference mean photon number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,21 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, receiver in (
-        ("kennedy", "dark-port photon counting receiver",
-         (p_kennedy_asymptotic, p_kennedy_generalized)),
-        ("homodyne", "count-comparison receiver behind a balanced splitter",
-         (p_homodyne_asymptotic, p_homodyne_generalized)),
+    for name, help_text in (
+        ("kennedy", "dark-port photon counting receiver"),
+        ("homodyne", "count-comparison receiver behind a balanced splitter"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(receiver=receiver)
-        _add_strength_flags(p, beta2_required=False)
-        p.add_argument("--asymptotic", action="store_true",
-                       help="infinitely strong reference (omit --beta2)")
-        p.add_argument("--quote-tolerances", action="store_true",
-                       help="print truncation bounds alongside the result")
+        p.set_defaults(handler=_cmd_receiver)
+        reference = p.add_mutually_exclusive_group(required=True)
+        _add_strength_flags(p, reference)
+        reference.add_argument("--asymptotic", action="store_true",
+                               help="infinitely strong reference (omit --beta2)")
 
     p = sub.add_parser("bsclass", help="maximum-likelihood receiver at one splitter angle")
+    p.set_defaults(handler=_cmd_bsclass)
     _add_strength_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--phi-over-pi", type=float, help="splitter angle divided by pi")
@@ -133,15 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid size for --optimize (default 128)")
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
                    help="per-port Poisson tail budget (default %(default)g)")
-    p.add_argument("--quote-tolerances", action="store_true")
 
     p = sub.add_parser("optimum", help="minimum error probability over all measurements")
+    p.set_defaults(handler=_cmd_optimum)
     _add_strength_flags(p)
     p.add_argument("--tail-tol", type=float, default=OPTIMUM_TAIL_TOL,
                    help="basis truncation budget (default %(default)g)")
-    p.add_argument("--quote-tolerances", action="store_true")
 
     p = sub.add_parser("montecarlo", help="simulate a receiver and report the error rate")
+    p.set_defaults(handler=_cmd_montecarlo)
     _add_strength_flags(p)
     p.add_argument("--phi-over-pi", type=float, default=None,
                    help="splitter angle / pi (defaults: rule kennedy -> cancellation "
@@ -150,9 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decision rule (default ml)")
     p.add_argument("--trials", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--quote-tolerances", action="store_true")
+
+    # every subcommand so far reports one result; the flag goes after its own
+    for p in sub.choices.values():
+        p.add_argument("--quote-tolerances", action="store_true",
+                       help="print truncation bounds alongside the result")
 
     p = sub.add_parser("figure", help="emit the data table behind one figure")
+    p.set_defaults(handler=_cmd_figure)
     p.add_argument("--id", type=int, required=True, choices=FIGURE_IDS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default standard output)")
@@ -174,15 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_receiver(args) -> str:
-    """kennedy and homodyne: ``args.receiver`` is (asymptotic, generalized)."""
-    asymptotic, generalized = args.receiver
+    """kennedy and homodyne: the subcommand names the receiver's limit pair."""
+    asymptotic, generalized = _limit_pair(args.command)
     if args.asymptotic:
-        if args.beta2 is not None:
-            raise ValueError("--asymptotic means --beta2 must be omitted")
         result = asymptotic(args.alpha2)
     else:
-        if args.beta2 is None:
-            raise ValueError("--beta2 is required without --asymptotic")
         result = generalized(PulsePair(args.alpha2, args.beta2))
     return "\n".join(_result_lines(result, args.quote_tolerances)) + "\n"
 
@@ -232,16 +224,9 @@ def _cmd_montecarlo(args) -> str:
 
 
 def _cmd_figure(args) -> str | None:
-    table = figure_table(
-        args.id,
-        alpha2_grid=args.alpha2_grid,
-        beta2_grid=args.beta2_grid,
-        alpha2=args.alpha2,
-        beta2=args.beta2,
-        n_angles=args.n_angles,
-        cross_check_alpha2=args.cross_check_alpha2,
-        tail_tol=args.tail_tol,
-    )
+    # every figure flag but --id, --format and --out is the figure_table option of its name
+    options = inspect.signature(figure_table).parameters
+    table = figure_table(args.id, **{k: v for k, v in vars(args).items() if k in options})
     text = io.StringIO()
     (write_csv if args.format == "csv" else write_json)(table, text)
     if args.out is None:
@@ -254,16 +239,6 @@ def _cmd_figure(args) -> str | None:
     return None
 
 
-_HANDLERS = {
-    "kennedy": _cmd_receiver,
-    "homodyne": _cmd_receiver,
-    "bsclass": _cmd_bsclass,
-    "optimum": _cmd_optimum,
-    "montecarlo": _cmd_montecarlo,
-    "figure": _cmd_figure,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -271,13 +246,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        out = _HANDLERS[args.command](args)
-    except NumericalResourceError as exc:
+        out = args.handler(args)
+    except (NumericalResourceError, ValueError) as exc:
         print(f"phasekit: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"phasekit: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalResourceError) else 2
     if out is not None:
         sys.stdout.write(out)
     return 0

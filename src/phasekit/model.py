@@ -117,7 +117,8 @@ def kennedy_angle(pair: PulsePair) -> Beamsplitter:
             "reference weaker than signal puts the cancellation angle beyond pi/4; "
             "swap the signal and reference roles instead"
         )
-    h = math.sqrt(total)
+    # where alpha^2 + beta^2 overflows, the amplitudes' hypotenuse does not
+    h = math.sqrt(total) if total < math.inf else math.hypot(pair.alpha, pair.beta)
     return Beamsplitter(math.atan2(pair.alpha, pair.beta), r=pair.beta / h, t=pair.alpha / h)
 
 

@@ -9,7 +9,8 @@ block is below 30, each count inverts a single uniform draw against the
 Poisson CDF through a guide table built once per run (indexed search, Chen
 & Asau 1974). One lookup gives the count, or -1 for the few bins that hold
 a CDF step, which a binary search settles. Otherwise the block falls back
-to the generator's own Poisson sampler.
+to the generator's own Poisson sampler, which refuses means above about
+9.2e18; ``run_trials`` refuses such a mean before any block draws.
 Streams come from numpy's PCG64 seeded through ``SeedSequence(seed).spawn``,
 one child per fixed-size trial block, so runs are reproducible bit for bit
 and block results merge by plain addition regardless of scheduling.
@@ -30,6 +31,7 @@ from .model import (
     PulsePair,
     port_means,
 )
+from .numerics import NumericalResourceError
 from .receivers import TIE_LOG_BAND, _ml_score, _ml_slopes
 
 __all__ = [
@@ -46,6 +48,9 @@ Z99 = 2.5758293035489004
 BLOCK_TRIALS = 1 << 16
 
 _INVERSION_MEAN_LIMIT = 30.0
+
+# numpy's own bound on a Poisson mean, from the largest int64
+_SAMPLER_MEAN_LIMIT = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 class ConfigurationError(ValueError):
@@ -241,6 +246,11 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
     estimate is identical however the blocks are scheduled.
     """
     means = port_means(cfg.pair.alpha, cfg.pair.beta, cfg.splitter.r, cfg.splitter.t)
+    if (top := max(means)) > _SAMPLER_MEAN_LIMIT:
+        raise NumericalResourceError(
+            f"a port mean of {top:.4g} is above the Poisson sampler's limit of "
+            f"{_SAMPLER_MEAN_LIMIT:.4g}"
+        )
     slopes = _ml_slopes(*means)
     # one table per port, row 0 for PLUS trials and row 1 for MINUS trials;
     # blocks only read them, so every block sees the same CDFs

@@ -13,6 +13,9 @@ the one-parameter splitter family:
 
 Every finite sum is truncated with an explicit Poisson tail budget, and
 each result carries its truncation bookkeeping in ``metadata``.
+``_limit_pair`` is the one map from a simple receiver's name to its
+strong-reference limit and finite-reference form; the CLI's ``kennedy`` and
+``homodyne`` subcommands and the figure 1-2 tables all read it.
 
 One kernel, ``_ml_error``, computes every maximum-likelihood P from the
 four port means of ``model.port_means``, the one means path.
@@ -178,6 +181,15 @@ def p_homodyne_generalized(
         neglected_mass=neglected,
         error_bound=2.0 * tail_tol + excess,
     )
+
+
+def _limit_pair(receiver: str):
+    """(asymptotic(alpha2), generalized(pair)) of the named simple receiver, looked
+    up in this module's globals per call so that rebound names (tracer wrappers) count."""
+    return {
+        "kennedy": (p_kennedy_asymptotic, p_kennedy_generalized),
+        "homodyne": (p_homodyne_asymptotic, p_homodyne_generalized),
+    }[receiver]
 
 
 def _ml_error(n1_plus: float, n1_minus: float, n2_plus: float, n2_minus: float, tail_tol: float):

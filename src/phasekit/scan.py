@@ -1,10 +1,11 @@
 """Parameter sweeps behind the five numbered figure tables, with CSV/JSON output.
 
-``figure_table`` builds every table. ``_FIGURES`` names the options each
-figure takes and their defaults, and is also the check that rejects any
-other option. The scan layer only orchestrates library calls and forms
-ratios; every row is recomputable from the public receiver and
-optimum-bound functions. Undefined ratios (no signal, so zero
+``_FIGURES`` is the one figure table: each figure's row builder, the
+options it takes and their defaults, which are also the check that rejects
+any other option. ``figure_table`` builds every table from it; figures 1-2
+read their receiver pairs from ``receivers._limit_pair``. The scan layer
+only orchestrates library calls and forms ratios; every row is recomputable
+from the public receiver and optimum-bound functions. Undefined ratios (no signal, so zero
 distinguishability on both sides, or a baseline so small that the ratio
 overflows) are emitted as an explicit null, never as NaN or inf text.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import IO
 
 import numpy as np
@@ -21,14 +23,8 @@ import numpy as np
 from . import __version__
 from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, d_err_small_alpha, p_err_optimal
 from .model import PulsePair, kennedy_angle, port_means
-from .receivers import (
-    DEFAULT_TAIL_TOL,
-    _ml_error,
-    p_homodyne_asymptotic,
-    p_homodyne_generalized,
-    p_kennedy_asymptotic,
-    p_kennedy_generalized,
-)
+from .receivers import (DEFAULT_TAIL_TOL, _limit_pair, _ml_error, p_homodyne_generalized,
+                        p_kennedy_generalized)
 
 __all__ = [
     "Table",
@@ -50,23 +46,6 @@ class Table:
 def default_alpha2_grid() -> np.ndarray:
     """64 log-spaced signal strengths covering the weak-pulse regime."""
     return np.logspace(-3.0, 0.0, 64)
-
-
-# each figure's figure_table options and their defaults; no other option is accepted
-_RATIO = {"alpha2_grid": default_alpha2_grid(), "beta2_grid": (1.0, 2.0, 4.0, 10.0)}
-_SWEEP = {"alpha2": 0.1, "beta2": 1.0, "n_angles": 128, "tail_tol": DEFAULT_TAIL_TOL}
-_FIGURES = {
-    1: _RATIO,
-    2: {**_RATIO, "tail_tol": DEFAULT_TAIL_TOL},
-    3: _SWEEP,
-    4: {**_SWEEP, "beta2": 10.0},
-    5: {
-        "beta2_grid": np.linspace(0.0, 10.0, 41),
-        "cross_check_alpha2": None,
-        "tail_tol": OPTIMUM_TAIL_TOL,
-    },
-}
-FIGURE_IDS = tuple(_FIGURES)
 
 
 def format_value(value) -> str:
@@ -112,27 +91,29 @@ def _ratio(num: float, den: float) -> float | None:
     return None
 
 
-def _ratio_rows(name: str, asymptotic, generalized, alpha2_grid, beta2_grid):
+def _ratio_rows(receiver: str, tag: str, alpha2_grid, beta2_grid, **tail_tol):
     """One receiver at finite reference against its strong-reference baseline.
 
-    ``asymptotic(alpha2)`` and ``generalized(pair)`` give the two results;
+    ``_limit_pair(receiver)`` gives the two results, ``asymptotic(alpha2)``
+    and ``generalized(pair, **tail_tol)``; ``tag`` names the columns, and
     rows run over ``beta2_grid``, then ``alpha2_grid``.
     """
+    asymptotic, generalized = _limit_pair(receiver)
     columns = (
         "alpha2",
         "beta2",
-        f"p_{name}",
-        f"p_{name}_tilde",
+        f"p_{tag}",
+        f"p_{tag}_tilde",
         "ratio_p",
-        f"d_{name}",
-        f"d_{name}_tilde",
+        f"d_{tag}",
+        f"d_{tag}_tilde",
         "ratio_d",
     )
     rows = []
     for beta2 in beta2_grid:
         for alpha2 in alpha2_grid:
             base = asymptotic(float(alpha2))
-            gen = generalized(PulsePair(float(alpha2), float(beta2)))
+            gen = generalized(PulsePair(float(alpha2), float(beta2)), **tail_tol)
             p_base, p_gen = base.error_probability, gen.error_probability
             d_base, d_gen = base.distinguishability, gen.distinguishability
             values = (float(alpha2), float(beta2), p_base, p_gen, _ratio(p_gen, p_base),
@@ -162,15 +143,9 @@ def _sweep_rows(alpha2, beta2, n_angles, tail_tol):
         for phi in np.linspace(0.0, math.pi / 4.0, n_angles).tolist()
     ]
     try:
-        ken_angle = kennedy_angle(pair)
-        ken = p_kennedy_generalized(pair)
-        rows.append(
-            {
-                "kind": "ref_kennedy",
-                "phi_over_pi": ken_angle.phi / math.pi,
-                "p_err": ken.error_probability,
-            }
-        )
+        phi, ken = kennedy_angle(pair).phi, p_kennedy_generalized(pair)
+        rows.append({"kind": "ref_kennedy", "phi_over_pi": phi / math.pi,
+                     "p_err": ken.error_probability})
     except ValueError:  # includes SplitterRangeError
         pass
     hom = p_homodyne_generalized(pair, tail_tol)
@@ -198,6 +173,22 @@ def _optimal_ratio_rows(beta2_grid, cross_check_alpha2, tail_tol):
     return ("beta2", "d_ratio_series", "d_ratio_exact"), [one(float(b2)) for b2 in beta2_grid]
 
 
+# each figure's row builder, and the figure_table options it takes with their
+# defaults; no other option is accepted
+_RATIO = {"alpha2_grid": default_alpha2_grid(), "beta2_grid": (1.0, 2.0, 4.0, 10.0)}
+_SWEEP = {"alpha2": 0.1, "beta2": 1.0, "n_angles": 128, "tail_tol": DEFAULT_TAIL_TOL}
+_SERIES = {"beta2_grid": np.linspace(0.0, 10.0, 41), "cross_check_alpha2": None,
+           "tail_tol": OPTIMUM_TAIL_TOL}
+_FIGURES = {
+    1: (partial(_ratio_rows, "kennedy", "ken"), _RATIO),
+    2: (partial(_ratio_rows, "homodyne", "hom"), {**_RATIO, "tail_tol": DEFAULT_TAIL_TOL}),
+    3: (_sweep_rows, _SWEEP),
+    4: (_sweep_rows, {**_SWEEP, "beta2": 10.0}),
+    5: (_optimal_ratio_rows, _SERIES),
+}
+FIGURE_IDS = tuple(_FIGURES)
+
+
 def figure_table(
     fig_id: int,
     alpha2_grid=None,
@@ -218,31 +209,18 @@ def figure_table(
         raise ValueError(f"figure id must be one of {FIGURE_IDS}, got {fig_id}")
     given = dict(alpha2_grid=alpha2_grid, beta2_grid=beta2_grid, alpha2=alpha2, beta2=beta2,
                  n_angles=n_angles, cross_check_alpha2=cross_check_alpha2, tail_tol=tail_tol)
-    unused = [k for k, v in given.items() if v is not None and k not in _FIGURES[fig_id]]
+    rows_for, defaults = _FIGURES[fig_id]
+    unused = [k for k, v in given.items() if v is not None and k not in defaults]
     if unused:
         raise ValueError(f"figure {fig_id} does not use {', '.join(unused)}")
-    opts = {k: default if given[k] is None else given[k] for k, default in _FIGURES[fig_id].items()}
+    opts = {k: default if given[k] is None else given[k] for k, default in defaults.items()}
     if tail_tol is not None and not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     if cross_check_alpha2 is not None and not 0.0 <= cross_check_alpha2 < math.inf:
         raise ValueError(
             f"cross_check_alpha2 must be finite and non-negative, got {cross_check_alpha2}"
         )
-    if fig_id == 1:
-        columns, rows = _ratio_rows("ken", p_kennedy_asymptotic, p_kennedy_generalized,
-                                    opts["alpha2_grid"], opts["beta2_grid"])
-    elif fig_id == 2:
-        columns, rows = _ratio_rows(
-            "hom",
-            p_homodyne_asymptotic,
-            lambda pair: p_homodyne_generalized(pair, opts["tail_tol"]),
-            opts["alpha2_grid"],
-            opts["beta2_grid"],
-        )
-    elif fig_id == 5:
-        columns, rows = _optimal_ratio_rows(**opts)
-    else:
-        columns, rows = _sweep_rows(**opts)
+    columns, rows = rows_for(**opts)
     # figures 3-4 carry no "figure" key, and their pinned JSON bytes depend on it
     metadata = {} if fig_id in (3, 4) else {"figure": fig_id}
     metadata.update((k, v) for k, v in opts.items() if not k.endswith("_grid"))

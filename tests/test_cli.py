@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shlex
@@ -70,12 +71,43 @@ def test_bsclass_phi_zero_is_an_exact_tie():
     assert proc.stdout == b"P = 0.5\nD = 0\n"
 
 
-def test_quote_tolerances_adds_metadata():
-    bare = run_cli("homodyne", "--alpha2", "0.1", "--beta2", "1")
-    quoted = run_cli("homodyne", "--alpha2", "0.1", "--beta2", "1", "--quote-tolerances")
+@pytest.mark.parametrize(
+    "command, quoted_key",
+    [
+        (["homodyne"], b"tail_tol"),
+        (["kennedy"], b"method"),
+        (["bsclass", "--phi-over-pi", "0.2"], b"n_cut"),
+        (["optimum"], b"trace_norm"),
+        (["montecarlo", "--trials", "1000"], b"rule"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value.decode(),
+)
+def test_quote_tolerances_adds_metadata(command, quoted_key):
+    bare = run_cli(*command, "--alpha2", "0.1", "--beta2", "1")
+    quoted = run_cli(*command, "--alpha2", "0.1", "--beta2", "1", "--quote-tolerances")
     assert quoted.returncode == 0
     assert len(quoted.stdout.splitlines()) > len(bare.stdout.splitlines())
-    assert b"tail_tol" in quoted.stdout
+    assert quoted.stdout.startswith(bare.stdout)
+    assert quoted_key + b" = " in quoted.stdout
+
+
+def test_every_subcommand_carries_its_handler():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"kennedy", "homodyne", "bsclass", "optimum", "montecarlo", "figure"}
+    for name, p in sub.choices.items():
+        assert callable(p.get_default("handler")), name
+
+
+@pytest.mark.parametrize("receiver", ["kennedy", "homodyne"])
+@pytest.mark.parametrize(
+    "reference", [["--beta2", "1", "--asymptotic"], []], ids=["both", "neither"]
+)
+def test_receiver_needs_exactly_one_reference_flag(receiver, reference, capsys):
+    assert cli.main([receiver, "--alpha2", "0.1", *reference]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--beta2" in captured.err and "--asymptotic" in captured.err
 
 
 def test_argument_errors_exit_2():
@@ -153,6 +185,7 @@ EDGE_STRENGTHS = ("0", "1e-300", "1", "1e12", "1e300", "1.7976931348623157e308")
         ["bsclass", "--phi-over-pi", "0.2"],
         ["optimum"],
         ["montecarlo", "--trials", "1000"],
+        ["montecarlo", "--rule", "kennedy", "--trials", "10"],
         ["figure", "--id", "2"],
         ["figure", "--id", "5"],
     ],
@@ -174,6 +207,25 @@ def test_every_strength_ends_in_an_exit_code(command, capsys):
             err = capsys.readouterr().err
             assert code in (0, 2, 3), argv
             assert code == 0 or (err.startswith("phasekit: ") and err.count("\n") == 1), argv
+
+
+@pytest.mark.parametrize(
+    "strengths",
+    [
+        # alpha^2 + beta^2 overflows, so the cancellation splitter comes from
+        # the amplitudes and the port mean is what overflows
+        ["--rule", "kennedy", "--alpha2", EDGE_STRENGTHS[-1], "--beta2", EDGE_STRENGTHS[-1]],
+        # means the generator's Poisson sampler refuses
+        ["--alpha2", "0", "--beta2", "1e300"],
+        ["--rule", "homodyne", "--alpha2", "1e19", "--beta2", "1e19"],
+    ],
+    ids=" ".join,
+)
+def test_montecarlo_past_the_float_or_sampler_range_exits_3(strengths, capsys):
+    assert cli.main(["montecarlo", *strengths, "--trials", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("phasekit: ") and captured.err.count("\n") == 1
 
 
 def test_kennedy_at_the_largest_float_strength(capsys):

@@ -67,6 +67,20 @@ def test_kennedy_angle_anchors():
     assert bs.r > 0.999999
 
 
+def test_kennedy_angle_where_the_total_strength_overflows():
+    # alpha^2 + beta^2 is inf; the splitter comes from the amplitudes instead
+    largest = 1.7976931348623157e308
+    bs = kennedy_angle(PulsePair(largest, largest))
+    assert bs.phi == QUARTER_PI
+    assert bs.r == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert bs.t == bs.r
+    # a finite total keeps the splitter of beta / sqrt(total), bit for bit
+    for alpha2, beta2 in ((0.1, 1.0), (1e-300, 1e300), (1e307, 1.6e308)):
+        pair = PulsePair(alpha2, beta2)
+        bs = kennedy_angle(pair)
+        assert (bs.r, bs.t) == (pair.beta / math.sqrt(pair.total), pair.alpha / math.sqrt(pair.total))
+
+
 def test_kennedy_angle_requires_reference_at_least_signal():
     with pytest.raises(SplitterRangeError):
         kennedy_angle(PulsePair(1.0, 0.5))

@@ -26,7 +26,7 @@ from phasekit.montecarlo import (
     _draw_counts,
     run_trials,
 )
-from phasekit.numerics import _log_factorial_table, log_poisson_pmf_array
+from phasekit.numerics import NumericalResourceError, _log_factorial_table, log_poisson_pmf_array
 from phasekit.receivers import (
     TIE_LOG_BAND,
     _ml_score,
@@ -258,6 +258,17 @@ def test_trial_config_validation():
         TrialConfig(pair, homodyne_splitter(), DecisionRule.KENNEDY_SINGLE_PORT)
     TrialConfig(pair, kennedy_angle(pair), DecisionRule.KENNEDY_SINGLE_PORT)
     TrialConfig(pair, homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE)
+
+
+def test_run_trials_refuses_a_mean_past_the_generator_sampler():
+    # numpy's Poisson sampler takes 9.2e18 and refuses 9.3e18
+    below = TrialConfig(PulsePair(0.0, 2 * 9.2e18), homodyne_splitter(),
+                        DecisionRule.ML_JOINT, trials=10)
+    assert run_trials(below).errors >= 0
+    above = TrialConfig(PulsePair(0.0, 2 * 9.3e18), homodyne_splitter(),
+                        DecisionRule.ML_JOINT, trials=10)
+    with pytest.raises(NumericalResourceError, match="port mean of 9.3e"):
+        run_trials(above)
 
 
 def test_estimate_result_invariants():

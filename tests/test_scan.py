@@ -8,6 +8,7 @@ import pytest
 from phasekit.helstrom import d_err_small_alpha
 from phasekit.model import PulsePair, kennedy_angle
 from phasekit.receivers import (
+    _limit_pair,
     p_beamsplitter_ml,
     p_homodyne_asymptotic,
     p_homodyne_generalized,
@@ -38,17 +39,25 @@ def test_default_grid_shape():
     assert grid[-1] == pytest.approx(1.0)
 
 
-def test_kennedy_table_rows_recompute():
-    table = figure_table(1, alpha2_grid=[0.1, 0.5], beta2_grid=[1.0, 10.0])
+@pytest.mark.parametrize("fig_id, receiver, tag", [(1, "kennedy", "ken"), (2, "homodyne", "hom")])
+def test_kennedy_table_rows_recompute(fig_id, receiver, tag):
+    # figures 1 and 2 recompute from the receiver map's (asymptotic, generalized)
+    table = figure_table(fig_id, alpha2_grid=[0.1, 0.5], beta2_grid=[1.0, 10.0])
     assert table.columns == (
-        "alpha2", "beta2", "p_ken", "p_ken_tilde", "ratio_p", "d_ken", "d_ken_tilde", "ratio_d",
+        "alpha2", "beta2", f"p_{tag}", f"p_{tag}_tilde", "ratio_p",
+        f"d_{tag}", f"d_{tag}_tilde", "ratio_d",
     )
     assert len(table.rows) == 4
+    asymptotic, generalized = _limit_pair(receiver)
+    assert (asymptotic, generalized) == {
+        "kennedy": (p_kennedy_asymptotic, p_kennedy_generalized),
+        "homodyne": (p_homodyne_asymptotic, p_homodyne_generalized),
+    }[receiver]
     for row in table.rows:
-        base = p_kennedy_asymptotic(row["alpha2"])
-        gen = p_kennedy_generalized(PulsePair(row["alpha2"], row["beta2"]))
-        assert row["p_ken"] == base.error_probability
-        assert row["p_ken_tilde"] == gen.error_probability
+        base = asymptotic(row["alpha2"])
+        gen = generalized(PulsePair(row["alpha2"], row["beta2"]))
+        assert row[f"p_{tag}"] == base.error_probability
+        assert row[f"p_{tag}_tilde"] == gen.error_probability
         assert row["ratio_p"] == gen.error_probability / base.error_probability
         assert row["ratio_d"] == gen.distinguishability / base.distinguishability
 

@@ -72,8 +72,8 @@ def _sector_weights(total: float, tail_tol: float) -> tuple[np.ndarray, np.ndarr
     All three are read off one search's vector; n_max stops at its end where
     the margin would run past it.
     """
-    cut, log_w, w, tails, log_rest = _poisson_search(total, tail_tol)
-    n_max = min(cut + TRUNCATION_SAFETY_MARGIN, len(w) - 1)
+    cuts, (log_w,), (w,), (tails,), (log_rest,) = _poisson_search((total,), tail_tol)
+    n_max = min(cuts[0] + TRUNCATION_SAFETY_MARGIN, len(w) - 1)
     return log_w[: n_max + 1], w[: n_max + 1], float(tails[n_max + 1]) + math.exp(log_rest)
 
 

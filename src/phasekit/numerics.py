@@ -2,12 +2,16 @@
 
 Probability machinery works in log space so that products of Poisson
 weights survive strong reference pulses, and returns to linear space only
-for the final sums. A log-pmf vector subtracts the mean and a prefix of the
-shared ln n! table in place, with no gather and no temporaries. The cutoff
-search is the only place a Poisson tail is summed, from the far end straight
-into one preallocated vector, and each truncated sum runs it once, on its
-largest mean: every cutoff and the optimum's sector weights come from that
-search's vector.
+for the final sums. The layer works on rows: a grid of means (one row per
+grid point) is one block, each row zero-padded past its own end, and every
+row holds bit for bit the vector a one-row call gives. A log-pmf block
+subtracts the means and a prefix of the shared ln n! table in place, with no
+gather. The cutoff search is the only place a Poisson tail is summed, from
+the far end of each row over the padding's exact zeros, and each truncated
+sum runs it once per row, on the row's largest mean: every cutoff and the
+optimum's sector weights come from that search's block. ``_pmf_rows`` gives
+a grid's cutoffs and pmf blocks; ``poisson_pmfs`` is its one-row form, and
+``_row_blocks`` splits a grid so that no block passes a fixed element budget.
 Everything here is a pure function of its inputs; the shared factorial table
 is only ever replaced by a larger one.
 
@@ -95,21 +99,31 @@ def _log_factorial_prefix(n: int) -> np.ndarray:
     return table[: n + 1]
 
 
+def _log_pmf_rows(n_max: int, means: list[float]) -> np.ndarray:
+    """ln pmf at n = 0 .. n_max for each non-negative mean, one row each.
+
+    Row by row the same arithmetic as a single vector: n * ln(mean), minus
+    the mean, minus a prefix of the shared ln n! table, with ln taken by
+    ``math.log`` per mean; a zero mean's row is 0 then -inf.
+    """
+    log_means = [math.log(m) if m > 0.0 else 0.0 for m in means]
+    out = np.multiply.outer(log_means, np.arange(n_max + 1.0))
+    out -= np.array(means, dtype=float)[:, None]
+    out -= _log_factorial_prefix(n_max)
+    if 0.0 in means:
+        dark = [i for i, m in enumerate(means) if m == 0.0]
+        out[dark] = NEG_INF
+        out[dark, 0] = 0.0
+    return out
+
+
 def log_poisson_pmf_array(n_max: int, mean: float) -> np.ndarray:
     """ln pmf at n = 0 .. n_max as one vector."""
     if mean < 0:
         raise ValueError(f"mean must be non-negative, got {mean}")
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    checked_count(n_max)
-    if mean == 0.0:
-        out = np.full(n_max + 1, NEG_INF)
-        out[0] = 0.0
-        return out
-    out = np.arange(n_max + 1) * math.log(mean)
-    out -= mean
-    out -= _log_factorial_prefix(n_max)
-    return out
+    return _log_pmf_rows(checked_count(n_max), [mean])[0]
 
 
 def _log_remainder_bound(mean: float, upper: int, log_last: float) -> float:
@@ -121,28 +135,86 @@ def _log_remainder_bound(mean: float, upper: int, log_last: float) -> float:
     return log_last + math.log(mean) - math.log(slack) if slack > 0.0 else math.inf
 
 
-def _poisson_search(mean: float, tail_mass: float):
-    """The tail cutoff of Poisson(mean) at tail_mass, from one vector built past it.
+def _first_margin(mean: float) -> float:
+    """Counts past the mean that a cutoff search builds first; it doubles until the bound holds."""
+    return 10.0 * math.sqrt(mean + 1.0) + 40.0
 
-    Returns the smallest cut with P[X > cut] < tail_mass, the log-pmf and pmf at
-    0 .. upper, tails[n] = P[n <= X <= upper] for n up to upper + 1 (where it is
-    0), and ln of a bound on P[X > upper], at least e^30 below tail_mass.
+
+def _past(ends: list[int]):
+    """Mask of the entries past each row's end in a block as wide as the longest; None if none."""
+    widest = max(ends)
+    return np.arange(widest + 1) > np.array(ends)[:, None] if min(ends) < widest else None
+
+
+def _poisson_search(means: list[float], tail_mass: float):
+    """Tail cutoffs of Poisson(mean) at tail_mass for each mean, from a vector built past it.
+
+    Each mean's vector ends at its own ``upper``, the first margin past the
+    mean doubled until ln of the geometric bound on P[X > upper] lies e^30
+    below tail_mass. The vectors are the rows of one block as wide as the
+    longest, -inf (log-pmf) and 0 (pmf) past their upper, so a one-row block
+    is exactly the vector. Returns per-row cuts (the smallest cut with
+    P[X > cut] < tail_mass), the log-pmf, pmf and tails blocks, with
+    tails[i, n] = P[n <= X <= upper_i] (0 from upper_i + 1 on), and per-row
+    ln of the bound on P[X > upper_i]; every row is bit for bit a search on
+    its mean alone.
     """
-    if mean == 0.0:
-        return 0, np.zeros(1), np.ones(1), np.array([1.0, 0.0]), NEG_INF
     log_floor = math.log(tail_mass) - 30.0
-    margin = 10.0 * math.sqrt(mean + 1.0) + 40.0
-    while True:
-        logs = log_poisson_pmf_array(checked_count(mean + margin), mean)
-        log_rest = _log_remainder_bound(mean, len(logs) - 1, logs[-1])
-        if log_rest < log_floor:
-            pmf = np.exp(logs)
-            # summed from the far end so tiny tails keep full accuracy
-            tails = np.empty(len(pmf) + 1)
-            tails[-1] = 0.0
-            pmf[::-1].cumsum(out=tails[-2::-1])
-            return int((tails < tail_mass).argmax()) - 1, logs, pmf, tails, log_rest
-        margin *= 2.0
+    uppers, log_rests = [], []
+    for mean in means:
+        upper, log_rest = 0, NEG_INF
+        if mean > 0.0:
+            log_mean = math.log(mean)
+            margin = _first_margin(mean)
+            while True:
+                upper = checked_count(mean + margin)
+                # the vector's last entry, in the order _log_pmf_rows computes it
+                log_last = upper * log_mean - mean - _log_factorial_prefix(upper).item(upper)
+                log_rest = _log_remainder_bound(mean, upper, log_last)
+                if log_rest < log_floor:
+                    break
+                margin *= 2.0
+        uppers.append(upper)
+        log_rests.append(log_rest)
+    widest = max(uppers)
+    logs = _log_pmf_rows(widest, means)
+    past = _past(uppers)
+    if past is not None:
+        logs[past] = NEG_INF
+    pmf = np.exp(logs)
+    # summed from the far end so tiny tails keep full accuracy
+    tails = np.zeros((len(uppers), widest + 2))
+    pmf[:, ::-1].cumsum(axis=1, out=tails[:, -2::-1])
+    cuts = (tails < tail_mass).argmax(axis=1) - 1
+    return cuts.tolist(), logs, pmf, tails, log_rests
+
+
+def _pmf_rows(means, tail_mass: float) -> tuple[list[int], list[np.ndarray]]:
+    """Per-row common cutoffs, and a pmf block per column, for rows of means (one per grid point).
+
+    Each row's cutoff comes from one search on its largest mean. A column's
+    block is as wide as the largest cutoff and 0 past each row's own; a
+    column that is every row's largest reads the search's pmf, any other is
+    built. Every row is bit for bit ``poisson_pmfs`` on that row alone.
+    """
+    if not (0.0 < tail_mass < 1.0):
+        raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
+    tops = []
+    for row in means:
+        for mean in row:
+            if not mean >= 0:  # also NaN, which max() would pass over
+                raise ValueError(f"mean must be non-negative, got {mean}")
+        tops.append(max(row))
+    cuts, _, pmf, _, _ = _poisson_search(tops, tail_mass)
+    width, past = max(cuts) + 1, _past(cuts)
+    blocks = []
+    for j in range(len(means[0])):
+        column = [row[j] for row in means]
+        block = pmf[:, :width] if column == tops else np.exp(_log_pmf_rows(width - 1, column))
+        if past is not None:
+            block[past] = 0.0
+        blocks.append(block)
+    return cuts, blocks
 
 
 def poisson_pmfs(means, tail_mass: float) -> tuple[int, list[np.ndarray]]:
@@ -150,15 +222,26 @@ def poisson_pmfs(means, tail_mass: float) -> tuple[int, list[np.ndarray]]:
 
     The tail grows with the mean, so one search on the largest mean gives N and its
     pmf; each other pmf is built at N, bit for bit the prefix its own search gives.
+    This is the one-row form of ``_pmf_rows``.
     """
-    if not (0.0 < tail_mass < 1.0):
-        raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    for mean in means:
-        if not mean >= 0:  # also NaN, which max() would pass over
-            raise ValueError(f"mean must be non-negative, got {mean}")
-    top = max(means)
-    cut, _, pmf, _, _ = _poisson_search(top, tail_mass)
-    return cut, [
-        pmf[: cut + 1] if mean == top else np.exp(log_poisson_pmf_array(cut, mean))
-        for mean in means
-    ]
+    cuts, blocks = _pmf_rows([means], tail_mass)
+    return cuts[0], [block[0] for block in blocks]
+
+
+# entries a row block may hold per array (128 KB of floats): grids split into
+# consecutive blocks within it, so strong references do not grow peak memory
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _row_blocks(tops) -> list[slice]:
+    """Consecutive row slices whose blocks, sized by each row's largest mean in ``tops``,
+    stay within ``_BLOCK_ELEMENTS``; a row counts as wide as its first search."""
+    blocks, start, widest = [], 0, 0.0
+    for i, top in enumerate(tops):
+        width = top + _first_margin(top) + 2.0
+        if i > start and (i + 1 - start) * max(widest, width) > _BLOCK_ELEMENTS:
+            blocks.append(slice(start, i))
+            start, widest = i, 0.0
+        widest = max(widest, width)
+    blocks.append(slice(start, len(tops)))
+    return blocks

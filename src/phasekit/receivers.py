@@ -17,11 +17,16 @@ each result carries its truncation bookkeeping in ``metadata``.
 strong-reference limit and finite-reference form; the CLI's ``kennedy`` and
 ``homodyne`` subcommands and the figure 1-2 tables all read it.
 
-One kernel, ``_ml_error``, computes every maximum-likelihood P from the
-four port means of ``model.port_means``, the one means path.
-``p_beamsplitter_ml`` wraps it with the bookkeeping; ``best_angle`` and the
-figure 3-4 sweeps call it per angle at (cos phi, sin phi), so only the angle
-a search reports pays for a validated splitter, mass accounting and metadata.
+Two row kernels compute every truncated-sum P, one row per grid point,
+with the Poisson weights of all rows built as one ``numerics._pmf_rows``
+block: ``_ml_error`` the maximum-likelihood decision from rows of the four
+``model.port_means`` (the one means path), ``_count_error`` the count
+comparison from rows of its two port means. ``p_beamsplitter_ml`` and
+``p_homodyne_generalized`` are their one-row wrappers with the bookkeeping;
+``best_angle``'s grid, the figure 3-4 sweeps and figure 2's signal strengths
+at each reference strength are one ``_row_errors`` call each, so only the
+angle a search reports pays for a validated splitter, mass accounting and
+metadata.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .model import (
     homodyne_splitter,
     port_means,
 )
-from .numerics import poisson_pmfs
+from .numerics import _pmf_rows, _row_blocks
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
@@ -149,6 +154,37 @@ def p_kennedy_generalized(pair: PulsePair) -> DiscriminationResult:
     return DiscriminationResult.from_error_probability(p, "kennedy_generalized")
 
 
+def _count_means(pair: PulsePair) -> tuple[float, float]:
+    """Port means (beta + alpha)^2 / 2 and (beta - alpha)^2 / 2 behind the balanced splitter."""
+    alpha, beta = pair.alpha, pair.beta
+    return 0.5 * _square(beta + alpha), 0.5 * (beta - alpha) ** 2
+
+
+def _count_error(means, tail_tol: float):
+    """Error probability of the count comparison at each row (mean_hi, mean_lo) of ``_count_means``.
+
+    Returns (P, truncation): P a list of floats absorbed into [0, 1/2] as a
+    result stores them, truncation the ``numerics._pmf_rows`` cutoffs and
+    (pmf_hi, pmf_lo) blocks of the rows whose two means differ, or None when
+    none do; equal means (no signal, no reference, or a signal below float
+    resolution) tie on every outcome, P = 1/2. The guess follows the larger
+    count, a fair coin on equality; each row's sums are 1-D dot products over
+    its own 0 .. cut.
+    """
+    if not (0.0 < tail_tol < 1.0):
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    live = [i for i, (mean_hi, mean_lo) in enumerate(means) if mean_hi != mean_lo]
+    ps = [0.5] * len(means)
+    if not live:
+        return ps, None
+    cuts, (pmf_hi, pmf_lo) = _pmf_rows([means[i] for i in live], tail_tol)
+    cdf_hi = pmf_hi.cumsum(axis=1)
+    for j, (i, cut) in enumerate(zip(live, cuts)):
+        hi, lo = pmf_hi[j, : cut + 1], pmf_lo[j, : cut + 1]
+        ps[i] = _checked_probability(float(lo[1:] @ cdf_hi[j, :cut]) + 0.5 * float(hi @ lo))
+    return ps, (cuts, (pmf_hi, pmf_lo))
+
+
 def p_homodyne_generalized(
     pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> DiscriminationResult:
@@ -157,27 +193,22 @@ def p_homodyne_generalized(
     The two ports hold Poisson counts with means (beta +/- alpha)^2 / 2;
     the guess follows the larger count, a fair coin on equality. The double
     sum is truncated so each port neglects less than ``tail_tol`` of mass.
+    P comes from the row kernel ``_count_error`` on this one pair; this
+    wrapper adds the truncation bookkeeping.
     """
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    alpha, beta = pair.alpha, pair.beta
-    mean_hi = 0.5 * _square(beta + alpha)
-    mean_lo = 0.5 * (beta - alpha) ** 2
-    if mean_hi == mean_lo:
-        # identical port statistics under both hypotheses (no signal, no
-        # reference, or a signal below float resolution): every outcome ties
+    (p,), truncation = _count_error([_count_means(pair)], tail_tol)
+    if truncation is None:
         return DiscriminationResult.from_error_probability(
-            0.5, "homodyne_generalized", degenerate=True
+            p, "homodyne_generalized", degenerate=True
         )
-    cut, (pmf_hi, pmf_lo) = poisson_pmfs((mean_hi, mean_lo), tail_tol)
-    cdf_hi = pmf_hi.cumsum()
-    p = float(pmf_lo[1:] @ cdf_hi[:-1]) + 0.5 * float(pmf_hi @ pmf_lo)
-    neglected, excess = _mass_accounting(pmf_hi, pmf_lo)
+    # a one-row block is exactly as wide as its row's pmfs
+    cuts, pmfs = truncation
+    neglected, excess = _mass_accounting(*(block[0] for block in pmfs))
     return DiscriminationResult.from_error_probability(
         p,
         "homodyne_generalized",
         tail_tol=tail_tol,
-        cutoff=cut,
+        cutoff=cuts[0],
         neglected_mass=neglected,
         error_bound=2.0 * tail_tol + excess,
     )
@@ -192,53 +223,73 @@ def _limit_pair(receiver: str):
     }[receiver]
 
 
-def _ml_error(n1_plus: float, n1_minus: float, n2_plus: float, n2_minus: float, tail_tol: float):
-    """Error probability of the maximum-likelihood decision at these port means.
+def _ml_error(means, tail_tol: float):
+    """Error probability of the maximum-likelihood decision at each row of ``port_means``.
 
-    Returns (P, (n_cut, m_cut, pmfs)), or (1/2, None) when both hypotheses
-    give the same port statistics; P is absorbed into [0, 1/2] as a result
-    would store it; that includes a P above 1/2 by no more than the pmfs'
-    rounding excess, which ``error_bound`` carries.
+    Returns (P, truncation): P a list of floats absorbed into [0, 1/2] as a
+    result stores them, which includes a P above 1/2 by no more than the
+    row's pmfs' rounding excess that ``error_bound`` carries; truncation the
+    ``numerics._pmf_rows`` cutoffs (n_cuts, m_cuts) and blocks (port 1 plus
+    and minus, port 2 plus and minus) of the rows whose port statistics
+    differ under the two hypotheses, or None when none do; a row where they
+    do not (no signal, no reference, or phi = 0) is an exact tie, P = 1/2.
 
     The log-likelihood ratio of an outcome is linear, ln L+ - ln L- =
     a*n + b*m (``_ml_slopes``), so the decision boundary is a line through
-    the origin of count space. Each row n therefore splits the m-axis into
-    three runs, PLUS on [0, k1), tie on [k1, k2) and MINUS from k2 on, and
-    its errors are two lookups into cumulative sums of the port-2 pmfs; the
-    whole sum costs O(n_cut log m_cut). Outcomes whose scores lie within
-    ``TIE_LOG_BAND`` of zero count as ties and contribute half their mass
-    to the error.
+    the origin of count space. Each count n on port 1 therefore splits the
+    m-axis into three runs, PLUS on [0, k1), tie on [k1, k2) and MINUS from
+    k2 on, and its errors are two lookups into cumulative sums of the port-2
+    pmfs, built once per block; a row costs O(n_cut log m_cut), and its sums
+    are 1-D dot products over its own 0 .. n_cut, never over the padding.
+    Outcomes whose scores lie within ``TIE_LOG_BAND`` of zero count as ties
+    and contribute half their mass to the error.
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if n1_plus == n1_minus and n2_plus == n2_minus:
-        # identical port statistics under both hypotheses (no signal, no
-        # reference, or phi = 0): every outcome is an exact tie
-        return 0.5, None
-    a, b = _ml_slopes(n1_plus, n1_minus, n2_plus, n2_minus)
-    n_cut, (pmf1p, pmf1m) = poisson_pmfs((n1_plus, n1_minus), tail_tol)
-    m_cut, (pmf2p, pmf2m) = poisson_pmfs((n2_plus, n2_minus), tail_tol)
-    score1 = _ml_score(a, np.arange(n_cut + 1))
-    score2 = _ml_score(-b, np.arange(m_cut + 1))
-    k1 = score2.searchsorted(score1 - TIE_LOG_BAND, side="left")
-    k2 = score2.searchsorted(score1 + TIE_LOG_BAND, side="right")
+    live = [i for i, (n1p, n1m, n2p, n2m) in enumerate(means) if n1p != n1m or n2p != n2m]
+    ps = [0.5] * len(means)
+    if not live:
+        return ps, None
+    rows = [means[i] for i in live]
+    n_cuts, (pmf1p, pmf1m) = _pmf_rows([row[:2] for row in rows], tail_tol)
+    m_cuts, (pmf2p, pmf2m) = _pmf_rows([row[2:] for row in rows], tail_tol)
     # err+ takes mass from the upper end of port 2 and err- from the lower
     # end, so tails are summed from the far end and heads from zero: each
     # term keeps its relative precision when P is tiny. Half of the tie run
     # [k1, k2) added to the decided run is the mean of the two lookups.
-    tail2p = np.empty(m_cut + 2)
-    tail2p[-1] = 0.0
-    pmf2p[::-1].cumsum(out=tail2p[-2::-1])
-    head2m = np.empty(m_cut + 2)
-    head2m[0] = 0.0
-    pmf2m.cumsum(out=head2m[1:])
-    err_plus = 0.5 * float(pmf1p @ (tail2p[k1] + tail2p[k2]))
-    err_minus = 0.5 * float(pmf1m @ (head2m[k1] + head2m[k2]))
-    p = 0.5 * (err_plus + err_minus)
-    pmfs = (pmf1p, pmf1m, pmf2p, pmf2m)
-    if p > 0.5 and p - 0.5 <= _mass_accounting(*pmfs)[1]:
-        p = 0.5
-    return _checked_probability(p), (n_cut, m_cut, pmfs)
+    tail2p = np.zeros((len(rows), pmf2p.shape[1] + 1))
+    pmf2p[:, ::-1].cumsum(axis=1, out=tail2p[:, -2::-1])
+    head2m = np.zeros(tail2p.shape)
+    pmf2m.cumsum(axis=1, out=head2m[:, 1:])
+    counts = np.arange(max(pmf1p.shape[1], pmf2p.shape[1]))
+    for j, (i, row, n_cut, m_cut) in enumerate(zip(live, rows, n_cuts, m_cuts)):
+        a, b = _ml_slopes(*row)
+        score1 = _ml_score(a, counts[: n_cut + 1])
+        score2 = _ml_score(-b, counts[: m_cut + 1])
+        k1 = score2.searchsorted(score1 - TIE_LOG_BAND, side="left")
+        k2 = score2.searchsorted(score1 + TIE_LOG_BAND, side="right")
+        p1p, p1m, tail, head = pmf1p[j, : n_cut + 1], pmf1m[j, : n_cut + 1], tail2p[j], head2m[j]
+        err_plus = 0.5 * float(p1p @ (tail[k1] + tail[k2]))
+        err_minus = 0.5 * float(p1m @ (head[k1] + head[k2]))
+        p = 0.5 * (err_plus + err_minus)
+        if p > 0.5 and p - 0.5 <= _mass_accounting(
+            p1p, p1m, pmf2p[j, : m_cut + 1], pmf2m[j, : m_cut + 1]
+        )[1]:
+            p = 0.5
+        ps[i] = _checked_probability(p)
+    return ps, (n_cuts, m_cuts, (pmf1p, pmf1m, pmf2p, pmf2m))
+
+
+def _row_errors(kernel, means, tail_tol: float) -> list[float]:
+    """P of a row kernel (``_ml_error``, ``_count_error``) at every row of port means.
+
+    One kernel call per ``numerics._row_blocks`` block: one for a grid of
+    weak means, several at strong reference, which keeps peak memory flat.
+    """
+    ps = []
+    for rows in _row_blocks([max(row) for row in means]):
+        ps += kernel(means[rows], tail_tol)[0]
+    return ps
 
 
 def p_beamsplitter_ml(
@@ -246,24 +297,27 @@ def p_beamsplitter_ml(
 ) -> DiscriminationResult:
     """Maximum-likelihood decision over joint counts (n, m) behind a splitter.
 
-    P comes from ``_ml_error`` at the ``port_means`` of the validated pair
-    and splitter; this wrapper adds the truncation bookkeeping: the mass the
-    pmfs drop, their rounding excess above 1, and the error bound.
+    P comes from ``_ml_error`` on the one row of ``port_means`` of the
+    validated pair and splitter; this wrapper adds the truncation bookkeeping:
+    the mass the pmfs drop, their rounding excess above 1, and the error bound.
     """
-    p, truncation = _ml_error(*port_means(pair.alpha, pair.beta, splitter.r, splitter.t), tail_tol)
+    (p,), truncation = _ml_error(
+        [port_means(pair.alpha, pair.beta, splitter.r, splitter.t)], tail_tol
+    )
     if truncation is None:
         return DiscriminationResult.from_error_probability(
             p, "beamsplitter_ml", degenerate=True, phi=splitter.phi
         )
-    n_cut, m_cut, pmfs = truncation
-    neglected, excess = _mass_accounting(*pmfs)
+    # a one-row block is exactly as wide as its row's pmfs
+    n_cuts, m_cuts, pmfs = truncation
+    neglected, excess = _mass_accounting(*(block[0] for block in pmfs))
     return DiscriminationResult.from_error_probability(
         p,
         "beamsplitter_ml",
         phi=splitter.phi,
         tail_tol=tail_tol,
-        n_cut=n_cut,
-        m_cut=m_cut,
+        n_cut=n_cuts[0],
+        m_cut=m_cuts[0],
         neglected_mass=neglected,
         error_bound=4.0 * tail_tol + excess,
         tie_log_band=TIE_LOG_BAND,
@@ -282,9 +336,11 @@ def best_angle(
     refinement narrows the bracket to 1e-6 rad. The error curve has kinks
     where decision regions change, so the search is derivative-free and the
     reported optimum is the best of every angle actually evaluated. Each
-    angle's P comes from the kernel ``_ml_error`` alone; only the winning
-    angle goes through ``p_beamsplitter_ml``, and its result (the same P)
-    is returned with ``grid_points`` and ``angle_tol`` added to the metadata.
+    angle's P comes from the kernel ``_ml_error`` alone: the whole grid in
+    one call (per ``_row_errors`` block), each golden-section step as one
+    row. Only the winning angle goes through ``p_beamsplitter_ml``, and its
+    result (the same P) is returned with ``grid_points`` and ``angle_tol``
+    added to the metadata.
     """
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
@@ -292,17 +348,21 @@ def best_angle(
         return homodyne_splitter(), p_beamsplitter_ml(pair, homodyne_splitter(), tail_tol)
 
     alpha, beta = pair.alpha, pair.beta
-    evaluated: dict[float, float] = {}
+
+    def means(phi: float) -> tuple[float, float, float, float]:
+        return port_means(alpha, beta, math.cos(phi), math.sin(phi))
 
     def evaluate(phi: float) -> float:
-        p = _ml_error(*port_means(alpha, beta, math.cos(phi), math.sin(phi)), tail_tol)[0]
+        (p,), _ = _ml_error([means(phi)], tail_tol)
         evaluated[phi] = p
         return p
 
-    phis = np.linspace(0.0, math.pi / 4.0, grid_points)
-    idx = int(np.argmin([evaluate(float(phi)) for phi in phis]))
-    lo = float(phis[max(idx - 1, 0)])
-    hi = float(phis[min(idx + 1, grid_points - 1)])
+    phis = np.linspace(0.0, math.pi / 4.0, grid_points).tolist()
+    grid = _row_errors(_ml_error, [means(phi) for phi in phis], tail_tol)
+    evaluated = dict(zip(phis, grid))
+    idx = int(np.argmin(grid))
+    lo = phis[max(idx - 1, 0)]
+    hi = phis[min(idx + 1, grid_points - 1)]
 
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)

@@ -4,8 +4,12 @@
 options it takes and their defaults, which are also the check that rejects
 any other option. ``figure_table`` builds every table from it; figures 1-2
 read their receiver pairs from ``receivers._limit_pair``. The scan layer
-only orchestrates library calls and forms ratios; every row is recomputable
-from the public receiver and optimum-bound functions. Undefined ratios (no signal, so zero
+only orchestrates library calls and forms ratios. A grid of truncated sums
+is one call of a receivers row kernel through ``receivers._row_errors``:
+figure 2's signal strengths at each reference strength go to the count
+comparison's, and the figure 3-4 angles to the maximum-likelihood one. Every
+row is still bit for bit the public receiver or optimum-bound function's
+result at its point. Undefined ratios (no signal, so zero
 distinguishability on both sides, or a baseline so small that the ratio
 overflows) are emitted as an explicit null, never as NaN or inf text.
 """
@@ -23,8 +27,8 @@ import numpy as np
 from . import __version__
 from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, d_err_small_alpha, p_err_optimal
 from .model import PulsePair, kennedy_angle, port_means
-from .receivers import (DEFAULT_TAIL_TOL, _limit_pair, _ml_error, p_homodyne_generalized,
-                        p_kennedy_generalized)
+from .receivers import (DEFAULT_TAIL_TOL, _count_error, _count_means, _limit_pair, _ml_error,
+                        _row_errors, p_homodyne_generalized, p_kennedy_generalized)
 
 __all__ = [
     "Table",
@@ -91,12 +95,14 @@ def _ratio(num: float, den: float) -> float | None:
     return None
 
 
-def _ratio_rows(receiver: str, tag: str, alpha2_grid, beta2_grid, **tail_tol):
+def _ratio_rows(receiver: str, tag: str, alpha2_grid, beta2_grid, tail_tol=None):
     """One receiver at finite reference against its strong-reference baseline.
 
     ``_limit_pair(receiver)`` gives the two results, ``asymptotic(alpha2)``
-    and ``generalized(pair, **tail_tol)``; ``tag`` names the columns, and
-    rows run over ``beta2_grid``, then ``alpha2_grid``.
+    and ``generalized(pair)``; ``tag`` names the columns, and rows run over
+    ``beta2_grid``, then ``alpha2_grid``. The count comparison's row at each
+    ``beta2`` is one call of its row kernel ``_count_error``, whose one-row
+    form ``generalized`` is; the dark port's closed form goes pair by pair.
     """
     asymptotic, generalized = _limit_pair(receiver)
     columns = (
@@ -111,12 +117,16 @@ def _ratio_rows(receiver: str, tag: str, alpha2_grid, beta2_grid, **tail_tol):
     )
     rows = []
     for beta2 in beta2_grid:
-        for alpha2 in alpha2_grid:
-            base = asymptotic(float(alpha2))
-            gen = generalized(PulsePair(float(alpha2), float(beta2)), **tail_tol)
-            p_base, p_gen = base.error_probability, gen.error_probability
-            d_base, d_gen = base.distinguishability, gen.distinguishability
-            values = (float(alpha2), float(beta2), p_base, p_gen, _ratio(p_gen, p_base),
+        pairs = [PulsePair(float(alpha2), float(beta2)) for alpha2 in alpha2_grid]
+        if receiver == "homodyne":
+            p_gens = _row_errors(_count_error, [_count_means(pair) for pair in pairs], tail_tol)
+        else:
+            p_gens = [generalized(pair).error_probability for pair in pairs]
+        for pair, p_gen in zip(pairs, p_gens):
+            base = asymptotic(pair.alpha2)
+            p_base, d_base = base.error_probability, base.distinguishability
+            d_gen = 1.0 - 2.0 * p_gen
+            values = (pair.alpha2, pair.beta2, p_base, p_gen, _ratio(p_gen, p_base),
                       d_base, d_gen, _ratio(d_gen, d_base))
             rows.append(dict(zip(columns, values)))
     return columns, rows
@@ -125,22 +135,20 @@ def _ratio_rows(receiver: str, tag: str, alpha2_grid, beta2_grid, **tail_tol):
 def _sweep_rows(alpha2, beta2, n_angles, tail_tol):
     """Maximum-likelihood error across the splitter family, with references.
 
-    Sweep rows carry kind="sweep", each P from the kernel ``_ml_error`` that
-    ``p_beamsplitter_ml`` wraps; the two dashed-line references appear as
-    kind="ref_kennedy" (at the cancellation angle, when it exists) and
-    kind="ref_homodyne" (at pi/4).
+    Sweep rows carry kind="sweep", their P from one call of the row kernel
+    ``_ml_error`` (per ``_row_errors`` block) that ``p_beamsplitter_ml``
+    wraps; the two dashed-line references appear as kind="ref_kennedy" (at
+    the cancellation angle, when it exists) and kind="ref_homodyne" (at pi/4).
     """
     pair = PulsePair(alpha2, beta2)
     if n_angles < 64:
         raise ValueError(f"n_angles must be at least 64, got {n_angles}")
     alpha, beta = pair.alpha, pair.beta
+    phis = np.linspace(0.0, math.pi / 4.0, n_angles).tolist()
+    means = [port_means(alpha, beta, math.cos(phi), math.sin(phi)) for phi in phis]
     rows = [
-        {
-            "kind": "sweep",
-            "phi_over_pi": phi / math.pi,
-            "p_err": _ml_error(*port_means(alpha, beta, math.cos(phi), math.sin(phi)), tail_tol)[0],
-        }
-        for phi in np.linspace(0.0, math.pi / 4.0, n_angles).tolist()
+        {"kind": "sweep", "phi_over_pi": phi / math.pi, "p_err": p}
+        for phi, p in zip(phis, _row_errors(_ml_error, means, tail_tol))
     ]
     try:
         phi, ken = kennedy_angle(pair).phi, p_kennedy_generalized(pair)

@@ -19,7 +19,9 @@ from phasekit.numerics import (
     log_poisson_pmf_array,
     poisson_pmfs,
 )
-from phasekit.receivers import p_beamsplitter_ml, p_homodyne_asymptotic, p_homodyne_generalized
+from phasekit.receivers import (best_angle, p_beamsplitter_ml, p_homodyne_asymptotic,
+                                p_homodyne_generalized)
+from phasekit.scan import default_alpha2_grid, figure_table
 
 mp.mp.dps = 40
 
@@ -224,21 +226,24 @@ def test_remainder_bound_covers_the_exact_tail(mean, upper):
 
 
 def test_each_sum_builds_each_weight_vector_once(monkeypatch):
-    builds, searches = [], []
+    # builds and searches are counted per row, and searches also per block
+    builds, searches, blocks = [], [], []
+    build = numerics._log_pmf_rows
 
-    def counted(n_max, mean):
-        builds.append(mean)
-        return log_poisson_pmf_array(n_max, mean)
+    def counted(n_max, means):
+        builds.extend(means)
+        return build(n_max, means)
 
     search = numerics._poisson_search
 
-    def counted_search(mean, tail_mass):
-        searches.append(mean)
-        return search(mean, tail_mass)
+    def counted_search(means, tail_mass):
+        searches.extend(means)
+        blocks.append(len(means))
+        return search(means, tail_mass)
 
     # every module's binding, so a sum that builds its own vectors is counted too
     for module in (numerics, receivers, helstrom):
-        monkeypatch.setattr(module, "log_poisson_pmf_array", counted, raising=False)
+        monkeypatch.setattr(module, "_log_pmf_rows", counted, raising=False)
         monkeypatch.setattr(module, "_poisson_search", counted_search, raising=False)
     pair = PulsePair(0.1, 10.0)
     for call, most, n_searches in [
@@ -251,24 +256,78 @@ def test_each_sum_builds_each_weight_vector_once(monkeypatch):
     ]:
         builds.clear()
         searches.clear()
+        blocks.clear()
         call()
         assert 0 < len(builds) <= most
         assert len(searches) == n_searches
+        assert blocks == [1] * n_searches
+
+    # a grid is one block search per port, not one per angle; phi = 0 is an
+    # exact tie and searches nothing
+    builds.clear()
+    blocks.clear()
+    figure_table(3, alpha2=0.1, beta2=1.0, n_angles=128)
+    # the sweep's two ports, then the count-comparison reference row
+    assert blocks == [127, 127, 1]
+    assert len(builds) <= 4 * 127 + 2
+    blocks.clear()
+    figure_table(2, alpha2_grid=default_alpha2_grid(), beta2_grid=[1.0, 10.0])
+    assert blocks == [64, 64]
+    blocks.clear()
+    best_angle(pair, grid_points=64)
+    # the grid's two blocks, then one row per port for each golden-section
+    # step and for the winner's result
+    assert blocks[:2] == [63, 63] and set(blocks[2:]) == {1}
+    assert len(blocks) % 2 == 0 and len(blocks) < 2 + 2 * 40
+
+
+@pytest.mark.parametrize("tail_mass", [0.1, 1e-12, 1e-100])
+def test_search_rows_are_the_one_row_searches_bit_for_bit(tail_mass):
+    # rows of very different length, a dark row and a subnormal mean; at
+    # 1e-100 some rows double their first margin and others do not
+    means = [1e-3, 0.0, 1.0, 5e-324, 250.0, 7.5, 1e-300]
+    cuts, logs, pmf, tails, log_rests = numerics._poisson_search(means, tail_mass)
+    doubled = set()
+    for i, mean in enumerate(means):
+        (cut,), (log1,), (pmf1,), (tails1,), (rest,) = numerics._poisson_search([mean], tail_mass)
+        n = len(log1)
+        assert cuts[i] == cut and log_rests[i] == rest
+        assert logs[i, :n].tobytes() == log1.tobytes() and (logs[i, n:] == -math.inf).all()
+        assert pmf[i, :n].tobytes() == pmf1.tobytes() and not pmf[i, n:].any()
+        assert tails[i, : n + 1].tobytes() == tails1.tobytes() and not tails[i, n + 1 :].any()
+        if mean > 0.0:
+            doubled.add(n - 1 > int(mean + numerics._first_margin(mean)))
+    assert doubled == ({False, True} if tail_mass == 1e-100 else {False})
+
+
+@pytest.mark.parametrize("tail_mass", [1e-12, 1e-100])
+def test_pmf_rows_are_poisson_pmfs_row_by_row(tail_mass):
+    # the largest mean sits in either column, so both columns are built for
+    # some rows; each row is zero past its own cutoff
+    rows = [(1.0, 0.5), (0.0, 0.0), (250.0, 3.0), (1e-3, 2.0), (0.2, 0.2)]
+    cuts, blocks = numerics._pmf_rows(rows, tail_mass)
+    for i, row in enumerate(rows):
+        cut, pmfs = poisson_pmfs(row, tail_mass)
+        assert cuts[i] == cut
+        for block, pmf in zip(blocks, pmfs):
+            assert block[i, : cut + 1].tobytes() == pmf.tobytes()
+            assert not block[i, cut + 1 :].any()
 
 
 @pytest.mark.parametrize("mean,cutoff", [(9e3, 9610), (9e4, 91915)])
 def test_large_mean_cutoff_builds_one_vector(monkeypatch, mean, cutoff):
-    # the first build already reaches below the floor; its geometric
-    # remainder bound accepts it without a rebuild at a wider margin
+    # the first margin already reaches below the floor; its geometric
+    # remainder bound accepts it, and the one vector is built at that width
     sizes = []
+    build = numerics._log_pmf_rows
 
-    def counted(n_max, m):
+    def counted(n_max, means):
         sizes.append(n_max)
-        return log_poisson_pmf_array(n_max, m)
+        return build(n_max, means)
 
-    monkeypatch.setattr(numerics, "log_poisson_pmf_array", counted)
+    monkeypatch.setattr(numerics, "_log_pmf_rows", counted)
     assert _cutoff(mean, 1e-10) == cutoff
-    assert len(sizes) == 1
+    assert sizes == [int(mean + numerics._first_margin(mean))]
 
 
 @given(
@@ -301,7 +360,7 @@ def test_poisson_pmfs_is_one_search_on_the_largest_mean(means, tail_mass):
     # the tail beyond any N grows with the mean, so the largest mean's search
     # gives every mean's cutoff; each pmf is then a fresh build at that cutoff
     cut, pmfs = poisson_pmfs(means, tail_mass)
-    assert cut == max(numerics._poisson_search(m, tail_mass)[0] for m in means)
+    assert cut == max(numerics._poisson_search([m], tail_mass)[0][0] for m in means)
     for mean, pmf in zip(means, pmfs):
         assert np.array_equal(pmf, np.exp(log_poisson_pmf_array(cut, mean)))
 
@@ -330,7 +389,7 @@ def test_optimum_tail_bound_matches_brute_force():
     ]:
         log_w, _, bound = helstrom._sector_weights(total, tail_tol)
         n_max = len(log_w) - 1
-        cut, search_log_w = numerics._poisson_search(total, tail_tol)[:2]
+        (cut,), (search_log_w,) = numerics._poisson_search([total], tail_tol)[:2]
         if short:
             assert n_max == len(search_log_w) - 1 < cut + helstrom.TRUNCATION_SAFETY_MARGIN
         else:
@@ -374,6 +433,6 @@ def test_gaussian_upper_tail_reference_points(x):
 @pytest.mark.parametrize("mean", [0.0, 1e-300, 0.3, 7.5, 250.0, 9e3])
 @pytest.mark.parametrize("tail_mass", [0.1, 1e-12, 1e-100])
 def test_search_tails_are_the_reversed_cumsum_bit_for_bit(mean, tail_mass):
-    _, _, pmf, tails, _ = numerics._poisson_search(mean, tail_mass)
+    _, _, (pmf,), (tails,), _ = numerics._poisson_search([mean], tail_mass)
     expected = np.append(pmf[::-1].cumsum()[::-1], 0.0)
     assert tails.dtype == expected.dtype and tails.tobytes() == expected.tobytes()

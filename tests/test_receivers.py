@@ -5,7 +5,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_homodyne, oracle_kennedy, oracle_ml
@@ -24,7 +24,10 @@ from phasekit.numerics import NumericalResourceError, log_poisson_pmf_array
 from phasekit.receivers import (
     ANGLE_TOL,
     DEFAULT_TAIL_TOL,
+    _count_error,
+    _count_means,
     _ml_error,
+    _row_errors,
     best_angle,
     p_beamsplitter_ml,
     p_homodyne_asymptotic,
@@ -353,7 +356,8 @@ def test_best_angle_is_deterministic():
 
 
 def _kernel_p(pair, r, t, tail_tol=DEFAULT_TAIL_TOL):
-    return _ml_error(*port_means(pair.alpha, pair.beta, r, t), tail_tol)[0]
+    (p,), _ = _ml_error([port_means(pair.alpha, pair.beta, r, t)], tail_tol)
+    return p
 
 
 @settings(max_examples=80, deadline=None)
@@ -383,6 +387,86 @@ def test_kernel_p_is_the_public_p_bit_for_bit(alpha2, beta2, phi, tail_tol):
             except ValueError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+
+# alpha^2 and beta^2 in {0} and [1e-6, 1e3], log-uniform
+_grid_strengths = st.just(0.0) | st.floats(-6.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha2=_grid_strengths,
+    beta2=_grid_strengths,
+    phis=st.lists(st.floats(0.0, QUARTER_PI), max_size=10),
+    tail_tol=st.sampled_from([DEFAULT_TAIL_TOL, 1e-3, 1e-100]),
+)
+@example(alpha2=0.1, beta2=1e3, phis=[0.1, 0.3, 0.5, 0.7], tail_tol=1e-100)
+def test_row_kernels_are_the_one_row_calls_bit_for_bit(alpha2, beta2, phis, tail_tol):
+    # one block of rows, of any length (not only multiples of 8), with phi = 0
+    # (an exact tie), pi/4 and the exact cancellation angle (a dark port, so
+    # an infinite slope) among drawn angles; at tail_tol 1e-100 rows whose
+    # search doubles its margin share the block with rows whose search does not
+    pair = PulsePair(alpha2, beta2)
+    splitters = [(1.0, 0.0), (math.cos(QUARTER_PI), math.sin(QUARTER_PI))]
+    if 0.0 < pair.total and alpha2 <= beta2:
+        dark = kennedy_angle(pair)
+        splitters.append((dark.r, dark.t))
+    splitters += [(math.cos(phi), math.sin(phi)) for phi in phis]
+    means = [port_means(pair.alpha, pair.beta, r, t) for r, t in splitters]
+    rows, _ = _ml_error(means, tail_tol)
+    assert [p.hex() for p in rows] == [_ml_error([m], tail_tol)[0][0].hex() for m in means]
+    assert _row_errors(_ml_error, means, tail_tol) == rows
+    # the count comparison over a row of signal strengths at this reference
+    pairs = [PulsePair(a2, beta2) for a2 in (alpha2, 0.0, *(1e-3 + phi for phi in phis))]
+    count_means = [_count_means(p) for p in pairs]
+    rows, _ = _count_error(count_means, tail_tol)
+    assert [p.hex() for p in rows] == [
+        p_homodyne_generalized(p, tail_tol).error_probability.hex() for p in pairs
+    ]
+    assert _row_errors(_count_error, count_means, tail_tol) == rows
+
+
+def test_row_errors_split_strong_grids_into_blocks():
+    # at beta^2 = 1000 the element budget splits a 64-angle grid into blocks,
+    # and the P of every row is still its one-row P
+    calls = []
+    kernel = receivers._ml_error
+
+    def counted(means, tail_tol):
+        calls.append(len(means))
+        return kernel(means, tail_tol)
+
+    pair = PulsePair(0.1, 1000.0)
+    means = [port_means(pair.alpha, pair.beta, math.cos(phi), math.sin(phi))
+             for phi in np.linspace(0.0, QUARTER_PI, 64).tolist()]
+    rows = _row_errors(counted, means, DEFAULT_TAIL_TOL)
+    assert len(calls) > 1 and sum(calls) == 64
+    assert rows == [kernel([m], DEFAULT_TAIL_TOL)[0][0] for m in means]
+
+
+# alpha^2 and beta^2 in {0} and [1e-12, 1e4], log-uniform
+_wide_strengths = st.just(0.0) | st.floats(-12.0, 4.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_strengths, _wide_strengths)
+def test_ml_at_the_special_angles_is_no_worse_than_their_receivers(alpha2, beta2):
+    # ML over joint counts at an angle is the best rule there, so it cannot
+    # lose to the count comparison at pi/4 nor to the dark port at the
+    # cancellation angle, up to the truncation each result reports
+    pair = PulsePair(alpha2, beta2)
+    hom = p_homodyne_generalized(pair)
+    ml = p_beamsplitter_ml(pair, homodyne_splitter())
+    slack = ml.metadata.get("error_bound", 0.0) + hom.metadata.get("error_bound", 0.0)
+    assert ml.error_probability <= hom.error_probability + slack
+    if pair.total == 0.0:
+        return
+    # the cancellation angle exists once the weaker pulse is the signal, and
+    # every receiver is symmetric in the two roles
+    oriented = pair if alpha2 <= beta2 else pair.swapped()
+    ml = p_beamsplitter_ml(oriented, kennedy_angle(oriented))
+    ken = p_kennedy_generalized(oriented)
+    assert ml.error_probability <= ken.error_probability + ml.metadata.get("error_bound", 0.0)
 
 
 def test_kernel_validates_tail_tol_even_when_degenerate():

@@ -10,7 +10,8 @@ is therefore a weighted sum of pure-state Helstrom terms,
     P_err = 1/2 * sum over N of w_N * x_N / (1 + sqrt(1 - x_N)),
 
 a sum of positive terms, so a tiny P keeps full relative precision. One
-Poisson search sizes the sum, gives its weights and bounds the mass it drops.
+Poisson search (``numerics._poisson_search``) sizes the sum, gives its
+weights and bounds the mass it drops.
 
 As alpha -> 0 each sector's half trace norm w_N sqrt(1 - x_N) becomes
 linear in alpha, and the sum D = sum over N of w_N sqrt(1 - x_N) tends to
@@ -20,9 +21,9 @@ the weak-signal series
 
 whose n-th term is the eigenvalue magnitude
 lambda_n = 2 alpha beta Poi(n; beta^2) / sqrt(n + 1) of the leading-order
-state difference. It is summed to a Poisson tail mass of 1e-16; the
-log-space weights then limit its accuracy, to about 5e-11 relative near
-beta^2 = 1e5 and 1e-9 near 1e6.
+state difference. It is summed to a Poisson tail mass of 1e-16, over the
+weights of one search on beta^2; the log-space weights then limit its
+accuracy, to about 5e-11 relative near beta^2 = 1e5 and 1e-9 near 1e6.
 
 Both sums stop at photon counts within ``numerics.MAX_PHOTON_COUNT``; beyond
 it they raise ``NumericalResourceError`` before allocating anything.
@@ -35,7 +36,7 @@ import math
 import numpy as np
 
 from .model import DiscriminationResult, PulsePair
-from .numerics import NEG_INF, _poisson_search, poisson_pmfs
+from .numerics import NEG_INF, _poisson_search
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
@@ -156,6 +157,6 @@ def d_err_small_alpha(pair: PulsePair) -> float:
     """
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         return 0.0
-    n_cut, (weights,) = poisson_pmfs((pair.beta2,), 1e-16)
-    terms = weights / np.sqrt(np.arange(1.0, n_cut + 2.0))
+    (n_cut,), _, (weights,), _, _ = _poisson_search((pair.beta2,), 1e-16)
+    terms = weights[: n_cut + 1] / np.sqrt(np.arange(1.0, n_cut + 2.0))
     return 2.0 * pair.alpha * pair.beta * float(terms.sum())

@@ -124,10 +124,11 @@ def kennedy_angle(pair: PulsePair) -> Beamsplitter:
 
 def _squared_amplitude(diff: float, scale: float) -> float:
     # amplitudes cancelling below float resolution are a dark port,
-    # not 1e-33 photons
+    # not 1e-33 photons; squared as the bright amplitude is, so the dark
+    # mean never exceeds the bright one and equal amplitudes tie exactly
     if abs(diff) < 8.0 * _EPS * scale:
         return 0.0
-    return diff * diff
+    return _square(diff)
 
 
 def _square(x: float) -> float:

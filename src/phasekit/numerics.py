@@ -7,33 +7,28 @@ grid point) is one block, each row zero-padded past its own end, and every
 row holds bit for bit the vector a one-row call gives. A log-pmf block
 subtracts the means and a prefix of the shared ln n! table in place, with no
 gather. The cutoff search is the only place a Poisson tail is summed, from
-the far end of each row over the padding's exact zeros, and each truncated
-sum runs it once per row, on the row's largest mean: every cutoff and the
-optimum's sector weights come from that search's block. ``_pmf_rows`` gives
-a grid's cutoffs and pmf blocks; ``poisson_pmfs`` is its one-row form, and
-``_row_blocks`` splits a grid so that no block passes a fixed element budget.
-Everything here is a pure function of its inputs; the shared factorial table
-is only ever replaced by a larger one.
+the far end of each row over the padding's exact zeros; every cutoff, the
+optimum's sector weights and the weak-signal series' weights come from one
+search's block. Each receiver port has a bright and a dark mean, and
+``_pmf_rows`` gives a grid's cutoffs and the two pmf blocks from one search
+on the bright column; ``_row_blocks`` splits a grid so that no block passes a
+fixed element budget. All of these are private to the package and pure
+functions of their inputs; the shared factorial table is only ever replaced
+by a larger one.
 
-``MAX_PHOTON_COUNT`` is the one ceiling on every truncated sum in the package;
-``checked_count`` enforces it before anything is allocated.
+The module exports only ``MAX_PHOTON_COUNT``, the one ceiling on every
+truncated sum in the package, and ``NumericalResourceError``, which the
+search raises past it before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import threading
 
 import numpy as np
 
-__all__ = [
-    "MAX_PHOTON_COUNT",
-    "NumericalResourceError",
-    "checked_count",
-    "log_poisson_pmf_array",
-    "poisson_pmfs",
-]
+__all__ = ["MAX_PHOTON_COUNT", "NumericalResourceError"]
 
 NEG_INF = float("-inf")
 
@@ -45,13 +40,9 @@ class NumericalResourceError(RuntimeError):
     """A computation exceeded its configured numerical budget."""
 
 
-def checked_count(x) -> int:
+def _checked_count(x: float) -> int:
     """int(x) as a truncation's top photon count, refused above the ceiling (also x = inf)."""
     if not x <= MAX_PHOTON_COUNT:
-        if isinstance(x, int) and x > sys.float_info.max:
-            from decimal import Decimal  # %g of an int beyond float range overflows
-
-            x = Decimal(x)
         raise NumericalResourceError(
             f"truncation needs photon counts up to {x:.4g}, above the ceiling of {MAX_PHOTON_COUNT}"
         )
@@ -117,15 +108,6 @@ def _log_pmf_rows(n_max: int, means: list[float]) -> np.ndarray:
     return out
 
 
-def log_poisson_pmf_array(n_max: int, mean: float) -> np.ndarray:
-    """ln pmf at n = 0 .. n_max as one vector."""
-    if mean < 0:
-        raise ValueError(f"mean must be non-negative, got {mean}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
-    return _log_pmf_rows(checked_count(n_max), [mean])[0]
-
-
 def _log_remainder_bound(mean: float, upper: int, log_last: float) -> float:
     """ln of a bound on P[Poisson(mean) > upper], given log_last = ln pmf[upper]."""
     # beyond `upper` the pmf decays at least geometrically with ratio d = mean / (upper + 1),
@@ -167,7 +149,7 @@ def _poisson_search(means: list[float], tail_mass: float):
             log_mean = math.log(mean)
             margin = _first_margin(mean)
             while True:
-                upper = checked_count(mean + margin)
+                upper = _checked_count(mean + margin)
                 # the vector's last entry, in the order _log_pmf_rows computes it
                 log_last = upper * log_mean - mean - _log_factorial_prefix(upper).item(upper)
                 log_rest = _log_remainder_bound(mean, upper, log_last)
@@ -189,43 +171,22 @@ def _poisson_search(means: list[float], tail_mass: float):
     return cuts.tolist(), logs, pmf, tails, log_rests
 
 
-def _pmf_rows(means, tail_mass: float) -> tuple[list[int], list[np.ndarray]]:
-    """Per-row common cutoffs, and a pmf block per column, for rows of means (one per grid point).
+def _pmf_rows(bright, dark, tail_mass: float) -> tuple[list[int], tuple[np.ndarray, np.ndarray]]:
+    """Per-row common cutoffs, and the pmf blocks of a bright and a dark column of means.
 
-    Each row's cutoff comes from one search on its largest mean. A column's
-    block is as wide as the largest cutoff and 0 past each row's own; a
-    column that is every row's largest reads the search's pmf, any other is
-    built. Every row is bit for bit ``poisson_pmfs`` on that row alone.
+    Each row is one port of one grid point, whose bright mean is at least its
+    dark one. The tail grows with the mean, so one search on the bright
+    column gives every row's cutoff and the bright block; the dark block is
+    built at the widest cutoff. Both blocks are 0 past each row's own
+    cutoff, and every row is bit for bit a one-row call.
     """
-    if not (0.0 < tail_mass < 1.0):
-        raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    tops = []
-    for row in means:
-        for mean in row:
-            if not mean >= 0:  # also NaN, which max() would pass over
-                raise ValueError(f"mean must be non-negative, got {mean}")
-        tops.append(max(row))
-    cuts, _, pmf, _, _ = _poisson_search(tops, tail_mass)
+    cuts, _, pmf, _, _ = _poisson_search(bright, tail_mass)
     width, past = max(cuts) + 1, _past(cuts)
-    blocks = []
-    for j in range(len(means[0])):
-        column = [row[j] for row in means]
-        block = pmf[:, :width] if column == tops else np.exp(_log_pmf_rows(width - 1, column))
-        if past is not None:
+    blocks = pmf[:, :width], np.exp(_log_pmf_rows(width - 1, dark))
+    if past is not None:
+        for block in blocks:
             block[past] = 0.0
-        blocks.append(block)
     return cuts, blocks
-
-
-def poisson_pmfs(means, tail_mass: float) -> tuple[int, list[np.ndarray]]:
-    """Smallest N with P[Poisson(mean) > N] < tail_mass for every mean, and their pmfs at 0 .. N.
-
-    The tail grows with the mean, so one search on the largest mean gives N and its
-    pmf; each other pmf is built at N, bit for bit the prefix its own search gives.
-    This is the one-row form of ``_pmf_rows``.
-    """
-    cuts, blocks = _pmf_rows([means], tail_mass)
-    return cuts[0], [block[0] for block in blocks]
 
 
 # entries a row block may hold per array (128 KB of floats): grids split into

@@ -17,16 +17,16 @@ each result carries its truncation bookkeeping in ``metadata``.
 strong-reference limit and finite-reference form; the CLI's ``kennedy`` and
 ``homodyne`` subcommands and the figure 1-2 tables all read it.
 
-Two row kernels compute every truncated-sum P, one row per grid point,
-with the Poisson weights of all rows built as one ``numerics._pmf_rows``
-block: ``_ml_error`` the maximum-likelihood decision from rows of the four
-``model.port_means`` (the one means path), ``_count_error`` the count
-comparison from rows of its two port means. ``p_beamsplitter_ml`` and
-``p_homodyne_generalized`` are their one-row wrappers with the bookkeeping;
-``best_angle``'s grid, the figure 3-4 sweeps and figure 2's signal strengths
-at each reference strength are one ``_row_errors`` call each, so only the
-angle a search reports pays for a validated splitter, mass accounting and
-metadata.
+Two row kernels compute every truncated-sum P, one row per grid point:
+``_ml_error`` from rows of the four ``model.port_means`` (the one means
+path), ``_count_error`` from rows of the count comparison's two port means.
+Each hands a port's bright and dark column to one ``numerics._pmf_rows``
+call; ``p_beamsplitter_ml`` and ``p_homodyne_generalized`` are their one-row
+wrappers with the bookkeeping. Every grid is built here: ``_angle_errors``
+over splitter angles (``best_angle``, the figure 3-4 sweeps) and
+``_count_errors`` over pulse pairs (figure 2), one kernel call per
+``_row_errors`` block, so only the angle a search reports pays for a
+validated splitter, mass accounting and metadata.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def p_kennedy_generalized(pair: PulsePair) -> DiscriminationResult:
 def _count_means(pair: PulsePair) -> tuple[float, float]:
     """Port means (beta + alpha)^2 / 2 and (beta - alpha)^2 / 2 behind the balanced splitter."""
     alpha, beta = pair.alpha, pair.beta
-    return 0.5 * _square(beta + alpha), 0.5 * (beta - alpha) ** 2
+    return 0.5 * _square(beta + alpha), 0.5 * _square(beta - alpha)
 
 
 def _count_error(means, tail_tol: float):
@@ -177,7 +177,8 @@ def _count_error(means, tail_tol: float):
     ps = [0.5] * len(means)
     if not live:
         return ps, None
-    cuts, (pmf_hi, pmf_lo) = _pmf_rows([means[i] for i in live], tail_tol)
+    his, los = zip(*(means[i] for i in live))
+    cuts, (pmf_hi, pmf_lo) = _pmf_rows(his, los, tail_tol)
     cdf_hi = pmf_hi.cumsum(axis=1)
     for j, (i, cut) in enumerate(zip(live, cuts)):
         hi, lo = pmf_hi[j, : cut + 1], pmf_lo[j, : cut + 1]
@@ -230,7 +231,8 @@ def _ml_error(means, tail_tol: float):
     result stores them, which includes a P above 1/2 by no more than the
     row's pmfs' rounding excess that ``error_bound`` carries; truncation the
     ``numerics._pmf_rows`` cutoffs (n_cuts, m_cuts) and blocks (port 1 plus
-    and minus, port 2 plus and minus) of the rows whose port statistics
+    and minus, port 2 plus and minus; plus is bright at port 1 and minus at
+    port 2) of the rows whose port statistics
     differ under the two hypotheses, or None when none do; a row where they
     do not (no signal, no reference, or phi = 0) is an exact tie, P = 1/2.
 
@@ -251,8 +253,10 @@ def _ml_error(means, tail_tol: float):
     if not live:
         return ps, None
     rows = [means[i] for i in live]
-    n_cuts, (pmf1p, pmf1m) = _pmf_rows([row[:2] for row in rows], tail_tol)
-    m_cuts, (pmf2p, pmf2m) = _pmf_rows([row[2:] for row in rows], tail_tol)
+    # port 1 is bright under PLUS, port 2 under MINUS
+    n1p, n1m, n2p, n2m = zip(*rows)
+    n_cuts, (pmf1p, pmf1m) = _pmf_rows(n1p, n1m, tail_tol)
+    m_cuts, (pmf2m, pmf2p) = _pmf_rows(n2m, n2p, tail_tol)
     # err+ takes mass from the upper end of port 2 and err- from the lower
     # end, so tails are summed from the far end and heads from zero: each
     # term keeps its relative precision when P is tiny. Half of the tie run
@@ -290,6 +294,18 @@ def _row_errors(kernel, means, tail_tol: float) -> list[float]:
     for rows in _row_blocks([max(row) for row in means]):
         ps += kernel(means[rows], tail_tol)[0]
     return ps
+
+
+def _angle_errors(pair: PulsePair, phis, tail_tol: float) -> list[float]:
+    """Maximum-likelihood P of the pair behind the splitter at each angle in ``phis``."""
+    alpha, beta = pair.alpha, pair.beta
+    means = [port_means(alpha, beta, math.cos(phi), math.sin(phi)) for phi in phis]
+    return _row_errors(_ml_error, means, tail_tol)
+
+
+def _count_errors(pairs, tail_tol: float) -> list[float]:
+    """Count-comparison P of each pair, each bit for bit ``p_homodyne_generalized``'s."""
+    return _row_errors(_count_error, [_count_means(pair) for pair in pairs], tail_tol)
 
 
 def p_beamsplitter_ml(
@@ -336,9 +352,9 @@ def best_angle(
     refinement narrows the bracket to 1e-6 rad. The error curve has kinks
     where decision regions change, so the search is derivative-free and the
     reported optimum is the best of every angle actually evaluated. Each
-    angle's P comes from the kernel ``_ml_error`` alone: the whole grid in
-    one call (per ``_row_errors`` block), each golden-section step as one
-    row. Only the winning angle goes through ``p_beamsplitter_ml``, and its
+    angle's P comes from ``_angle_errors`` alone: the whole grid in one
+    call, each golden-section step as one angle. Only the winning angle
+    goes through ``p_beamsplitter_ml``, and its
     result (the same P) is returned with ``grid_points`` and ``angle_tol``
     added to the metadata.
     """
@@ -347,18 +363,13 @@ def best_angle(
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         return homodyne_splitter(), p_beamsplitter_ml(pair, homodyne_splitter(), tail_tol)
 
-    alpha, beta = pair.alpha, pair.beta
-
-    def means(phi: float) -> tuple[float, float, float, float]:
-        return port_means(alpha, beta, math.cos(phi), math.sin(phi))
-
     def evaluate(phi: float) -> float:
-        (p,), _ = _ml_error([means(phi)], tail_tol)
+        (p,) = _angle_errors(pair, [phi], tail_tol)
         evaluated[phi] = p
         return p
 
     phis = np.linspace(0.0, math.pi / 4.0, grid_points).tolist()
-    grid = _row_errors(_ml_error, [means(phi) for phi in phis], tail_tol)
+    grid = _angle_errors(pair, phis, tail_tol)
     evaluated = dict(zip(phis, grid))
     idx = int(np.argmin(grid))
     lo = phis[max(idx - 1, 0)]

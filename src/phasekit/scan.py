@@ -4,12 +4,12 @@
 options it takes and their defaults, which are also the check that rejects
 any other option. ``figure_table`` builds every table from it; figures 1-2
 read their receiver pairs from ``receivers._limit_pair``. The scan layer
-only orchestrates library calls and forms ratios. A grid of truncated sums
-is one call of a receivers row kernel through ``receivers._row_errors``:
-figure 2's signal strengths at each reference strength go to the count
-comparison's, and the figure 3-4 angles to the maximum-likelihood one. Every
-row is still bit for bit the public receiver or optimum-bound function's
-result at its point. Undefined ratios (no signal, so zero
+only orchestrates library calls and forms ratios; it never builds port
+means. A grid of truncated sums is one ``receivers`` grid call: figure 2's
+signal strengths at each reference strength go to ``_count_errors``, and
+the figure 3-4 angles to ``_angle_errors``. Every row is still bit for bit
+the public receiver or optimum-bound function's result at its point.
+Undefined ratios (no signal, so zero
 distinguishability on both sides, or a baseline so small that the ratio
 overflows) are emitted as an explicit null, never as NaN or inf text.
 """
@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, d_err_small_alpha, p_err_optimal
-from .model import PulsePair, kennedy_angle, port_means
-from .receivers import (DEFAULT_TAIL_TOL, _count_error, _count_means, _limit_pair, _ml_error,
-                        _row_errors, p_homodyne_generalized, p_kennedy_generalized)
+from .model import PulsePair, kennedy_angle
+from .receivers import (DEFAULT_TAIL_TOL, _angle_errors, _count_errors, _limit_pair,
+                        p_homodyne_generalized, p_kennedy_generalized)
 
 __all__ = [
     "Table",
@@ -101,8 +101,8 @@ def _ratio_rows(receiver: str, tag: str, alpha2_grid, beta2_grid, tail_tol=None)
     ``_limit_pair(receiver)`` gives the two results, ``asymptotic(alpha2)``
     and ``generalized(pair)``; ``tag`` names the columns, and rows run over
     ``beta2_grid``, then ``alpha2_grid``. The count comparison's row at each
-    ``beta2`` is one call of its row kernel ``_count_error``, whose one-row
-    form ``generalized`` is; the dark port's closed form goes pair by pair.
+    ``beta2`` is one ``receivers._count_errors`` call, bit for bit what
+    ``generalized`` gives; the dark port's closed form goes pair by pair.
     """
     asymptotic, generalized = _limit_pair(receiver)
     columns = (
@@ -119,7 +119,7 @@ def _ratio_rows(receiver: str, tag: str, alpha2_grid, beta2_grid, tail_tol=None)
     for beta2 in beta2_grid:
         pairs = [PulsePair(float(alpha2), float(beta2)) for alpha2 in alpha2_grid]
         if receiver == "homodyne":
-            p_gens = _row_errors(_count_error, [_count_means(pair) for pair in pairs], tail_tol)
+            p_gens = _count_errors(pairs, tail_tol)
         else:
             p_gens = [generalized(pair).error_probability for pair in pairs]
         for pair, p_gen in zip(pairs, p_gens):
@@ -135,20 +135,19 @@ def _ratio_rows(receiver: str, tag: str, alpha2_grid, beta2_grid, tail_tol=None)
 def _sweep_rows(alpha2, beta2, n_angles, tail_tol):
     """Maximum-likelihood error across the splitter family, with references.
 
-    Sweep rows carry kind="sweep", their P from one call of the row kernel
-    ``_ml_error`` (per ``_row_errors`` block) that ``p_beamsplitter_ml``
-    wraps; the two dashed-line references appear as kind="ref_kennedy" (at
-    the cancellation angle, when it exists) and kind="ref_homodyne" (at pi/4).
+    Sweep rows carry kind="sweep", their P from one
+    ``receivers._angle_errors`` call, bit for bit ``p_beamsplitter_ml`` at
+    each angle; the two dashed-line references appear as kind="ref_kennedy"
+    (at the cancellation angle, when it exists) and kind="ref_homodyne" (at
+    pi/4).
     """
     pair = PulsePair(alpha2, beta2)
     if n_angles < 64:
         raise ValueError(f"n_angles must be at least 64, got {n_angles}")
-    alpha, beta = pair.alpha, pair.beta
     phis = np.linspace(0.0, math.pi / 4.0, n_angles).tolist()
-    means = [port_means(alpha, beta, math.cos(phi), math.sin(phi)) for phi in phis]
     rows = [
         {"kind": "sweep", "phi_over_pi": phi / math.pi, "p_err": p}
-        for phi, p in zip(phis, _row_errors(_ml_error, means, tail_tol))
+        for phi, p in zip(phis, _angle_errors(pair, phis, tail_tol))
     ]
     try:
         phi, ken = kennedy_angle(pair).phi, p_kennedy_generalized(pair)

@@ -14,8 +14,8 @@ from phasekit.numerics import (
     MAX_PHOTON_COUNT,
     NumericalResourceError,
     _log_factorial_table,
-    log_poisson_pmf_array,
-    poisson_pmfs,
+    _log_pmf_rows,
+    _poisson_search,
 )
 from phasekit.receivers import (
     p_beamsplitter_ml,
@@ -127,7 +127,7 @@ def test_blocks_are_traceless_and_parity_sparse():
 def test_truncation_depth_and_ceiling():
     pair = PulsePair(0.1, 1.0)
     res = p_err_optimal(pair, tail_tol=1e-10)
-    assert res.metadata["n_max"] == poisson_pmfs((1.1,), 1e-10)[0] + 10
+    assert res.metadata["n_max"] == _poisson_search([1.1], 1e-10)[0][0] + 10
     assert 0.0 <= res.metadata["truncation_bound"] < 1e-10
     with pytest.raises(NumericalResourceError, match="ceiling"):
         p_err_optimal(PulsePair(0.1, float(MAX_PHOTON_COUNT)))
@@ -254,7 +254,7 @@ def test_sector_errors_match_block_spectra(alpha2, beta2):
     # Helstrom error is w_N / 2 - |B_N|_1 / 4
     pair = PulsePair(alpha2, beta2)
     op = build_rho_diff(pair)
-    log_weights = log_poisson_pmf_array(op.n_max, pair.total)
+    (log_weights,) = _log_pmf_rows(op.n_max, [pair.total])
     weights = np.exp(log_weights)
     errors, half_norms, _ = _sectors(pair, log_weights, weights)
     for n_total, block in enumerate(op.blocks):

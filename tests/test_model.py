@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasekit import NumericalResourceError
@@ -149,6 +149,33 @@ def test_double_swap_is_identity(alpha2, beta2, phi):
     double = port_means(b, a, t, r)
     for x, y in zip(direct, double):
         assert x == pytest.approx(y, abs=1e-12 * max(1.0, alpha2 + beta2))
+
+
+# alpha^2 and beta^2 in {0} and [1e-12, 1e4], log-uniform
+_wide_strengths = st.just(0.0) | st.floats(-12.0, 4.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha2=_wide_strengths,
+    beta2=_wide_strengths,
+    phi=st.sampled_from([0.0, QUARTER_PI]) | st.floats(0.0, QUARTER_PI),
+)
+# strengths whose dark mean once came out one ulp above the bright one
+@example(alpha2=0.694038380500292, beta2=24.560284305288704, phi=0.0)
+@example(alpha2=0.0, beta2=19.253120457275102, phi=0.1 * math.pi)
+def test_port_means_bright_is_never_below_dark(alpha2, beta2, phi):
+    # |r beta + t alpha| >= |r beta - t alpha| holds in floats too, and both
+    # sides are squared alike, so each port's bright mean is at least its
+    # dark one: n1+ >= n1- and n2- >= n2+; at phi = 0, pi/4 and the
+    # cancellation angle as well
+    pair = PulsePair(alpha2, beta2)
+    splitters = [Beamsplitter(phi)]
+    if 0.0 < pair.total:
+        splitters.append(kennedy_angle(pair if alpha2 <= beta2 else pair.swapped()))
+    for splitter in splitters:
+        n1_plus, n1_minus, n2_plus, n2_minus = _means(pair, splitter)
+        assert n1_plus >= n1_minus and n2_minus >= n2_plus
 
 
 def test_port_means_refuse_a_square_past_the_float_range():

@@ -26,7 +26,7 @@ from phasekit.montecarlo import (
     _draw_counts,
     run_trials,
 )
-from phasekit.numerics import NumericalResourceError, _log_factorial_table, log_poisson_pmf_array
+from phasekit.numerics import NumericalResourceError, _log_factorial_table, _log_pmf_rows
 from phasekit.receivers import (
     TIE_LOG_BAND,
     _ml_score,
@@ -390,7 +390,8 @@ def test_ml_score_orders_outcomes_like_joint_likelihoods(angle):
     score = _ml_score(a, n) + _ml_score(b, m)
 
     def joint(mean1, mean2):
-        return log_poisson_pmf_array(5, mean1)[:, None] + log_poisson_pmf_array(5, mean2)
+        log1, log2 = _log_pmf_rows(5, [mean1, mean2])
+        return log1[:, None] + log2
 
     n1_plus, n1_minus, n2_plus, n2_minus = means
     lp_grid = joint(n1_plus, n2_plus)

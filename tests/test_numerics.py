@@ -14,10 +14,12 @@ from phasekit.model import Beamsplitter, PulsePair
 from phasekit.numerics import (
     MAX_PHOTON_COUNT,
     NumericalResourceError,
+    _checked_count,
     _log_factorial_table,
+    _log_pmf_rows,
     _log_remainder_bound,
-    log_poisson_pmf_array,
-    poisson_pmfs,
+    _pmf_rows,
+    _poisson_search,
 )
 from phasekit.receivers import (best_angle, p_beamsplitter_ml, p_homodyne_asymptotic,
                                 p_homodyne_generalized)
@@ -78,9 +80,9 @@ def test_log_factorial_table_stops_at_the_ceiling(monkeypatch):
     assert numerics._log_factorial_prefix(3500)[3500] == pytest.approx(math.lgamma(3501), rel=1e-15)
     assert len(numerics._log_factorials) == 4097
     with pytest.raises(NumericalResourceError, match="ceiling"):
-        log_poisson_pmf_array(4097, 1.0)
+        _checked_count(4097)
     with pytest.raises(NumericalResourceError, match="ceiling"):
-        poisson_pmfs((4000.0,), 1e-10)
+        _poisson_search([4000.0], 1e-10)
     assert len(numerics._log_factorials) == 4097
 
 
@@ -93,41 +95,34 @@ def test_refused_truncation_leaves_the_table_within_the_ceiling():
 def test_truncations_past_the_ceiling_are_refused_before_allocating():
     # each of these would otherwise ask for terabytes, or overflow int()
     for call in (
-        lambda: log_poisson_pmf_array(10**12, 1.0),
-        lambda: poisson_pmfs((1e12,), 1e-10),
-        lambda: poisson_pmfs((math.inf,), 1e-10),
-        # ints beyond float range, which have no float form to quote
-        lambda: numerics.checked_count(10**400),
-        lambda: log_poisson_pmf_array(10**400, 1.0),
+        lambda: _checked_count(10**12),
+        lambda: _poisson_search([1e12], 1e-10),
+        lambda: _poisson_search([math.inf], 1e-10),
     ):
         with pytest.raises(NumericalResourceError, match="ceiling"):
             call()
-    assert log_poisson_pmf_array(MAX_PHOTON_COUNT, 0.0)[0] == 0.0
+    assert _checked_count(MAX_PHOTON_COUNT) == MAX_PHOTON_COUNT
+    assert _log_pmf_rows(MAX_PHOTON_COUNT, [0.0])[0][0] == 0.0
 
 
 def test_log_factorial_rejects_negative():
     with pytest.raises(ValueError):
         _log_factorial_table(-1)
-    with pytest.raises(ValueError):
-        log_poisson_pmf_array(-3, 1.0)
 
 
 # ------------------------------------------------------------------- poisson
 
 
+def _log_pmf(n_max, mean):
+    return _log_pmf_rows(n_max, [mean])[0]
+
+
 def test_log_poisson_pmf_examples():
-    assert log_poisson_pmf_array(0, 0.0).tolist() == [0.0]
-    assert log_poisson_pmf_array(3, 0.0).tolist() == [0.0, -math.inf, -math.inf, -math.inf]
-    assert log_poisson_pmf_array(0, 0.5)[0] == pytest.approx(-0.5, rel=1e-15)
+    assert _log_pmf(0, 0.0).tolist() == [0.0]
+    assert _log_pmf(3, 0.0).tolist() == [0.0, -math.inf, -math.inf, -math.inf]
+    assert _log_pmf(0, 0.5)[0] == pytest.approx(-0.5, rel=1e-15)
     # Poisson(1) at n=2 has mass e^-1 / 2
-    assert log_poisson_pmf_array(2, 1.0)[2] == pytest.approx(-1.0 - math.log(2.0), rel=1e-13)
-
-
-def test_log_poisson_pmf_validation():
-    with pytest.raises(ValueError):
-        log_poisson_pmf_array(1, -0.1)
-    with pytest.raises(ValueError):
-        log_poisson_pmf_array(-1, 0.1)
+    assert _log_pmf(2, 1.0)[2] == pytest.approx(-1.0 - math.log(2.0), rel=1e-13)
 
 
 def _gathered_log_pmf(n_max, mean):
@@ -140,12 +135,12 @@ def test_log_pmf_is_the_gathered_formula_bit_for_bit(n_max):
     # the vector subtracts a prefix of the shared ln n! table; a gather of
     # the same entries gives the same floats
     for mean in 10.0 ** np.random.default_rng(n_max).uniform(-6.0, 5.0, 8):
-        assert np.array_equal(log_poisson_pmf_array(n_max, mean), _gathered_log_pmf(n_max, mean))
+        assert np.array_equal(_log_pmf(n_max, mean), _gathered_log_pmf(n_max, mean))
 
 
 def test_log_pmf_grows_a_short_table_before_reading_its_prefix(monkeypatch):
     monkeypatch.setattr(numerics, "_log_factorials", _log_factorial_table(256))
-    got = log_poisson_pmf_array(5000, 4321.5)
+    got = _log_pmf(5000, 4321.5)
     assert len(numerics._log_factorials) > 5000
     assert np.array_equal(got, _gathered_log_pmf(5000, 4321.5))
 
@@ -154,7 +149,7 @@ def test_log_pmf_grows_a_short_table_before_reading_its_prefix(monkeypatch):
 @settings(max_examples=60)
 def test_log_poisson_pmf_matches_direct_formula(mean, n):
     expected = mp.mpf(n) * mp.log(mean) - mean - mp.loggamma(n + 1)
-    got = log_poisson_pmf_array(n, mean)[n]
+    got = _log_pmf(n, mean)[n]
     assert got == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
 
 
@@ -172,44 +167,31 @@ def _brute_force_cutoff(mean, tail_mass):
 
 
 def _cutoff(mean, tail_mass):
-    return poisson_pmfs((mean,), tail_mass)[0]
+    return _poisson_search([mean], tail_mass)[0][0]
 
 
-def test_poisson_pmfs_cutoff_examples():
+def test_cutoff_examples():
     assert _cutoff(0.0, 1e-12) == 0
     assert _cutoff(1.0, 1e-12) == _brute_force_cutoff(1.0, 1e-12)
     assert _cutoff(10.0, 1e-12) >= 10
     assert _cutoff(10.0, 1e-12) == _brute_force_cutoff(10.0, 1e-12)
     # the remainder bound holds for a subnormal mean, where mean / n underflows
     assert _cutoff(5e-324, 1e-10) == 0
-    # several means share the largest of their own cutoffs
-    cut, pmfs = poisson_pmfs((1.0, 10.0, 0.0), 1e-12)
-    assert cut == max(_brute_force_cutoff(1.0, 1e-12), _brute_force_cutoff(10.0, 1e-12))
-    assert [len(pmf) for pmf in pmfs] == [cut + 1] * 3
-
-
-def test_poisson_pmfs_validation():
-    with pytest.raises(ValueError):
-        poisson_pmfs((-1.0,), 1e-6)
-    with pytest.raises(ValueError):
-        poisson_pmfs((1.0, -1.0), 1e-6)
-    with pytest.raises(ValueError):
-        poisson_pmfs((1.0, math.nan), 1e-6)
-    with pytest.raises(ValueError):
-        poisson_pmfs((1.0,), 0.0)
-    with pytest.raises(ValueError):
-        poisson_pmfs((1.0,), 1.0)
+    # a port's bright and dark means share the bright one's cutoff
+    cuts, pmfs = _pmf_rows([10.0, 10.0], [1.0, 0.0], 1e-12)
+    assert cuts == [max(_brute_force_cutoff(1.0, 1e-12), _brute_force_cutoff(10.0, 1e-12))] * 2
+    assert [pmf.shape for pmf in pmfs] == [(2, cuts[0] + 1)] * 2
 
 
 @pytest.mark.parametrize(
-    "means", [(0.0,), (1e-3,), (2.5, 0.0), (1000.0, 1e-3), (1e-3, 1000.0), (9e4, 9.1e4)]
+    "bright,dark", [(0.0, 0.0), (1e-3, 0.0), (2.5, 0.0), (1000.0, 1e-3), (9.1e4, 9e4)]
 )
-def test_poisson_pmfs_equal_fresh_builds(means):
+def test_pmf_rows_equal_fresh_builds(bright, dark):
     # a prefix of the cutoff search's vector is bit for bit the vector a
-    # fresh build at the common cutoff gives, also where that build is longer
-    cut, pmfs = poisson_pmfs(means, 1e-12)
-    for mean, pmf in zip(means, pmfs):
-        assert np.array_equal(pmf, np.exp(log_poisson_pmf_array(cut, mean)))
+    # fresh build at the common cutoff gives, and so is the dark build
+    (cut,), pmfs = _pmf_rows([bright], [dark], 1e-12)
+    for mean, pmf in zip((bright, dark), pmfs):
+        assert np.array_equal(pmf[0], np.exp(_log_pmf(cut, mean)))
 
 
 @pytest.mark.parametrize("mean,upper", [(5.0, 8), (0.5, 0), (3.0, 3), (40.0, 45), (1e-3, 2)])
@@ -217,7 +199,7 @@ def test_remainder_bound_covers_the_exact_tail(mean, upper):
     # the first neglected ratio is mean / (upper + 1); a geometric series in
     # mean / (upper + 2) falls below the exact remainder at all but (40, 45),
     # by 4% at (5, 8)
-    pmf = np.exp(log_poisson_pmf_array(upper + 400, mean))
+    pmf = np.exp(_log_pmf(upper + 400, mean))
     exact = math.fsum(pmf[upper + 1 :])
     bound = math.exp(_log_remainder_bound(mean, upper, math.log(pmf[upper])))
     assert exact <= bound <= exact * (1.0 + mean / (upper + 1.0 - mean))
@@ -301,16 +283,18 @@ def test_search_rows_are_the_one_row_searches_bit_for_bit(tail_mass):
 
 
 @pytest.mark.parametrize("tail_mass", [1e-12, 1e-100])
-def test_pmf_rows_are_poisson_pmfs_row_by_row(tail_mass):
-    # the largest mean sits in either column, so both columns are built for
-    # some rows; each row is zero past its own cutoff
-    rows = [(1.0, 0.5), (0.0, 0.0), (250.0, 3.0), (1e-3, 2.0), (0.2, 0.2)]
-    cuts, blocks = numerics._pmf_rows(rows, tail_mass)
+def test_pmf_rows_are_the_one_row_builds_row_by_row(tail_mass):
+    # rows of very different cutoffs, a dark row and a tie; each row is zero
+    # past its own cutoff
+    rows = [(1.0, 0.5), (0.0, 0.0), (250.0, 3.0), (2.0, 1e-3), (0.2, 0.2)]
+    bright, dark = zip(*rows)
+    cuts, blocks = _pmf_rows(bright, dark, tail_mass)
     for i, row in enumerate(rows):
-        cut, pmfs = poisson_pmfs(row, tail_mass)
-        assert cuts[i] == cut
-        for block, pmf in zip(blocks, pmfs):
-            assert block[i, : cut + 1].tobytes() == pmf.tobytes()
+        (cut,), pmfs = _pmf_rows([row[0]], [row[1]], tail_mass)
+        assert cuts[i] == cut == _cutoff(row[0], tail_mass)
+        for block, pmf, mean in zip(blocks, pmfs, row):
+            assert block[i, : cut + 1].tobytes() == pmf[0].tobytes()
+            assert pmf[0].tobytes() == np.exp(_log_pmf(cut, mean)).tobytes()
             assert not block[i, cut + 1 :].any()
 
 
@@ -336,7 +320,7 @@ def test_large_mean_cutoff_builds_one_vector(monkeypatch, mean, cutoff):
     st.floats(min_value=1.0, max_value=100.0),
 )
 @settings(max_examples=40)
-def test_poisson_pmfs_cutoff_monotone_in_tail_mass(mean, tail, factor):
+def test_cutoff_monotone_in_tail_mass(mean, tail, factor):
     smaller = tail / factor
     assert _cutoff(mean, smaller) >= _cutoff(mean, tail)
 
@@ -345,30 +329,30 @@ _means = st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=1e5))
 
 
 @st.composite
-def _mean_tuples(draw):
-    means = draw(st.lists(_means, min_size=2, max_size=3))
+def _bright_dark(draw):
+    means = draw(st.lists(_means, min_size=2, max_size=2))
     # often a near-equal pair: equal, one ulp, 1e-12 or 1e-9 apart
     scale = draw(st.sampled_from([None, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-12, 1.0 - 1e-9]))
     if scale is not None:
         means[1] = means[0] * scale
-    return tuple(draw(st.permutations(means)))
+    return max(means), min(means)
 
 
-@given(_mean_tuples(), st.floats(min_value=1e-200, max_value=0.5))
+@given(_bright_dark(), st.floats(min_value=1e-200, max_value=0.5))
 @settings(max_examples=60, deadline=None)
-def test_poisson_pmfs_is_one_search_on_the_largest_mean(means, tail_mass):
-    # the tail beyond any N grows with the mean, so the largest mean's search
-    # gives every mean's cutoff; each pmf is then a fresh build at that cutoff
-    cut, pmfs = poisson_pmfs(means, tail_mass)
-    assert cut == max(numerics._poisson_search([m], tail_mass)[0][0] for m in means)
+def test_pmf_rows_is_one_search_on_the_bright_mean(means, tail_mass):
+    # the tail beyond any N grows with the mean, so the bright mean's search
+    # gives both means' cutoff; each pmf is then a fresh build at that cutoff
+    (cut,), pmfs = _pmf_rows([means[0]], [means[1]], tail_mass)
+    assert cut == max(_cutoff(m, tail_mass) for m in means)
     for mean, pmf in zip(means, pmfs):
-        assert np.array_equal(pmf, np.exp(log_poisson_pmf_array(cut, mean)))
+        assert np.array_equal(pmf[0], np.exp(_log_pmf(cut, mean)))
 
 
 @pytest.mark.parametrize("mean", [0.1, 1.0, 10.0])
 def test_poisson_pmf_sums_to_one(mean):
-    _, (pmf,) = poisson_pmfs((mean,), 1e-14)
-    total = float(pmf.sum())
+    (cut,), _, (pmf,), _, _ = _poisson_search([mean], 1e-14)
+    total = float(pmf[: cut + 1].sum())
     assert 1.0 - 1e-12 <= total <= 1.0
 
 

@@ -73,16 +73,12 @@ def test_figure_table_is_the_only_table_builder():
 def test_numerics_exports_one_path_per_job():
     import phasekit.numerics as numerics
 
-    assert sorted(numerics.__all__) == [
-        "MAX_PHOTON_COUNT",
-        "NumericalResourceError",
-        "checked_count",
-        "log_poisson_pmf_array",
-        "poisson_pmfs",
-    ]
-    # the optimum's tail bound comes from the cutoff search, and the ln n!
-    # table is read only through log_poisson_pmf_array
-    for name in ("log_factorial", "poisson_upper_tail", "_extended_pmf"):
+    assert numerics.__all__ == ["MAX_PHOTON_COUNT", "NumericalResourceError"]
+    # the optimum's tail bound and the series' weights come from the cutoff
+    # search, the receivers' pmfs from _pmf_rows, and the ln n! table is read
+    # only through the log-pmf block
+    for name in ("log_factorial", "poisson_upper_tail", "_extended_pmf", "checked_count",
+                 "log_poisson_pmf_array", "poisson_pmfs"):
         assert not hasattr(numerics, name), name
 
 

@@ -20,11 +20,13 @@ from phasekit.model import (
     kennedy_angle,
     port_means,
 )
-from phasekit.numerics import NumericalResourceError, log_poisson_pmf_array
+from phasekit.numerics import NumericalResourceError, _log_pmf_rows
 from phasekit.receivers import (
     ANGLE_TOL,
     DEFAULT_TAIL_TOL,
+    _angle_errors,
     _count_error,
+    _count_errors,
     _count_means,
     _ml_error,
     _row_errors,
@@ -254,6 +256,34 @@ def test_ml_receiver_degenerate_inputs():
         assert res.metadata["degenerate"]
 
 
+@pytest.mark.parametrize(
+    "alpha2,beta2,phi",
+    [(0.694038380500292, 24.560284305288704, 0.0), (0.0, 19.253120457275102, 0.1 * math.pi)],
+)
+def test_ml_receiver_ties_exactly_where_a_dark_mean_once_rounded_apart(alpha2, beta2, phi):
+    # at phi = 0 or alpha^2 = 0 both hypotheses give the same port means; a
+    # dark mean squared differently from the bright one came out one ulp
+    # apart and gave 0.49999999999940126 and 0.49999999999964695
+    pair = PulsePair(alpha2, beta2)
+    res = p_beamsplitter_ml(pair, Beamsplitter(phi))
+    assert res.error_probability == 0.5
+    assert res.metadata["degenerate"] is True
+    assert _angle_errors(pair, [phi], DEFAULT_TAIL_TOL) == [0.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha2=st.just(0.0) | st.floats(-12.0, 4.0).map(lambda e: 10.0**e),
+    beta2=st.just(0.0) | st.floats(-12.0, 4.0).map(lambda e: 10.0**e),
+)
+def test_count_means_bright_is_never_below_dark(alpha2, beta2):
+    # (beta + alpha)^2 / 2 and (beta - alpha)^2 / 2, squared alike
+    hi, lo = _count_means(PulsePair(alpha2, beta2))
+    assert hi >= lo >= 0.0
+    if alpha2 == 0.0 or beta2 == 0.0:
+        assert hi == lo
+
+
 @pytest.mark.parametrize("alpha2,beta2", [(20.0, 30.0), (12.0, 40.0)])
 def test_ml_receiver_keeps_relative_precision_at_tiny_error(alpha2, beta2):
     # P is 3.3e-19 and 2.6e-12 at pi/4, so only a relative tolerance sees
@@ -296,7 +326,7 @@ def test_ml_receiver_metadata_bounds():
 def _rounding_excess(cut, *means):
     # how far each truncated pmf sums above 1, summed exactly
     return sum(
-        max(0.0, math.fsum(np.exp(log_poisson_pmf_array(cut, mean))) - 1.0)
+        max(0.0, math.fsum(np.exp(_log_pmf_rows(cut, [mean])[0])) - 1.0)
         for mean in means
     )
 
@@ -416,6 +446,9 @@ def test_row_kernels_are_the_one_row_calls_bit_for_bit(alpha2, beta2, phis, tail
     rows, _ = _ml_error(means, tail_tol)
     assert [p.hex() for p in rows] == [_ml_error([m], tail_tol)[0][0].hex() for m in means]
     assert _row_errors(_ml_error, means, tail_tol) == rows
+    # the same grid by angle, without the exact cancellation magnitudes
+    by_angle = _angle_errors(pair, [0.0, QUARTER_PI, *phis], tail_tol)
+    assert by_angle == rows[:2] + rows[len(splitters) - len(phis):]
     # the count comparison over a row of signal strengths at this reference
     pairs = [PulsePair(a2, beta2) for a2 in (alpha2, 0.0, *(1e-3 + phi for phi in phis))]
     count_means = [_count_means(p) for p in pairs]
@@ -424,9 +457,10 @@ def test_row_kernels_are_the_one_row_calls_bit_for_bit(alpha2, beta2, phis, tail
         p_homodyne_generalized(p, tail_tol).error_probability.hex() for p in pairs
     ]
     assert _row_errors(_count_error, count_means, tail_tol) == rows
+    assert _count_errors(pairs, tail_tol) == rows
 
 
-def test_row_errors_split_strong_grids_into_blocks():
+def test_row_errors_split_strong_grids_into_blocks(monkeypatch):
     # at beta^2 = 1000 the element budget splits a 64-angle grid into blocks,
     # and the P of every row is still its one-row P
     calls = []
@@ -436,11 +470,12 @@ def test_row_errors_split_strong_grids_into_blocks():
         calls.append(len(means))
         return kernel(means, tail_tol)
 
+    monkeypatch.setattr(receivers, "_ml_error", counted)
     pair = PulsePair(0.1, 1000.0)
-    means = [port_means(pair.alpha, pair.beta, math.cos(phi), math.sin(phi))
-             for phi in np.linspace(0.0, QUARTER_PI, 64).tolist()]
-    rows = _row_errors(counted, means, DEFAULT_TAIL_TOL)
+    phis = np.linspace(0.0, QUARTER_PI, 64).tolist()
+    rows = _angle_errors(pair, phis, DEFAULT_TAIL_TOL)
     assert len(calls) > 1 and sum(calls) == 64
+    means = [port_means(pair.alpha, pair.beta, math.cos(phi), math.sin(phi)) for phi in phis]
     assert rows == [kernel([m], DEFAULT_TAIL_TOL)[0][0] for m in means]
 
 

@@ -17,16 +17,14 @@ each result carries its truncation bookkeeping in ``metadata``.
 strong-reference limit and finite-reference form; the CLI's ``kennedy`` and
 ``homodyne`` subcommands and the figure 1-2 tables all read it.
 
-Two row kernels compute every truncated-sum P, one row per grid point:
-``_ml_error`` from rows of the four ``model.port_means`` (the one means
-path), ``_count_error`` from rows of the count comparison's two port means.
-Each hands a port's bright and dark column to one ``numerics._pmf_rows``
-call; ``p_beamsplitter_ml`` and ``p_homodyne_generalized`` are their one-row
-wrappers with the bookkeeping. Every grid is built here: ``_angle_errors``
-over splitter angles (``best_angle``, the figure 3-4 sweeps) and
-``_count_errors`` over pulse pairs (figure 2), one kernel call per
-``_row_errors`` block, so only the angle a search reports pays for a
-validated splitter, mass accounting and metadata.
+Two row kernels compute every truncated-sum P, one row per grid point and
+one ``numerics._pmf_rows`` call per port: ``_ml_error`` on ``_ml_means``
+rows, ``_count_error`` on ``_count_means`` rows. Both row formers decide
+ties in ``_checked_row``, and ``_one_row_result`` makes one row a result.
+Every grid is built here: ``_angle_errors`` over splitter angles
+(``best_angle``, the figure 3-4 sweeps) and ``_count_errors`` over pulse
+pairs (figure 2), one kernel call per ``_row_errors`` block, so only the
+angle a search reports pays for a validated splitter and metadata.
 """
 
 from __future__ import annotations
@@ -35,28 +33,13 @@ import math
 
 import numpy as np
 
-from .model import (
-    Beamsplitter,
-    DiscriminationResult,
-    PulsePair,
-    _checked_probability,
-    _square,
-    homodyne_splitter,
-    port_means,
-)
-from .numerics import _pmf_rows, _row_blocks
+from .model import (Beamsplitter, DiscriminationResult, PulsePair, _checked_probability, _square,
+                    homodyne_splitter, port_means)
+from .numerics import MAX_PHOTON_COUNT, NumericalResourceError, _pmf_rows, _row_blocks
 
-__all__ = [
-    "DEFAULT_TAIL_TOL",
-    "TIE_LOG_BAND",
-    "p_min_pure",
-    "p_kennedy_asymptotic",
-    "p_homodyne_asymptotic",
-    "p_kennedy_generalized",
-    "p_homodyne_generalized",
-    "p_beamsplitter_ml",
-    "best_angle",
-]
+__all__ = ["DEFAULT_TAIL_TOL", "TIE_LOG_BAND", "p_min_pure", "p_kennedy_asymptotic",
+           "p_homodyne_asymptotic", "p_kennedy_generalized", "p_homodyne_generalized",
+           "p_beamsplitter_ml", "best_angle"]
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -78,6 +61,44 @@ def _mass_accounting(*pmfs: np.ndarray) -> tuple[float, float]:
     neglected = sum(max(0.0, 1.0 - total) for total in totals)
     excess = sum(max(0.0, total - 1.0) for total in totals)
     return neglected, excess
+
+
+def _tied(row) -> bool:
+    """Whether a row of port means is the same under both hypotheses (its 0::2 and 1::2 halves)."""
+    return row[0::2] == row[1::2]
+
+
+def _checked_row(means: tuple, signal: bool) -> tuple:
+    """A kernel's row of port means; a tie in floats alone past the ceiling is refused.
+
+    Both kernels give a tied row P = 1/2, exact where ``signal`` is false (a
+    zero strength, or phi = 0). A tie that only hides a signal below float
+    resolution moves D by less than about 1e-12 within ``MAX_PHOTON_COUNT``.
+    """
+    if signal and max(means) > MAX_PHOTON_COUNT and _tied(means):
+        raise NumericalResourceError(
+            f"means of {max(means):.4g} tie in floats only past the ceiling of {MAX_PHOTON_COUNT}")
+    return means
+
+
+def _one_row_result(kernel, row, tail_tol, method, cut_names, tolerances=(), **metadata):
+    """A row kernel's P at one row of means as a result, with its truncation bookkeeping.
+
+    A tied row is ``degenerate``, with ``metadata`` alone. Otherwise
+    ``metadata`` is followed by ``tail_tol``, the cutoffs under ``cut_names``,
+    the mass the pmfs drop, ``error_bound`` (``tail_tol`` per pmf plus the
+    pmfs' rounding excess above 1) and the receiver's ``tolerances``.
+    """
+    (p,), truncation = kernel([row], tail_tol)
+    if truncation is None:
+        return DiscriminationResult.from_error_probability(p, method, degenerate=True, **metadata)
+    *cuts, pmfs = truncation
+    # a one-row block is exactly as wide as its row's pmfs
+    neglected, excess = _mass_accounting(*(block[0] for block in pmfs))
+    cut_metadata = {name: row_cuts[0] for name, row_cuts in zip(cut_names, cuts)}
+    return DiscriminationResult.from_error_probability(
+        p, method, **metadata, tail_tol=tail_tol, **cut_metadata, neglected_mass=neglected,
+        error_bound=len(pmfs) * tail_tol + excess, **dict(tolerances))
 
 
 def _ml_slopes(
@@ -157,7 +178,13 @@ def p_kennedy_generalized(pair: PulsePair) -> DiscriminationResult:
 def _count_means(pair: PulsePair) -> tuple[float, float]:
     """Port means (beta + alpha)^2 / 2 and (beta - alpha)^2 / 2 behind the balanced splitter."""
     alpha, beta = pair.alpha, pair.beta
-    return 0.5 * _square(beta + alpha), 0.5 * _square(beta - alpha)
+    means = 0.5 * _square(beta + alpha), 0.5 * _square(beta - alpha)
+    return _checked_row(means, min(alpha, beta) > 0.0)
+
+
+def _ml_means(alpha: float, beta: float, r: float, t: float) -> tuple[float, ...]:
+    """``model.port_means`` of the amplitudes behind the splitter (r, t), as a checked row."""
+    return _checked_row(port_means(alpha, beta, r, t), min(alpha, beta, t) > 0.0)
 
 
 def _count_error(means, tail_tol: float):
@@ -166,14 +193,14 @@ def _count_error(means, tail_tol: float):
     Returns (P, truncation): P a list of floats absorbed into [0, 1/2] as a
     result stores them, truncation the ``numerics._pmf_rows`` cutoffs and
     (pmf_hi, pmf_lo) blocks of the rows whose two means differ, or None when
-    none do; equal means (no signal, no reference, or a signal below float
-    resolution) tie on every outcome, P = 1/2. The guess follows the larger
-    count, a fair coin on equality; each row's sums are 1-D dot products over
-    its own 0 .. cut.
+    none do. Equal means tie on every outcome, P = 1/2; a signal below float
+    resolution ties so only within the ceiling (``_checked_row``). The guess
+    follows the larger count, a fair coin on equality; each row's sums are
+    1-D dot products over its own 0 .. cut.
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    live = [i for i, (mean_hi, mean_lo) in enumerate(means) if mean_hi != mean_lo]
+    live = [i for i, row in enumerate(means) if not _tied(row)]
     ps = [0.5] * len(means)
     if not live:
         return ps, None
@@ -194,25 +221,11 @@ def p_homodyne_generalized(
     The two ports hold Poisson counts with means (beta +/- alpha)^2 / 2;
     the guess follows the larger count, a fair coin on equality. The double
     sum is truncated so each port neglects less than ``tail_tol`` of mass.
-    P comes from the row kernel ``_count_error`` on this one pair; this
-    wrapper adds the truncation bookkeeping.
+    P comes from the row kernel ``_count_error`` on this one pair, the
+    bookkeeping from ``_one_row_result``.
     """
-    (p,), truncation = _count_error([_count_means(pair)], tail_tol)
-    if truncation is None:
-        return DiscriminationResult.from_error_probability(
-            p, "homodyne_generalized", degenerate=True
-        )
-    # a one-row block is exactly as wide as its row's pmfs
-    cuts, pmfs = truncation
-    neglected, excess = _mass_accounting(*(block[0] for block in pmfs))
-    return DiscriminationResult.from_error_probability(
-        p,
-        "homodyne_generalized",
-        tail_tol=tail_tol,
-        cutoff=cuts[0],
-        neglected_mass=neglected,
-        error_bound=2.0 * tail_tol + excess,
-    )
+    row = _count_means(pair)
+    return _one_row_result(_count_error, row, tail_tol, "homodyne_generalized", ("cutoff",))
 
 
 def _limit_pair(receiver: str):
@@ -228,13 +241,11 @@ def _ml_error(means, tail_tol: float):
     """Error probability of the maximum-likelihood decision at each row of ``port_means``.
 
     Returns (P, truncation): P a list of floats absorbed into [0, 1/2] as a
-    result stores them, which includes a P above 1/2 by no more than the
-    row's pmfs' rounding excess that ``error_bound`` carries; truncation the
-    ``numerics._pmf_rows`` cutoffs (n_cuts, m_cuts) and blocks (port 1 plus
-    and minus, port 2 plus and minus; plus is bright at port 1 and minus at
-    port 2) of the rows whose port statistics
-    differ under the two hypotheses, or None when none do; a row where they
-    do not (no signal, no reference, or phi = 0) is an exact tie, P = 1/2.
+    result stores them, also a P above 1/2 by no more than the row's pmfs'
+    rounding excess that ``error_bound`` carries; truncation the cutoffs
+    (n_cuts, m_cuts) and ``numerics._pmf_rows`` blocks (port 1 plus and
+    minus, port 2 plus and minus; plus is bright at port 1, minus at port 2)
+    of the untied rows, or None when every row is ``_tied``, P = 1/2.
 
     The log-likelihood ratio of an outcome is linear, ln L+ - ln L- =
     a*n + b*m (``_ml_slopes``), so the decision boundary is a line through
@@ -248,7 +259,7 @@ def _ml_error(means, tail_tol: float):
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    live = [i for i, (n1p, n1m, n2p, n2m) in enumerate(means) if n1p != n1m or n2p != n2m]
+    live = [i for i, row in enumerate(means) if not _tied(row)]
     ps = [0.5] * len(means)
     if not live:
         return ps, None
@@ -299,8 +310,15 @@ def _row_errors(kernel, means, tail_tol: float) -> list[float]:
 def _angle_errors(pair: PulsePair, phis, tail_tol: float) -> list[float]:
     """Maximum-likelihood P of the pair behind the splitter at each angle in ``phis``."""
     alpha, beta = pair.alpha, pair.beta
-    means = [port_means(alpha, beta, math.cos(phi), math.sin(phi)) for phi in phis]
+    means = [_ml_means(alpha, beta, math.cos(phi), math.sin(phi)) for phi in phis]
     return _row_errors(_ml_error, means, tail_tol)
+
+
+def _angle_grid(points: int) -> list[float]:
+    """``points`` angles spaced evenly over [0, pi/4]; past the ceiling, refused unbuilt."""
+    if points > MAX_PHOTON_COUNT:
+        raise NumericalResourceError(f"{points} angles exceed the ceiling of {MAX_PHOTON_COUNT}")
+    return np.linspace(0.0, math.pi / 4.0, points).tolist()
 
 
 def _count_errors(pairs, tail_tol: float) -> list[float]:
@@ -313,31 +331,12 @@ def p_beamsplitter_ml(
 ) -> DiscriminationResult:
     """Maximum-likelihood decision over joint counts (n, m) behind a splitter.
 
-    P comes from ``_ml_error`` on the one row of ``port_means`` of the
-    validated pair and splitter; this wrapper adds the truncation bookkeeping:
-    the mass the pmfs drop, their rounding excess above 1, and the error bound.
+    P comes from ``_ml_error`` on the one ``_ml_means`` row of the validated
+    pair and splitter, the bookkeeping from ``_one_row_result``.
     """
-    (p,), truncation = _ml_error(
-        [port_means(pair.alpha, pair.beta, splitter.r, splitter.t)], tail_tol
-    )
-    if truncation is None:
-        return DiscriminationResult.from_error_probability(
-            p, "beamsplitter_ml", degenerate=True, phi=splitter.phi
-        )
-    # a one-row block is exactly as wide as its row's pmfs
-    n_cuts, m_cuts, pmfs = truncation
-    neglected, excess = _mass_accounting(*(block[0] for block in pmfs))
-    return DiscriminationResult.from_error_probability(
-        p,
-        "beamsplitter_ml",
-        phi=splitter.phi,
-        tail_tol=tail_tol,
-        n_cut=n_cuts[0],
-        m_cut=m_cuts[0],
-        neglected_mass=neglected,
-        error_bound=4.0 * tail_tol + excess,
-        tie_log_band=TIE_LOG_BAND,
-    )
+    row = _ml_means(pair.alpha, pair.beta, splitter.r, splitter.t)
+    return _one_row_result(_ml_error, row, tail_tol, "beamsplitter_ml", ("n_cut", "m_cut"),
+                           {"tie_log_band": TIE_LOG_BAND}, phi=splitter.phi)
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -353,13 +352,13 @@ def best_angle(
     where decision regions change, so the search is derivative-free and the
     reported optimum is the best of every angle actually evaluated. Each
     angle's P comes from ``_angle_errors`` alone: the whole grid in one
-    call, each golden-section step as one angle. Only the winning angle
-    goes through ``p_beamsplitter_ml``, and its
-    result (the same P) is returned with ``grid_points`` and ``angle_tol``
-    added to the metadata.
+    call, each golden-section step as one angle. Only the winning angle goes
+    through ``p_beamsplitter_ml``, and its result (the same P) is returned
+    with ``grid_points`` and ``angle_tol`` added to the metadata.
     """
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
+    phis = _angle_grid(grid_points)
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         return homodyne_splitter(), p_beamsplitter_ml(pair, homodyne_splitter(), tail_tol)
 
@@ -368,14 +367,10 @@ def best_angle(
         evaluated[phi] = p
         return p
 
-    phis = np.linspace(0.0, math.pi / 4.0, grid_points).tolist()
     grid = _angle_errors(pair, phis, tail_tol)
     evaluated = dict(zip(phis, grid))
     idx = int(np.argmin(grid))
-    lo = phis[max(idx - 1, 0)]
-    hi = phis[min(idx + 1, grid_points - 1)]
-
-    a, b = lo, hi
+    a, b = phis[max(idx - 1, 0)], phis[min(idx + 1, grid_points - 1)]
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = evaluate(c), evaluate(d)

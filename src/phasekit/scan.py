@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, d_err_small_alpha, p_err_optimal
 from .model import PulsePair, kennedy_angle
-from .receivers import (DEFAULT_TAIL_TOL, _angle_errors, _count_errors, _limit_pair,
-                        p_homodyne_generalized, p_kennedy_generalized)
+from .receivers import (DEFAULT_TAIL_TOL, _angle_errors, _angle_grid, _count_errors,
+                        _limit_pair, p_homodyne_generalized, p_kennedy_generalized)
 
 __all__ = [
     "Table",
@@ -144,7 +144,7 @@ def _sweep_rows(alpha2, beta2, n_angles, tail_tol):
     pair = PulsePair(alpha2, beta2)
     if n_angles < 64:
         raise ValueError(f"n_angles must be at least 64, got {n_angles}")
-    phis = np.linspace(0.0, math.pi / 4.0, n_angles).tolist()
+    phis = _angle_grid(n_angles)
     rows = [
         {"kind": "sweep", "phi_over_pi": phi / math.pi, "p_err": p}
         for phi, p in zip(phis, _angle_errors(pair, phis, tail_tol))

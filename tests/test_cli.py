@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phasekit import cli
+from phasekit.numerics import MAX_PHOTON_COUNT
 
 # the benchmark's recorded outputs of its `phasekit` calls at the default seed
 CLI_REFERENCES = json.loads(
@@ -241,6 +243,68 @@ def test_bsclass_absorbs_the_rounding_excess_at_a_cancellation_angle(capsys):
             "--phi-over-pi", "3.1830988618379067e-153"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.startswith("P = 0.5\nD = 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "homodyne --alpha2 1 --beta2 1e40",
+        "homodyne --alpha2 1e40 --beta2 1",
+        "bsclass --alpha2 1 --beta2 1e40 --phi-over-pi 0.2",
+        "bsclass --alpha2 1e300 --beta2 10 --optimize",
+        "figure --id 2 --alpha2-grid 1 --beta2-grid 1e40",
+        "figure --id 4 --alpha2 1e300",
+    ],
+)
+def test_a_float_tie_past_the_ceiling_exits_3(argv, capsys):
+    # one pulse lies below float resolution of the other, so both hypotheses
+    # give the same float port means; past the ceiling their P = 1/2 was
+    # false (the count comparison's limit at alpha^2 = 1 is P = 0.0228)
+    assert cli.main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("phasekit: ") and captured.err.count("\n") == 1
+    assert "ceiling of 1048576" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no signal, and phi = 0: exact ties at any strength
+        "homodyne --alpha2 0 --beta2 1e300",
+        "bsclass --alpha2 1e300 --beta2 1 --phi-over-pi 0",
+        # a float tie within the ceiling
+        "homodyne --alpha2 1e-300 --beta2 1",
+    ],
+)
+def test_exact_and_in_ceiling_ties_stay_one_half(argv, capsys):
+    assert cli.main([*argv.split(), "--quote-tolerances"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("P = 0.5\nD = 0\n")
+    assert "degenerate = 1\n" in out
+
+
+@pytest.mark.parametrize("points", [MAX_PHOTON_COUNT + 1, 10**8])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "bsclass --alpha2 0.1 --beta2 1 --optimize --grid-points",
+        "bsclass --alpha2 0 --beta2 1 --optimize --grid-points",
+        "figure --id 3 --n-angles",
+        "figure --id 4 --n-angles",
+    ],
+)
+def test_angle_grids_past_the_ceiling_exit_3_unbuilt(command, points, capsys, monkeypatch):
+    # a 1e8-angle grid once took minutes to build before anything checked it
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("an angle grid was built")
+
+    monkeypatch.setattr(np, "linspace", unbuilt)
+    assert cli.main([*command.split(), str(points)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("phasekit: ") and captured.err.count("\n") == 1
+    assert "ceiling of 1048576" in captured.err
 
 
 def test_montecarlo_command_and_determinism():

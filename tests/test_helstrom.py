@@ -334,6 +334,53 @@ def test_p_err_optimal_symmetric_under_swap(alpha2, beta2):
     assert p_err_optimal(pair) == p_err_optimal(pair.swapped())
 
 
+# alpha^2 and beta^2 in {0} and [1e-12, 1e4], log-uniform
+wide_strengths = st.just(0.0) | st.floats(min_value=-12.0, max_value=4.0).map(lambda e: 10.0**e)
+
+
+@given(wide_strengths, wide_strengths)
+@settings(max_examples=200, deadline=None)
+def test_p_err_optimal_lies_between_half_and_all_of_the_dark_port(alpha2, beta2):
+    # P_opt = P_ken * E[1 / (1 + sqrt(1 - r^(2N)))], an expectation in [1/2, 1]
+    pair = PulsePair(alpha2, beta2)
+    res = p_err_optimal(pair)
+    p, slack = res.error_probability, res.metadata["truncation_bound"]
+    ken = p_kennedy_generalized(pair).error_probability
+    assert 0.5 * ken <= p + slack
+    assert p <= ken + slack
+
+
+def _dark_port_expectation(alpha2, beta2):
+    """P_ken * E[1 / (1 + sqrt(1 - r^(2N)))] at 40 digits, N ~ Poisson(T r^2).
+
+    T = alpha^2 + beta^2 and r = (beta^2 - alpha^2) / T; P_ken is the dark
+    port's e^(-4 alpha^2 beta^2 / T) / 2. Terms run until the Poisson weight
+    is past its mean and below 1e-45.
+    """
+    with mp.workdps(40):
+        a2, b2 = mp.mpf(alpha2), mp.mpf(beta2)
+        total = a2 + b2
+        r2 = ((b2 - a2) / total) ** 2
+        mean = total * r2
+        expectation, n, weight = mp.mpf(0), 0, mp.exp(-mean)
+        while n <= mean or weight > mp.mpf("1e-45"):
+            expectation += weight / (1 + mp.sqrt(1 - r2**n))
+            n += 1
+            weight *= mean / n
+        return mp.exp(-4 * a2 * b2 / total) / 2 * expectation
+
+
+@pytest.mark.parametrize(
+    "alpha2,beta2",
+    [(0.1, 1.0), (0.1, 10.0), (1.0, 10.0), (0.5, 3.0), (3.0, 3.0), (2.9, 3.0), (100.0, 150.0)],
+)
+def test_p_err_optimal_is_the_dark_port_times_a_poisson_expectation(alpha2, beta2):
+    res = p_err_optimal(PulsePair(alpha2, beta2))
+    expected = float(_dark_port_expectation(alpha2, beta2))
+    assert abs(res.error_probability - expected) <= res.metadata["truncation_bound"]
+    assert res.error_probability == pytest.approx(expected, rel=1e-14)
+
+
 def test_small_alpha_consistency_improves_as_signal_weakens():
     # the series is the alpha -> 0 limit of the sector sum; the exact sum
     # falls below it by a relative alpha^2 at leading order

@@ -20,7 +20,7 @@ from phasekit.model import (
     kennedy_angle,
     port_means,
 )
-from phasekit.numerics import NumericalResourceError, _log_pmf_rows
+from phasekit.numerics import MAX_PHOTON_COUNT, NumericalResourceError, _log_pmf_rows
 from phasekit.receivers import (
     ANGLE_TOL,
     DEFAULT_TAIL_TOL,
@@ -549,3 +549,87 @@ def test_angle_search_matches_benchmark_reference(key):
         result = p_homodyne_generalized(pair)
     text += f"P = {result.error_probability:.12g}\n"
     assert text == ANGLE_SEARCH_REFERENCES[key]
+
+
+# ------------------------------------------------------ ties past the ceiling
+
+# alpha^2 and beta^2 in {0} and [1e-300, 1e300], log-uniform
+_any_strength = st.just(0.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha2=_any_strength,
+    beta2=_any_strength,
+    phi=st.sampled_from([0.0, 0.1 * math.pi, 0.2 * math.pi, QUARTER_PI]),
+)
+@example(alpha2=1.0, beta2=1e40, phi=0.2 * math.pi)
+@example(alpha2=1e300, beta2=10.0, phi=0.1 * math.pi)
+@example(alpha2=1e300, beta2=1.0, phi=0.0)
+@example(alpha2=0.0, beta2=1e300, phi=QUARTER_PI)
+def test_a_degenerate_result_past_the_ceiling_has_no_signal(alpha2, beta2, phi):
+    # a tie past the ceiling is 1/2 only where alpha^2 beta^2 sin(phi) = 0;
+    # a signal that ties in floats alone there is refused as a resource limit
+    pair, splitter = PulsePair(alpha2, beta2), Beamsplitter(phi)
+    cases = [
+        (lambda: p_beamsplitter_ml(pair, splitter),
+         max(port_means(pair.alpha, pair.beta, splitter.r, splitter.t)), (alpha2, beta2, phi)),
+        (lambda: p_homodyne_generalized(pair),
+         0.5 * (pair.beta + pair.alpha) ** 2, (alpha2, beta2)),
+    ]
+    for compute, bright, factors in cases:
+        try:
+            result = compute()
+        except NumericalResourceError:
+            continue
+        if result.metadata.get("degenerate") and bright > MAX_PHOTON_COUNT:
+            assert 0.0 in factors
+
+
+def _sector_sum_oracle(alpha2, beta2, phi):
+    """P = sum_N Poi(N; T) 1/2 sum_n min(Bin(n; N, q+), Bin(n; N, q-)) at 40 digits.
+
+    Behind a lossless splitter the total count N = n + m is Poisson(T), T =
+    alpha^2 + beta^2, under both hypotheses, and port 1 takes a binomial share
+    of it with q+- = (r beta +- t alpha)^2 / T. ML errs on the smaller
+    likelihood of each (N, n), which at pi/4 is the count comparison too.
+    Exact integer binomials; sectors run until the Poisson weight is past its
+    mode and below 1e-45.
+    """
+    with mp.workdps(40):
+        a, b = mp.sqrt(mp.mpf(alpha2)), mp.sqrt(mp.mpf(beta2))
+        r, t = mp.cos(phi), mp.sin(phi)
+        total = a**2 + b**2
+        qs = [(r * b + t * a) ** 2 / total, (r * b - t * a) ** 2 / total]
+        p, n_total, weight = mp.mpf(0), 0, mp.exp(-total)
+        while n_total <= total or weight > mp.mpf("1e-45"):
+            sector = mp.fsum(
+                min(math.comb(n_total, n) * q**n * (1 - q) ** (n_total - n) for q in qs)
+                for n in range(n_total + 1)
+            )
+            p += weight * sector / 2
+            n_total += 1
+            weight *= total / n_total
+        return p
+
+
+@pytest.mark.parametrize(
+    "alpha2,beta2,phi,receiver",
+    [
+        (0.1, 1.0, 0.3, "ml"),
+        (0.5, 3.0, 0.5, "ml"),
+        (1.0, 10.0, 0.2, "ml"),
+        (0.1, 10.0, QUARTER_PI, "ml"),
+        (0.1, 10.0, QUARTER_PI, "count"),
+    ],
+)
+def test_row_kernels_match_the_sector_sum_oracle(alpha2, beta2, phi, receiver):
+    # shares nothing with the kernels' pmf rows, cut points or cumulative sums
+    pair = PulsePair(alpha2, beta2)
+    if receiver == "ml":
+        result = p_beamsplitter_ml(pair, Beamsplitter(phi))
+        expected = _sector_sum_oracle(alpha2, beta2, mp.mpf(phi))
+    else:
+        result = p_homodyne_generalized(pair)
+        expected = _sector_sum_oracle(alpha2, beta2, mp.pi / 4)
+    assert abs(result.error_probability - float(expected)) <= result.metadata["error_bound"]

@@ -4,10 +4,13 @@ Subcommands: kennedy, homodyne, bsclass, optimum, montecarlo, figure.
 ``build_parser`` is the one subcommand table, each subparser carrying its
 handler; ``kennedy`` and ``homodyne`` read their two receiver forms from
 ``receivers._limit_pair``, and ``figure`` its ids from ``scan.FIGURE_IDS``.
-Strengths are always mean photon numbers, matching the library and every
-tabulated figure. Output for fixed flags (and seed) is byte-identical
-across runs. Exit codes: 0 success, 2 argument problems, 3 numerical
-resource limits.
+Each handler but ``figure`` (which returns its CSV or JSON text) returns its
+fields, output names mapped in order to values, and ``main`` prints one
+``name = format_value(value)`` line per field. Integer limits are checked
+once, by the library. Strengths are always mean photon numbers, matching
+the library and every tabulated figure. Output for fixed flags (and seed)
+is byte-identical across runs. Exit codes: 0 success, 2 argument problems,
+3 numerical resource limits.
 """
 
 from __future__ import annotations
@@ -38,26 +41,6 @@ def _non_negative(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
-
-
 def _grid(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
@@ -68,21 +51,14 @@ def _grid(text: str) -> list[float]:
     return values
 
 
-def _result_lines(
-    result: DiscriminationResult, quote: bool, labels=("P", "D"), extra=()
-) -> list[str]:
-    """P and D under ``labels``, the ``extra`` lines, then with ``quote`` the
+def _result_fields(result: DiscriminationResult, quote: bool, labels=("P", "D"), **extra) -> dict:
+    """P and D under ``labels``, the ``extra`` fields, then with ``quote`` the
     method and the sorted metadata."""
-    lines = [
-        f"{labels[0]} = {format_value(result.error_probability)}",
-        f"{labels[1]} = {format_value(result.distinguishability)}",
-        *extra,
-    ]
+    fields = {labels[0]: result.error_probability, labels[1]: result.distinguishability, **extra}
     if quote:
-        lines.append(f"method = {result.method}")
-        for key in sorted(result.metadata):
-            lines.append(f"{key} = {format_value(result.metadata[key])}")
-    return lines
+        fields["method"] = result.method
+        fields.update(sorted(result.metadata.items()))
+    return fields
 
 
 def _add_strength_flags(p: argparse.ArgumentParser, reference=None) -> None:
@@ -120,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--phi-over-pi", type=float, help="splitter angle divided by pi")
     group.add_argument("--optimize", action="store_true",
                        help="search the family [0, pi/4] for the best angle")
-    p.add_argument("--grid-points", type=_positive_int, default=128,
-                   help="grid size for --optimize (default 128)")
+    p.add_argument("--grid-points", type=int, default=128,
+                   help="grid size for --optimize, at least 16 (default 128)")
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
                    help="per-port Poisson tail budget (default %(default)g)")
 
@@ -139,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "angle, otherwise 0.25)")
     p.add_argument("--rule", choices=[r.value for r in DecisionRule], default="ml",
                    help="decision rule (default ml)")
-    p.add_argument("--trials", type=_positive_int, default=1_000_000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--trials", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=0)
 
     # every subcommand so far reports one result; the flag goes after its own
     for p in sub.choices.values():
@@ -160,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated alpha^2 grid for figures 1-2")
     p.add_argument("--beta2-grid", type=_grid, default=None,
                    help="comma-separated beta^2 values for figures 1, 2 and 5")
-    p.add_argument("--n-angles", type=_positive_int, default=None,
-                   help="sweep resolution for figures 3-4")
+    p.add_argument("--n-angles", type=int, default=None,
+                   help="sweep resolution for figures 3-4, at least 64")
     p.add_argument("--cross-check-alpha2", type=_non_negative, default=None,
                    help="add the exact-trace-norm column to figure 5 at this alpha^2")
     p.add_argument("--tail-tol", type=float, default=None,
@@ -169,36 +145,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_receiver(args) -> str:
+def _cmd_receiver(args) -> dict:
     """kennedy and homodyne: the subcommand names the receiver's limit pair."""
     asymptotic, generalized = _limit_pair(args.command)
     if args.asymptotic:
         result = asymptotic(args.alpha2)
     else:
         result = generalized(PulsePair(args.alpha2, args.beta2))
-    return "\n".join(_result_lines(result, args.quote_tolerances)) + "\n"
+    return _result_fields(result, args.quote_tolerances)
 
 
-def _cmd_bsclass(args) -> str:
+def _cmd_bsclass(args) -> dict:
     pair = PulsePair(args.alpha2, args.beta2)
-    if args.optimize:
-        splitter, result = best_angle(pair, args.grid_points, args.tail_tol)
-        lines = [f"phi_over_pi = {format_value(splitter.phi / math.pi)}"]
-        lines += _result_lines(result, args.quote_tolerances)
-        return "\n".join(lines) + "\n"
-    splitter = Beamsplitter(args.phi_over_pi * math.pi)
-    result = p_beamsplitter_ml(pair, splitter, args.tail_tol)
-    return "\n".join(_result_lines(result, args.quote_tolerances)) + "\n"
+    if not args.optimize:
+        result = p_beamsplitter_ml(pair, Beamsplitter(args.phi_over_pi * math.pi), args.tail_tol)
+        return _result_fields(result, args.quote_tolerances)
+    splitter, result = best_angle(pair, args.grid_points, args.tail_tol)
+    return {"phi_over_pi": splitter.phi / math.pi, **_result_fields(result, args.quote_tolerances)}
 
 
-def _cmd_optimum(args) -> str:
+def _cmd_optimum(args) -> dict:
     result = p_err_optimal(PulsePair(args.alpha2, args.beta2), args.tail_tol)
-    n_max = format_value(result.metadata["n_max"])
-    lines = _result_lines(result, args.quote_tolerances, ("P_err", "D_err"), [f"N_max = {n_max}"])
-    return "\n".join(lines) + "\n"
+    return _result_fields(result, args.quote_tolerances, ("P_err", "D_err"),
+                          N_max=result.metadata["n_max"])
 
 
-def _cmd_montecarlo(args) -> str:
+def _cmd_montecarlo(args) -> dict:
     pair = PulsePair(args.alpha2, args.beta2)
     rule = DecisionRule(args.rule)
     if args.phi_over_pi is not None:
@@ -207,23 +179,16 @@ def _cmd_montecarlo(args) -> str:
         splitter = kennedy_angle(pair)
     else:
         splitter = Beamsplitter(math.pi / 4.0)
-    cfg = TrialConfig(pair, splitter, rule, trials=args.trials, seed=args.seed)
-    est = run_trials(cfg)
-    lines = [
-        f"error_rate = {format_value(est.error_rate)}",
-        f"standard_error = {format_value(est.standard_error)}",
-        f"ci99 = [{format_value(est.ci99_low)}, {format_value(est.ci99_high)}]",
-        f"errors = {est.errors}",
-        f"trials = {est.trials}",
-        f"seed = {est.seed}",
-    ]
+    est = run_trials(TrialConfig(pair, splitter, rule, trials=args.trials, seed=args.seed))
+    fields = {"error_rate": est.error_rate, "standard_error": est.standard_error,
+              "ci99": f"[{format_value(est.ci99_low)}, {format_value(est.ci99_high)}]",
+              "errors": est.errors, "trials": est.trials, "seed": est.seed}
     if args.quote_tolerances:
-        lines.append(f"rule = {rule.value}")
-        lines.append(f"phi_over_pi = {format_value(splitter.phi / math.pi)}")
-    return "\n".join(lines) + "\n"
+        fields.update(rule=rule.value, phi_over_pi=splitter.phi / math.pi)
+    return fields
 
 
-def _cmd_figure(args) -> str | None:
+def _cmd_figure(args) -> str:
     # every figure flag but --id, --format and --out is the figure_table option of its name
     options = inspect.signature(figure_table).parameters
     table = figure_table(args.id, **{k: v for k, v in vars(args).items() if k in options})
@@ -236,7 +201,7 @@ def _cmd_figure(args) -> str | None:
             fh.write(text.getvalue())
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    return None
+    return ""
 
 
 def main(argv=None) -> int:
@@ -250,6 +215,7 @@ def main(argv=None) -> int:
     except (NumericalResourceError, ValueError) as exc:
         print(f"phasekit: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NumericalResourceError) else 2
-    if out is not None:
-        sys.stdout.write(out)
+    if not isinstance(out, str):
+        out = "".join(f"{name} = {format_value(value)}\n" for name, value in out.items())
+    sys.stdout.write(out)
     return 0

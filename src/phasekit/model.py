@@ -87,6 +87,9 @@ class Beamsplitter:
             raise SplitterRangeError(
                 f"splitter angle must lie in [0, pi/4], got {self.phi}"
             )
+        if self.phi == 0.0:
+            # -0.0 passes the range check; store +0.0 so it never prints as -0
+            object.__setattr__(self, "phi", 0.0)
         if self.r is None:
             object.__setattr__(self, "r", math.cos(self.phi))
         if self.t is None:

@@ -13,7 +13,10 @@ to the generator's own Poisson sampler, which refuses means above about
 9.2e18; ``run_trials`` refuses such a mean before any block draws.
 Streams come from numpy's PCG64 seeded through ``SeedSequence(seed).spawn``,
 one child per fixed-size trial block, so runs are reproducible bit for bit
-and block results merge by plain addition regardless of scheduling.
+and block results merge by plain addition regardless of scheduling. They are
+spawned and mapped ``SPAWN_BATCH`` blocks at a time, at most one batch held
+at once; each spawn continues the root's child count, so the streams match
+one spawn of every block.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ Z99 = 2.5758293035489004
 
 BLOCK_TRIALS = 1 << 16
 
+# blocks whose streams are spawned and mapped together
+SPAWN_BATCH = 1024
+
 _INVERSION_MEAN_LIMIT = 30.0
 
 # numpy's own bound on a Poisson mean, from the largest int64
@@ -77,7 +83,7 @@ class TrialConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.rule is DecisionRule.HOMODYNE_COMPARE:
             if abs(self.splitter.phi - QUARTER_PI) > 1e-12:
                 raise ConfigurationError(
@@ -242,8 +248,9 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
     """Simulate the configured receiver and tally wrong guesses.
 
     Trials are split into blocks of ``BLOCK_TRIALS`` with one spawned RNG
-    stream each; the error count is the plain sum over blocks, so the
-    estimate is identical however the blocks are scheduled.
+    stream each, mapped ``SPAWN_BATCH`` blocks at a time; the error count is
+    the plain sum over blocks, so the estimate is identical however the
+    blocks are scheduled.
     """
     means = port_means(cfg.pair.alpha, cfg.pair.beta, cfg.splitter.r, cfg.splitter.t)
     if (top := max(means)) > _SAMPLER_MEAN_LIMIT:
@@ -255,16 +262,16 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
     # one table per port, row 0 for PLUS trials and row 1 for MINUS trials;
     # blocks only read them, so every block sees the same CDFs
     tables = (_InversionTable(means[:2]), _InversionTable(means[2:]))
-    n_blocks = (cfg.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    children = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
-    sizes = [
-        min(BLOCK_TRIALS, cfg.trials - i * BLOCK_TRIALS) for i in range(n_blocks)
-    ]
 
-    def run_block(i: int) -> int:
-        rng = np.random.Generator(np.random.PCG64(children[i]))
-        return _simulate_block(cfg, slopes, tables, rng, sizes[i])
+    def run_block(block) -> int:
+        child, first = block
+        rng = np.random.Generator(np.random.PCG64(child))
+        return _simulate_block(cfg, slopes, tables, rng, min(BLOCK_TRIALS, cfg.trials - first))
 
-    errors = sum(parallel_map(run_block, range(n_blocks)))
+    root = np.random.SeedSequence(cfg.seed)
+    errors = 0
+    for start in range(0, cfg.trials, SPAWN_BATCH * BLOCK_TRIALS):
+        # the first trial of each block in this batch
+        firsts = range(start, cfg.trials, BLOCK_TRIALS)[:SPAWN_BATCH]
+        errors += sum(parallel_map(run_block, zip(root.spawn(len(firsts)), firsts)))
     return EstimateResult(errors, cfg.trials, cfg.seed)
-

@@ -307,6 +307,51 @@ def test_angle_grids_past_the_ceiling_exit_3_unbuilt(command, points, capsys, mo
     assert "ceiling of 1048576" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        ("bsclass --alpha2 0.1 --beta2 1 --optimize --grid-points 0",
+         "grid_points must be at least 16, got 0"),
+        ("bsclass --alpha2 0.1 --beta2 1 --optimize --grid-points 15",
+         "grid_points must be at least 16, got 15"),
+        ("figure --id 3 --n-angles 0", "n_angles must be at least 64, got 0"),
+        ("figure --id 4 --n-angles 63", "n_angles must be at least 64, got 63"),
+        ("montecarlo --alpha2 0.1 --beta2 1 --trials 0", "trials must be at least 1, got 0"),
+        ("montecarlo --alpha2 0.1 --beta2 1 --trials -1", "trials must be at least 1, got -1"),
+        ("montecarlo --alpha2 0.1 --beta2 1 --seed -1", "seed must lie in [0, 2**64), got -1"),
+        ("montecarlo --alpha2 0.1 --beta2 1 --seed 18446744073709551616",
+         "seed must lie in [0, 2**64), got 18446744073709551616"),
+    ],
+)
+def test_integer_limits_exit_2_with_one_line(argv, limit, capsys):
+    # the library checks each limit; the parser only reads an integer
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"phasekit: {limit}\n"
+
+
+@pytest.mark.parametrize("flag, text", [("--seed", "1.5"), ("--trials", "x")])
+def test_non_integer_text_is_a_usage_error(flag, text, capsys):
+    assert cli.main(["montecarlo", "--alpha2", "0.1", "--beta2", "1", flag, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert f"argument {flag}: " in captured.err and repr(text) in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("montecarlo --alpha2 0.1 --beta2 1 --trials 1000", "phi_over_pi = 0"),
+        ("bsclass --alpha2 0.1 --beta2 1", "phi = 0"),
+    ],
+)
+def test_a_negative_zero_angle_prints_as_zero(command, line, capsys):
+    assert cli.main([*command.split(), "--phi-over-pi", "-0", "--quote-tolerances"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_montecarlo_command_and_determinism():
     args = ("montecarlo", "--alpha2", "0.1", "--beta2", "1", "--rule", "homodyne",
             "--trials", "20000", "--seed", "11")

@@ -40,6 +40,13 @@ def test_beamsplitter_range_is_closed():
         Beamsplitter(QUARTER_PI + 1e-9)
 
 
+def test_beamsplitter_stores_a_negative_zero_angle_as_zero():
+    bs = Beamsplitter(-0.0)
+    assert math.copysign(1.0, bs.phi) == 1.0
+    assert math.copysign(1.0, bs.t) == 1.0
+    assert (bs.r, bs.t) == (1.0, 0.0)
+
+
 def test_beamsplitter_magnitudes():
     bs = Beamsplitter(0.3)
     assert bs.r == math.cos(0.3)

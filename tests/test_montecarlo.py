@@ -599,3 +599,40 @@ def test_run_matches_benchmark_reference(key):
     )
     text = f"error_rate = {est.error_rate:.12g}\nerrors = {est.errors}\ntrials = {est.trials}\n"
     assert text == MONTECARLO_REFERENCES[key]
+
+
+# --------------------------------------------------------- batched streams
+
+
+def test_batched_spawns_draw_like_one_spawn():
+    # each spawn continues the root's child count
+    root = np.random.SeedSequence(2024)
+    batched = root.spawn(3) + root.spawn(5)
+    whole = np.random.SeedSequence(2024).spawn(8)
+    assert [np.random.Generator(np.random.PCG64(c)).random(4).tolist() for c in batched] == [
+        np.random.Generator(np.random.PCG64(c)).random(4).tolist() for c in whole
+    ]
+
+
+@pytest.mark.parametrize(
+    "pair, splitter, rule, errors",
+    [
+        (PulsePair(0.2, 4.0), Beamsplitter(0.15 * math.pi), DecisionRule.ML_JOINT, 48966),
+        (PulsePair(0.1, 60.0), homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE, 69860),
+    ],
+)
+def test_run_trials_maps_one_batch_of_streams_at_a_time(monkeypatch, pair, splitter, rule, errors):
+    # five blocks, the last one partial; the error counts were recorded when
+    # every stream was spawned in one call and mapped at once
+    mapped = []
+
+    def recording(fn, items):
+        items = list(items)
+        mapped.append(len(items))
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(montecarlo, "SPAWN_BATCH", 2)
+    monkeypatch.setattr(montecarlo, "parallel_map", recording)
+    cfg = TrialConfig(pair, splitter, rule, trials=4 * montecarlo.BLOCK_TRIALS + 1000, seed=7)
+    assert run_trials(cfg).errors == errors
+    assert mapped == [2, 2, 1]

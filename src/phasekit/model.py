@@ -10,6 +10,9 @@ phase.
 
 ``port_means`` is the one place the four port means are computed, from raw
 amplitudes and splitter magnitudes, so an angle search needs no splitter.
+A splitter is its angle alone, the cancellation splitter included:
+``port_means`` makes its dark port exactly 0 at the cosine and sine of
+arctan(alpha/beta).
 """
 
 from __future__ import annotations
@@ -73,14 +76,13 @@ class Beamsplitter:
     """Lossless splitter with reflection r = cos(phi), transmission t = sin(phi).
 
     The family is closed over 0 <= phi <= pi/4; angles outside are rejected
-    rather than folded back in. Explicit (r, t) may be supplied when exact
-    magnitudes matter (the Kennedy cancellation below), but must agree with
-    the angle.
+    rather than folded back in. The angle is the only argument: r and t are
+    always its cosine and sine.
     """
 
     phi: float
-    r: float | None = None
-    t: float | None = None
+    r: float = field(init=False)
+    t: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.phi <= QUARTER_PI):
@@ -90,14 +92,8 @@ class Beamsplitter:
         if self.phi == 0.0:
             # -0.0 passes the range check; store +0.0 so it never prints as -0
             object.__setattr__(self, "phi", 0.0)
-        if self.r is None:
-            object.__setattr__(self, "r", math.cos(self.phi))
-        if self.t is None:
-            object.__setattr__(self, "t", math.sin(self.phi))
-        if abs(self.r - math.cos(self.phi)) > 1e-9 or abs(self.t - math.sin(self.phi)) > 1e-9:
-            raise ValueError("explicit (r, t) disagree with the splitter angle")
-        if abs(self.r * self.r + self.t * self.t - 1.0) > 1e-14:
-            raise ValueError("splitter magnitudes must satisfy r^2 + t^2 = 1")
+        object.__setattr__(self, "r", math.cos(self.phi))
+        object.__setattr__(self, "t", math.sin(self.phi))
 
 
 def homodyne_splitter() -> Beamsplitter:
@@ -108,21 +104,20 @@ def homodyne_splitter() -> Beamsplitter:
 def kennedy_angle(pair: PulsePair) -> Beamsplitter:
     """Splitter that darkens output port 2 under the PLUS hypothesis.
 
-    Requires cos^2(phi) = beta^2 / (alpha^2 + beta^2). A reference weaker
-    than the signal would need phi > pi/4, outside the family; callers may
-    swap the two roles first (all receiver formulas are symmetric in them).
+    Requires tan(phi) = alpha / beta. At the cosine and sine of that angle,
+    port 2's amplitude under PLUS is below float resolution, and
+    ``port_means`` makes it exactly dark. A reference weaker than the signal
+    would need phi > pi/4, outside the family; callers may swap the two
+    roles first (all receiver formulas are symmetric in them).
     """
-    total = pair.total
-    if total <= 0.0:
+    if pair.total <= 0.0:
         raise ValueError("cancellation angle needs at least one non-empty pulse")
     if pair.beta2 < pair.alpha2:
         raise SplitterRangeError(
             "reference weaker than signal puts the cancellation angle beyond pi/4; "
             "swap the signal and reference roles instead"
         )
-    # where alpha^2 + beta^2 overflows, the amplitudes' hypotenuse does not
-    h = math.sqrt(total) if total < math.inf else math.hypot(pair.alpha, pair.beta)
-    return Beamsplitter(math.atan2(pair.alpha, pair.beta), r=pair.beta / h, t=pair.alpha / h)
+    return Beamsplitter(math.atan2(pair.alpha, pair.beta))
 
 
 def _squared_amplitude(diff: float, scale: float) -> float:
@@ -165,9 +160,7 @@ class DiscriminationResult:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        p = self.error_probability
-        if not (0.0 <= p <= 0.5):
-            raise ValueError(f"error probability must lie in [0, 1/2], got {p}")
+        object.__setattr__(self, "error_probability", _checked_probability(self.error_probability))
 
     @property
     def distinguishability(self) -> float:
@@ -175,7 +168,7 @@ class DiscriminationResult:
 
     @classmethod
     def from_error_probability(cls, p: float, method: str, **metadata) -> "DiscriminationResult":
-        return cls(_checked_probability(p), method, dict(metadata))
+        return cls(p, method, dict(metadata))
 
 
 def _checked_probability(p: float) -> float:

@@ -115,11 +115,11 @@ GOLDEN = {
     ),
     ("ml_dark_port", 0.1, 100000.0): (
         "beamsplitter_ml",
-        "0x1.573439664f9e2p-2",
-        ("error_bound", "0x1.19799812dea11p-38"),
+        "0x1.5734396676d7ap-2",
+        ("error_bound", "0x1.9a996604b7a84p-36"),
         ("m_cut", 10),
         ("n_cut", 102233),
-        ("neglected_mass", "0x1.382d000000000p-34"),
+        ("neglected_mass", "0x1.1833600000000p-34"),
         ("phi", "0x1.0624d77516e15p-10"),
         ("tail_tol", "0x1.19799812dea11p-40"),
         ("tie_log_band", "0x1.19799812dea11p-40"),

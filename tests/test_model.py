@@ -15,6 +15,7 @@ from phasekit.model import (
     kennedy_angle,
     port_means,
 )
+from phasekit.montecarlo import DecisionRule, TrialConfig
 
 strengths = st.floats(min_value=0.0, max_value=25.0)
 
@@ -52,8 +53,9 @@ def test_beamsplitter_magnitudes():
     assert bs.r == math.cos(0.3)
     assert bs.t == math.sin(0.3)
     assert abs(bs.r**2 + bs.t**2 - 1.0) <= 1e-14
-    with pytest.raises(ValueError):
-        Beamsplitter(0.3, r=0.9, t=0.1)
+    # the angle is the only argument; r and t are derived from it
+    with pytest.raises(TypeError):
+        Beamsplitter(0.3, r=math.cos(0.3), t=math.sin(0.3))
 
 
 def test_homodyne_splitter_is_balanced():
@@ -75,17 +77,17 @@ def test_kennedy_angle_anchors():
 
 
 def test_kennedy_angle_where_the_total_strength_overflows():
-    # alpha^2 + beta^2 is inf; the splitter comes from the amplitudes instead
+    # alpha^2 + beta^2 is inf; the angle comes from the amplitudes alone
     largest = 1.7976931348623157e308
     bs = kennedy_angle(PulsePair(largest, largest))
     assert bs.phi == QUARTER_PI
     assert bs.r == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    assert bs.t == bs.r
-    # a finite total keeps the splitter of beta / sqrt(total), bit for bit
-    for alpha2, beta2 in ((0.1, 1.0), (1e-300, 1e300), (1e307, 1.6e308)):
-        pair = PulsePair(alpha2, beta2)
-        bs = kennedy_angle(pair)
-        assert (bs.r, bs.t) == (pair.beta / math.sqrt(pair.total), pair.alpha / math.sqrt(pair.total))
+    # cos and sin of pi/4 may differ by one ulp depending on the libm
+    assert bs.t == pytest.approx(bs.r, abs=2e-16)
+    # the cancellation splitter is its angle, like every other splitter
+    for alpha2, beta2 in ((0.1, 1.0), (1e-300, 1e300), (1e307, 1.6e308), (largest, largest)):
+        bs = kennedy_angle(PulsePair(alpha2, beta2))
+        assert (bs.r, bs.t) == (math.cos(bs.phi), math.sin(bs.phi))
 
 
 def test_kennedy_angle_requires_reference_at_least_signal():
@@ -115,11 +117,44 @@ def test_port_means_no_signal_is_hypothesis_blind():
     assert n2_plus == n2_minus
 
 
-def test_port_means_cancellation_port_is_exactly_dark():
+def test_port_means_cancellation_port_carries_the_minus_light():
     pair = PulsePair(0.1, 1.0)
     _, _, n2_plus, n2_minus = _means(pair, kennedy_angle(pair))
     assert n2_plus == 0.0
     assert n2_minus == pytest.approx(4.0 * 0.1 * 1.0 / 1.1, rel=1e-12)
+
+
+# alpha^2 and beta^2 in {0} and [1e-300, 1e300], log-uniform
+_float_range_strengths = st.just(0.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_edge_strengths = (0.0, 5e-324, 1e-310, 2.3e-308, 1.0, 1.7976931348623157e308)
+
+
+def _edge_examples(test):
+    for alpha2 in _edge_strengths:
+        for beta2 in _edge_strengths:
+            if alpha2 <= beta2:
+                test = example(alpha2=alpha2, beta2=beta2)(test)
+    return test
+
+
+@settings(max_examples=300)
+@given(alpha2=_float_range_strengths, beta2=_float_range_strengths)
+@_edge_examples
+def test_port_means_cancellation_port_is_exactly_dark(alpha2, beta2):
+    # cos and sin of arctan(alpha/beta) leave a port 2 amplitude under PLUS
+    # below float resolution, and port_means squares that to exactly 0
+    pair = PulsePair(min(alpha2, beta2), max(alpha2, beta2))
+    if pair.total == 0.0:
+        return
+    splitter = kennedy_angle(pair)
+    if pair.total == math.inf:
+        # the bright mean alpha^2 + beta^2 is past the float range: a resource
+        # limit, never a misplaced angle
+        with pytest.raises(NumericalResourceError):
+            TrialConfig(pair, splitter, DecisionRule.KENNEDY_SINGLE_PORT)
+        return
+    assert _means(pair, splitter)[2] == 0.0
+    TrialConfig(pair, splitter, DecisionRule.KENNEDY_SINGLE_PORT)
 
 
 @given(strengths, strengths, st.floats(min_value=0.0, max_value=QUARTER_PI))
@@ -206,8 +241,13 @@ def test_discrimination_result_invariants():
         DiscriminationResult.from_error_probability(float("nan"), "x")
     # D is derived from P, never stored apart from it
     assert DiscriminationResult(0.2, "x").distinguishability == 0.6
+    # a directly built result checks P the same way
+    assert DiscriminationResult(-1e-13, "x").error_probability == 0.0
+    assert DiscriminationResult(0.5 + 1e-13, "x").error_probability == 0.5
     with pytest.raises(ValueError):
         DiscriminationResult(0.62, "x")
+    with pytest.raises(ValueError):
+        DiscriminationResult(float("nan"), "x")
 
 
 @given(st.floats(min_value=0.0, max_value=0.5))

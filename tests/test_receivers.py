@@ -401,10 +401,8 @@ def test_kernel_p_is_the_public_p_bit_for_bit(alpha2, beta2, phi, tail_tol):
     pair = PulsePair(alpha2, beta2)
     splitters = [Beamsplitter(phi)]
     if 0.0 < pair.total and alpha2 <= beta2:
-        # the cancellation angle both as best_angle evaluates it (cos, sin of
-        # the angle) and with the exact magnitudes kennedy_angle carries
-        dark = kennedy_angle(pair)
-        splitters += [dark, Beamsplitter(dark.phi)]
+        # the cancellation angle, an exactly dark port
+        splitters.append(kennedy_angle(pair))
     for splitter in splitters:
         # P, or the same refusal of a P that rounding pushed past 1/2
         outcomes = []
@@ -437,18 +435,16 @@ def test_row_kernels_are_the_one_row_calls_bit_for_bit(alpha2, beta2, phis, tail
     # an infinite slope) among drawn angles; at tail_tol 1e-100 rows whose
     # search doubles its margin share the block with rows whose search does not
     pair = PulsePair(alpha2, beta2)
-    splitters = [(1.0, 0.0), (math.cos(QUARTER_PI), math.sin(QUARTER_PI))]
+    angles = [0.0, QUARTER_PI]
     if 0.0 < pair.total and alpha2 <= beta2:
-        dark = kennedy_angle(pair)
-        splitters.append((dark.r, dark.t))
-    splitters += [(math.cos(phi), math.sin(phi)) for phi in phis]
-    means = [port_means(pair.alpha, pair.beta, r, t) for r, t in splitters]
+        angles.append(kennedy_angle(pair).phi)
+    angles += phis
+    means = [port_means(pair.alpha, pair.beta, math.cos(phi), math.sin(phi)) for phi in angles]
     rows, _ = _ml_error(means, tail_tol)
     assert [p.hex() for p in rows] == [_ml_error([m], tail_tol)[0][0].hex() for m in means]
     assert _row_errors(_ml_error, means, tail_tol) == rows
-    # the same grid by angle, without the exact cancellation magnitudes
-    by_angle = _angle_errors(pair, [0.0, QUARTER_PI, *phis], tail_tol)
-    assert by_angle == rows[:2] + rows[len(splitters) - len(phis):]
+    # the same grid by angle, the cancellation angle included
+    assert _angle_errors(pair, angles, tail_tol) == rows
     # the count comparison over a row of signal strengths at this reference
     pairs = [PulsePair(a2, beta2) for a2 in (alpha2, 0.0, *(1e-3 + phi for phi in phis))]
     count_means = [_count_means(p) for p in pairs]
@@ -502,6 +498,18 @@ def test_ml_at_the_special_angles_is_no_worse_than_their_receivers(alpha2, beta2
     ml = p_beamsplitter_ml(oriented, kennedy_angle(oriented))
     ken = p_kennedy_generalized(oriented)
     assert ml.error_probability <= ken.error_probability + ml.metadata.get("error_bound", 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_strengths, _wide_strengths, st.floats(0.0, QUARTER_PI))
+def test_ml_is_symmetric_under_swap(alpha2, beta2, phi):
+    # swapping the pulses exchanges the ports and the hypotheses, which the
+    # ML rule over joint counts undoes, so P moves only by truncation
+    splitter = Beamsplitter(phi)
+    direct = p_beamsplitter_ml(PulsePair(alpha2, beta2), splitter)
+    swapped = p_beamsplitter_ml(PulsePair(beta2, alpha2), splitter)
+    slack = direct.metadata.get("error_bound", 0.0) + swapped.metadata.get("error_bound", 0.0)
+    assert abs(direct.error_probability - swapped.error_probability) <= slack
 
 
 def test_kernel_validates_tail_tol_even_when_degenerate():

@@ -3,23 +3,31 @@
 
 Writes figure1.csv .. figure5.csv into the output directory, plus PNG
 plots when matplotlib is importable. The CSVs are the tested surface; the
-plots are a convenience.
+plots are a convenience. All five tables are built before the directory is
+made, so a value the library refuses exits 2 (a resource limit 3) with one
+line and writes nothing.
 """
 
 import argparse
 from pathlib import Path
 
-from phasekit.cli import _non_negative
+from phasekit import NumericalResourceError
 from phasekit.scan import FIGURE_IDS, figure_table, write_csv
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="output directory (default ./out)")
-    parser.add_argument("--cross-check-alpha2", type=_non_negative, default=None,
+    parser.add_argument("--cross-check-alpha2", type=float, default=None,
                         help="add the exact-trace-norm column to figure 5")
     parser.add_argument("--no-plots", action="store_true")
     args = parser.parse_args()
+
+    options = {5: {"cross_check_alpha2": args.cross_check_alpha2}}
+    try:
+        tables = {fig_id: figure_table(fig_id, **options.get(fig_id, {})) for fig_id in FIGURE_IDS}
+    except (NumericalResourceError, ValueError) as exc:
+        parser.exit(3 if isinstance(exc, NumericalResourceError) else 2, f"{parser.prog}: {exc}\n")
 
     outdir = Path(args.outdir)
     try:
@@ -27,13 +35,7 @@ def main() -> int:
     except OSError as exc:
         parser.exit(2, f"{parser.prog}: cannot create {outdir}: {exc.strerror}\n")
 
-    tables = {}
-    for fig_id in FIGURE_IDS:
-        kwargs = {}
-        if fig_id == 5:
-            kwargs["cross_check_alpha2"] = args.cross_check_alpha2
-        table = figure_table(fig_id, **kwargs)
-        tables[fig_id] = table
+    for fig_id, table in tables.items():
         path = outdir / f"figure{fig_id}.csv"
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:

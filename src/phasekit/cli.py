@@ -6,11 +6,13 @@ handler; ``kennedy`` and ``homodyne`` read their two receiver forms from
 ``receivers._limit_pair``, and ``figure`` its ids from ``scan.FIGURE_IDS``.
 Each handler but ``figure`` (which returns its CSV or JSON text) returns its
 fields, output names mapped in order to values, and ``main`` prints one
-``name = format_value(value)`` line per field. Integer limits are checked
-once, by the library. Strengths are always mean photon numbers, matching
-the library and every tabulated figure. Output for fixed flags (and seed)
-is byte-identical across runs. Exit codes: 0 success, 2 argument problems,
-3 numerical resource limits.
+``name = format_value(value)`` line per field. The parser only reads
+numbers: every limit on them (a finite, non-negative strength, a tail
+budget in (0, 1), the integer limits) is checked once, by the library, and
+a refusal is one ``phasekit:`` line. Strengths are always mean photon
+numbers, matching the library and every tabulated figure. Output for fixed
+flags (and seed) is byte-identical across runs. Exit codes: 0 success, 2
+argument problems, 3 numerical resource limits.
 """
 
 from __future__ import annotations
@@ -29,16 +31,6 @@ from .receivers import DEFAULT_TAIL_TOL, _limit_pair, best_angle, p_beamsplitter
 from .scan import FIGURE_IDS, figure_table, format_value, write_csv, write_json
 
 __all__ = ["main"]
-
-
-def _non_negative(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative decimal: {text}")
-    return value
 
 
 def _grid(text: str) -> list[float]:
@@ -63,10 +55,10 @@ def _result_fields(result: DiscriminationResult, quote: bool, labels=("P", "D"),
 
 def _add_strength_flags(p: argparse.ArgumentParser, reference=None) -> None:
     """--alpha2, and --beta2: required, or one choice of the required group ``reference``."""
-    p.add_argument("--alpha2", type=_non_negative, required=True,
+    p.add_argument("--alpha2", type=float, required=True,
                    help="signal mean photon number")
     (p if reference is None else reference).add_argument(
-        "--beta2", type=_non_negative, required=reference is None,
+        "--beta2", type=float, required=reference is None,
         help="reference mean photon number")
 
 
@@ -128,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, required=True, choices=FIGURE_IDS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default standard output)")
-    p.add_argument("--alpha2", type=_non_negative, default=None,
+    p.add_argument("--alpha2", type=float, default=None,
                    help="signal strength for figures 3-4")
-    p.add_argument("--beta2", type=_non_negative, default=None,
+    p.add_argument("--beta2", type=float, default=None,
                    help="reference strength for figures 3-4")
     p.add_argument("--alpha2-grid", type=_grid, default=None,
                    help="comma-separated alpha^2 grid for figures 1-2")
@@ -138,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated beta^2 values for figures 1, 2 and 5")
     p.add_argument("--n-angles", type=int, default=None,
                    help="sweep resolution for figures 3-4, at least 64")
-    p.add_argument("--cross-check-alpha2", type=_non_negative, default=None,
+    p.add_argument("--cross-check-alpha2", type=float, default=None,
                    help="add the exact-trace-norm column to figure 5 at this alpha^2")
     p.add_argument("--tail-tol", type=float, default=None,
                    help="Poisson tail tolerance for figures 2-5")

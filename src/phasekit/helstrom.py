@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .model import DiscriminationResult, PulsePair
-from .numerics import NEG_INF, _poisson_search
+from .numerics import NEG_INF, _checked_tail, _poisson_search
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
@@ -121,8 +121,7 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
     beta^2 = 0 the states are identical, and the exact tie 1/2 comes back
     with n_max = 0 and no cutoff sized.
     """
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    _checked_tail(tail_tol)
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         # identical states: an exact tie, with nothing to truncate
         return DiscriminationResult.from_error_probability(

@@ -2,6 +2,8 @@
 
 Pulse strengths live as mean photon numbers (the natural experimental
 knobs); amplitudes are taken as the non-negative square roots on demand.
+``_checked_strength`` is the one rule for a strength, read by ``PulsePair``,
+the closed forms that take alpha^2 alone and the figure tables.
 The random optical phase shared by signal and reference never appears
 explicitly: every quantity downstream depends on the inputs only through
 the moduli |r*beta +/- t*alpha|, which a common phase rotation leaves
@@ -42,18 +44,22 @@ class SplitterRangeError(ValueError):
     """Requested splitter falls outside the closed one-parameter family."""
 
 
+def _checked_strength(name: str, value: float) -> None:
+    """A mean photon number as every entry point takes it, refused unless finite and >= 0."""
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class PulsePair:
-    """Signal and reference strengths as mean photon numbers."""
+    """Signal and reference strengths as mean photon numbers, each ``_checked_strength``."""
 
     alpha2: float
     beta2: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha2", "beta2"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {v}")
+        _checked_strength("alpha2", self.alpha2)
+        _checked_strength("beta2", self.beta2)
 
     @property
     def alpha(self) -> float:

@@ -3,14 +3,15 @@
 Trials draw a hypothesis fairly, Poisson counts per output port, and apply
 one of three decision rules; the maximum-likelihood rule scores each trial
 with the analytic receiver's straight boundary a*n + b*m, so both routes
-share one rule and one tie band. ``_draw_counts`` is the one Poisson
-sampler and draws a whole block of counts at once: when every mean in the
-block is below 30, each count inverts a single uniform draw against the
-Poisson CDF through a guide table built once per run (indexed search, Chen
-& Asau 1974). One lookup gives the count, or -1 for the few bins that hold
-a CDF step, which a binary search settles. Otherwise the block falls back
-to the generator's own Poisson sampler, which refuses means above about
-9.2e18; ``run_trials`` refuses such a mean before any block draws.
+share one rule and one tie band; the count comparison is the same score at
+unit slopes, n - m. ``_draw_counts`` is the one Poisson sampler and draws a
+whole block of counts at once: when every mean in the block is below 30,
+each count inverts a single uniform draw against the Poisson CDF through a
+guide table built once per run (indexed search, Chen & Asau 1974). One
+lookup gives the count, or -1 for the few bins that hold a CDF step, which
+a binary search settles. Otherwise the block falls back to the generator's
+own Poisson sampler, which refuses means above about 9.2e18; ``run_trials``
+refuses such a mean before any block draws.
 Streams come from numpy's PCG64 seeded through ``SeedSequence(seed).spawn``,
 one child per fixed-size trial block, so runs are reproducible bit for bit
 and block results merge by plain addition regardless of scheduling. They are
@@ -227,16 +228,12 @@ def _simulate_block(
         # the single-port rule never ties; a PLUS guess is wrong exactly on
         # the MINUS trials, and a MINUS guess on the others
         return int(np.count_nonzero((counts2 == 0) == minus))
-    if cfg.rule is DecisionRule.HOMODYNE_COMPARE:
-        guess_plus = counts1 > counts2
-        tied = np.flatnonzero(counts1 == counts2)
-    else:
-        # a dark port's count is 0 on every trial it could contradict, so
-        # inf + -inf never occurs
-        diff = _ml_score(slopes[0], counts1)
-        diff += _ml_score(slopes[1], counts2)
-        guess_plus = diff > TIE_LOG_BAND
-        tied = np.flatnonzero(np.abs(diff, out=diff) <= TIE_LOG_BAND)
+    # a dark port's count is 0 on every trial it could contradict, so
+    # inf + -inf never occurs
+    diff = _ml_score(slopes[0], counts1)
+    diff += _ml_score(slopes[1], counts2)
+    guess_plus = diff > TIE_LOG_BAND
+    tied = np.flatnonzero(np.abs(diff, out=diff) <= TIE_LOG_BAND)
     if tied.size:
         # tie-breaks consume draws only when ties occur; the tie pattern is
         # itself deterministic given the counts, so replay stays exact
@@ -258,7 +255,8 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
             f"a port mean of {top:.4g} is above the Poisson sampler's limit of "
             f"{_SAMPLER_MEAN_LIMIT:.4g}"
         )
-    slopes = _ml_slopes(*means)
+    # the count comparison scores n - m, the same boundary at unit slopes
+    slopes = (1.0, -1.0) if cfg.rule is DecisionRule.HOMODYNE_COMPARE else _ml_slopes(*means)
     # one table per port, row 0 for PLUS trials and row 1 for MINUS trials;
     # blocks only read them, so every block sees the same CDFs
     tables = (_InversionTable(means[:2]), _InversionTable(means[2:]))

@@ -18,7 +18,8 @@ by a larger one.
 
 The module exports only ``MAX_PHOTON_COUNT``, the one ceiling on every
 truncated sum in the package, and ``NumericalResourceError``, which the
-search raises past it before anything is allocated.
+search raises past it before anything is allocated. ``_checked_tail`` is the
+one rule for a tail budget.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def _checked_count(x: float) -> int:
             f"truncation needs photon counts up to {x:.4g}, above the ceiling of {MAX_PHOTON_COUNT}"
         )
     return int(x)
+
+
+def _checked_tail(tail_tol: float) -> None:
+    """A tail budget as every truncated sum takes it, refused outside (0, 1) (also nan)."""
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 
 
 def _log_factorial_table(max_n: int) -> np.ndarray:

@@ -33,9 +33,10 @@ import math
 
 import numpy as np
 
-from .model import (Beamsplitter, DiscriminationResult, PulsePair, _checked_probability, _square,
-                    homodyne_splitter, port_means)
-from .numerics import MAX_PHOTON_COUNT, NumericalResourceError, _pmf_rows, _row_blocks
+from .model import (Beamsplitter, DiscriminationResult, PulsePair, _checked_probability,
+                    _checked_strength, _square, homodyne_splitter, port_means)
+from .numerics import (MAX_PHOTON_COUNT, NumericalResourceError, _checked_tail, _pmf_rows,
+                       _row_blocks)
 
 __all__ = ["DEFAULT_TAIL_TOL", "TIE_LOG_BAND", "p_min_pure", "p_kennedy_asymptotic",
            "p_homodyne_asymptotic", "p_kennedy_generalized", "p_homodyne_generalized",
@@ -130,25 +131,22 @@ def p_min_pure(alpha2: float) -> DiscriminationResult:
     form x / (2 (1 + sqrt(1 - x))) with x = e^(-4 alpha^2), which keeps full
     relative precision in the strong-signal regime where P is tiny.
     """
-    if alpha2 < 0:
-        raise ValueError(f"alpha2 must be non-negative, got {alpha2}")
+    _checked_strength("alpha2", alpha2)
     x = math.exp(-4.0 * alpha2)
     p = x / (2.0 * (1.0 + math.sqrt(-math.expm1(-4.0 * alpha2))))
     return DiscriminationResult.from_error_probability(p, "helstrom_pure")
 
 
 def p_kennedy_asymptotic(alpha2: float) -> DiscriminationResult:
-    """Dark-port counting with an arbitrarily strong reference."""
-    if alpha2 < 0:
-        raise ValueError(f"alpha2 must be non-negative, got {alpha2}")
+    """Dark-port counting with an arbitrarily strong reference; alpha^2 must be finite."""
+    _checked_strength("alpha2", alpha2)
     p = 0.5 * math.exp(-4.0 * alpha2)
     return DiscriminationResult.from_error_probability(p, "kennedy_asymptotic")
 
 
 def p_homodyne_asymptotic(alpha2: float) -> DiscriminationResult:
-    """Balanced-splitter comparison in the strong-reference (Gaussian) limit."""
-    if alpha2 < 0:
-        raise ValueError(f"alpha2 must be non-negative, got {alpha2}")
+    """Balanced-splitter comparison in the strong-reference (Gaussian) limit; alpha^2 finite."""
+    _checked_strength("alpha2", alpha2)
     # P[Z > 2 alpha] for a standard normal Z
     p = 0.5 * math.erfc(2.0 * math.sqrt(alpha2) / math.sqrt(2.0))
     return DiscriminationResult.from_error_probability(p, "homodyne_asymptotic")
@@ -198,8 +196,7 @@ def _count_error(means, tail_tol: float):
     follows the larger count, a fair coin on equality; each row's sums are
     1-D dot products over its own 0 .. cut.
     """
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    _checked_tail(tail_tol)
     live = [i for i, row in enumerate(means) if not _tied(row)]
     ps = [0.5] * len(means)
     if not live:
@@ -257,8 +254,7 @@ def _ml_error(means, tail_tol: float):
     Outcomes whose scores lie within ``TIE_LOG_BAND`` of zero count as ties
     and contribute half their mass to the error.
     """
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    _checked_tail(tail_tol)
     live = [i for i, row in enumerate(means) if not _tied(row)]
     ps = [0.5] * len(means)
     if not live:

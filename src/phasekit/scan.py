@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, d_err_small_alpha, p_err_optimal
-from .model import PulsePair, kennedy_angle
+from .model import PulsePair, _checked_strength, kennedy_angle
+from .numerics import _checked_tail
 from .receivers import (DEFAULT_TAIL_TOL, _angle_errors, _angle_grid, _count_errors,
                         _limit_pair, p_homodyne_generalized, p_kennedy_generalized)
 
@@ -221,12 +222,11 @@ def figure_table(
     if unused:
         raise ValueError(f"figure {fig_id} does not use {', '.join(unused)}")
     opts = {k: default if given[k] is None else given[k] for k, default in defaults.items()}
-    if tail_tol is not None and not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if cross_check_alpha2 is not None and not 0.0 <= cross_check_alpha2 < math.inf:
-        raise ValueError(
-            f"cross_check_alpha2 must be finite and non-negative, got {cross_check_alpha2}"
-        )
+    # checked here as well, so that a figure whose rows never read them still refuses them
+    if tail_tol is not None:
+        _checked_tail(tail_tol)
+    if cross_check_alpha2 is not None:
+        _checked_strength("cross_check_alpha2", cross_check_alpha2)
     columns, rows = rows_for(**opts)
     # figures 3-4 carry no "figure" key, and their pinned JSON bytes depend on it
     metadata = {} if fig_id in (3, 4) else {"figure": fig_id}

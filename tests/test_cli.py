@@ -340,6 +340,68 @@ def test_non_integer_text_is_a_usage_error(flag, text, capsys):
     assert f"argument {flag}: " in captured.err and repr(text) in captured.err
 
 
+# each float flag of each subcommand, at {} in a command that reads it
+FLOAT_FLAG_COMMANDS = [
+    "kennedy --alpha2 {} --beta2 1",
+    "kennedy --alpha2 0.1 --beta2 {}",
+    "kennedy --alpha2 {} --asymptotic",
+    "homodyne --alpha2 {} --beta2 1",
+    "homodyne --alpha2 0.1 --beta2 {}",
+    "homodyne --alpha2 {} --asymptotic",
+    "bsclass --alpha2 {} --beta2 1 --phi-over-pi 0.2",
+    "bsclass --alpha2 0.1 --beta2 {} --phi-over-pi 0.2",
+    "bsclass --alpha2 0.1 --beta2 1 --phi-over-pi {}",
+    "bsclass --alpha2 0.1 --beta2 1 --optimize --tail-tol {}",
+    "optimum --alpha2 {} --beta2 1",
+    "optimum --alpha2 0.1 --beta2 {}",
+    "optimum --alpha2 0.1 --beta2 1 --tail-tol {}",
+    "montecarlo --alpha2 {} --beta2 1 --trials 10",
+    "montecarlo --alpha2 0.1 --beta2 {} --trials 10",
+    "montecarlo --alpha2 0.1 --beta2 1 --trials 10 --phi-over-pi {}",
+    "figure --id 3 --alpha2 {}",
+    "figure --id 4 --beta2 {}",
+    "figure --id 3 --tail-tol {}",
+    "figure --id 5 --cross-check-alpha2 {}",
+]
+
+
+def _flag(command: str) -> tuple[str, str]:
+    """The subcommand and the flag that an entry of FLOAT_FLAG_COMMANDS sets."""
+    words = command.split()
+    return words[0], words[words.index("{}") - 1]
+
+
+def test_every_float_flag_has_a_command():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {(name, flag) for name, p in sub.choices.items() for a in p._actions
+             if a.type is float for flag in a.option_strings}
+    assert flags == {_flag(command) for command in FLOAT_FLAG_COMMANDS}
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", FLOAT_FLAG_COMMANDS)
+def test_every_float_flag_refuses_a_bad_value_with_one_line(command, value, capsys):
+    # the parser only reads a float; the library refuses it, each strength
+    # and tail budget with the one message of its rule
+    assert cli.main(command.format(value).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("phasekit: ") and captured.err.count("\n") == 1
+    name = _flag(command)[1].removeprefix("--").replace("-", "_")
+    if name != "phi_over_pi":
+        rule = "must lie in (0, 1)" if name == "tail_tol" else "must be finite and non-negative"
+        assert captured.err == f"phasekit: {name} {rule}, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("command", FLOAT_FLAG_COMMANDS)
+def test_non_numeric_float_text_is_a_usage_error(command, capsys):
+    assert cli.main(command.format("x").split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and "invalid float value: 'x'" in captured.err
+
+
 @pytest.mark.parametrize(
     "command, line",
     [

@@ -3,7 +3,8 @@
 An import that nothing in its module reads, or a private module-level name
 that no module of the package or its scripts reads, is a leftover of a
 deletion. Names a module lists in ``__all__`` count as read, and
-``from __future__`` imports are ignored.
+``from __future__`` imports are ignored. The scripts use the package's
+public names only: none imports a ``_``-prefixed module or name of it.
 """
 
 import ast
@@ -92,3 +93,24 @@ def test_every_private_module_name_is_read():
         if name not in read and name not in _exported(tree)
     ]
     assert not unread, unread
+
+
+def _is_private(dotted: str) -> bool:
+    return any(part.startswith("_") and not part.startswith("__") for part in dotted.split("."))
+
+
+def test_scripts_import_nothing_private_from_the_package():
+    private = []
+    for path in SOURCES:
+        if path.parent.name != "scripts":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] == "phasekit" and _is_private(name)]
+    assert not private, private

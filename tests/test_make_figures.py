@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from phasekit import cli
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
@@ -33,6 +35,27 @@ def test_bad_cross_check_alpha2_exits_2_before_writing(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert b"non-negative" in proc.stderr
         assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "value, code, line",
+    [
+        ("inf", 2, "cross_check_alpha2 must be finite and non-negative, got inf"),
+        # a strength past the photon-count ceiling is a resource limit
+        ("1e12", 3, "truncation needs photon counts up to 1e+12, above the ceiling of 1048576"),
+    ],
+)
+def test_a_refused_table_exits_with_one_line_before_writing(tmp_path, value, code, line):
+    outdir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--no-plots", "--outdir", str(outdir),
+         "--cross-check-alpha2", value],
+        capture_output=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"make_figures.py: {line}\n"
+    assert not outdir.exists()
 
 
 def test_unusable_output_paths_exit_2_with_one_line(tmp_path):

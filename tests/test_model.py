@@ -16,6 +16,8 @@ from phasekit.model import (
     port_means,
 )
 from phasekit.montecarlo import DecisionRule, TrialConfig
+from phasekit.receivers import p_homodyne_asymptotic, p_kennedy_asymptotic, p_min_pure
+from phasekit.scan import figure_table
 
 strengths = st.floats(min_value=0.0, max_value=25.0)
 
@@ -226,6 +228,35 @@ def test_port_means_refuse_a_square_past_the_float_range():
         port_means(huge, huge, math.cos(0.3), math.sin(0.3))
     # the largest strength alone still squares to a float
     assert port_means(huge, 0.0, 1.0, 0.0) == (0.0, 0.0, huge**2, huge**2)
+
+
+# every entry point that takes a strength, with the name it refuses it under
+STRENGTH_ENTRY_POINTS = {
+    "PulsePair alpha2": ("alpha2", lambda x: PulsePair(x, 1.0)),
+    "PulsePair beta2": ("beta2", lambda x: PulsePair(1.0, x)),
+    "p_min_pure": ("alpha2", p_min_pure),
+    "p_kennedy_asymptotic": ("alpha2", p_kennedy_asymptotic),
+    "p_homodyne_asymptotic": ("alpha2", p_homodyne_asymptotic),
+    "figure_table": ("cross_check_alpha2", lambda x: figure_table(5, cross_check_alpha2=x)),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(STRENGTH_ENTRY_POINTS))
+def test_every_strength_entry_point_refuses_with_one_message(entry, value):
+    name, call = STRENGTH_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be finite and non-negative, got {value}"
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1.7e308])
+@pytest.mark.parametrize("entry", sorted(STRENGTH_ENTRY_POINTS.keys() - {"figure_table"}))
+def test_pulse_pair_and_closed_forms_accept_the_whole_finite_range(entry, value):
+    _, call = STRENGTH_ENTRY_POINTS[entry]
+    result = call(value)
+    if isinstance(result, DiscriminationResult):
+        assert 0.0 <= result.error_probability <= 0.5
 
 
 def test_discrimination_result_invariants():

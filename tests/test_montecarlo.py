@@ -636,3 +636,18 @@ def test_run_trials_maps_one_batch_of_streams_at_a_time(monkeypatch, pair, split
     cfg = TrialConfig(pair, splitter, rule, trials=4 * montecarlo.BLOCK_TRIALS + 1000, seed=7)
     assert run_trials(cfg).errors == errors
     assert mapped == [2, 2, 1]
+
+
+@pytest.mark.parametrize("dtype, top", [(np.int16, 600), (np.int64, 2**53)])
+def test_unit_slopes_score_the_count_comparison_exactly(dtype, top):
+    # the count comparison is the ML score at slopes (1, -1); counts are exact
+    # in float, so the score decides and ties exactly as comparing the counts
+    rng = np.random.default_rng(25)
+    c1, c2 = rng.integers(0, top, (2, 4096)).astype(dtype)
+    c2[:512] = c1[:512]
+    c1[512:1024] = 0
+    c2[768:1280] = 0
+    diff = _ml_score(1.0, c1) + _ml_score(-1.0, c2)
+    assert np.array_equal(diff > TIE_LOG_BAND, c1 > c2)
+    assert np.array_equal(np.abs(diff) <= TIE_LOG_BAND, c1 == c2)
+    assert (c1 == c2).sum() >= 512 + 256

@@ -21,8 +21,8 @@ from phasekit.numerics import (
     _pmf_rows,
     _poisson_search,
 )
-from phasekit.receivers import (best_angle, p_beamsplitter_ml, p_homodyne_asymptotic,
-                                p_homodyne_generalized)
+from phasekit.receivers import (_count_error, _ml_error, best_angle, p_beamsplitter_ml,
+                                p_homodyne_asymptotic, p_homodyne_generalized)
 from phasekit.scan import default_alpha2_grid, figure_table
 
 mp.mp.dps = 40
@@ -400,7 +400,10 @@ def test_optimum_tail_bound_matches_brute_force():
 def test_gaussian_upper_tail_anchors():
     # the strong-reference count comparison errs with P[Z > 2 alpha]
     assert p_homodyne_asymptotic(0.0).error_probability == 0.5
-    assert p_homodyne_asymptotic(math.inf).error_probability == 0.0
+    # the limit P = 0 at a huge finite signal; inf is no strength
+    assert p_homodyne_asymptotic(1e300).error_probability == 0.0
+    with pytest.raises(ValueError, match="^alpha2 must be finite and non-negative, got inf$"):
+        p_homodyne_asymptotic(math.inf)
     expected = mp.erfc(2 * mp.sqrt(mp.mpf(0.1)) / mp.sqrt(2)) / 2
     assert p_homodyne_asymptotic(0.1).error_probability == pytest.approx(float(expected), rel=1e-13)
 
@@ -420,3 +423,22 @@ def test_search_tails_are_the_reversed_cumsum_bit_for_bit(mean, tail_mass):
     _, _, (pmf,), (tails,), _ = numerics._poisson_search([mean], tail_mass)
     expected = np.append(pmf[::-1].cumsum()[::-1], 0.0)
     assert tails.dtype == expected.dtype and tails.tobytes() == expected.tobytes()
+
+
+# ------------------------------------------------------------- tail budgets
+
+# every entry point that takes a tail budget
+TAIL_ENTRY_POINTS = {
+    "_count_error": lambda tol: _count_error([(1.0, 0.5)], tol),
+    "_ml_error": lambda tol: _ml_error([(2.0, 0.5, 0.25, 1.0)], tol),
+    "p_err_optimal": lambda tol: p_err_optimal(PulsePair(0.1, 1.0), tol),
+    "figure_table": lambda tol: figure_table(5, tail_tol=tol),
+}
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, math.nan, -1.0, 2.0])
+@pytest.mark.parametrize("entry", sorted(TAIL_ENTRY_POINTS))
+def test_every_tail_entry_point_refuses_with_one_message(entry, tail_tol):
+    with pytest.raises(ValueError) as info:
+        TAIL_ENTRY_POINTS[entry](tail_tol)
+    assert str(info.value) == f"tail_tol must lie in (0, 1), got {tail_tol}"

@@ -14,12 +14,10 @@ from .model import (
     Beamsplitter,
     DiscriminationResult,
     PulsePair,
-    SplitterRangeError,
     homodyne_splitter,
     kennedy_angle,
 )
 from .montecarlo import (
-    ConfigurationError,
     DecisionRule,
     EstimateResult,
     TrialConfig,
@@ -45,13 +43,11 @@ from .scan import (
 __all__ = [
     "__version__",
     "Beamsplitter",
-    "ConfigurationError",
     "DecisionRule",
     "DiscriminationResult",
     "EstimateResult",
     "NumericalResourceError",
     "PulsePair",
-    "SplitterRangeError",
     "Table",
     "TrialConfig",
     "best_angle",

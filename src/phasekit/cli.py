@@ -7,9 +7,10 @@ handler; ``kennedy`` and ``homodyne`` read their two receiver forms from
 Each handler but ``figure`` (which returns its CSV or JSON text) returns its
 fields, output names mapped in order to values, and ``main`` prints one
 ``name = format_value(value)`` line per field. The parser only reads
-numbers: every limit on them (a finite, non-negative strength, a tail
-budget in (0, 1), the integer limits) is checked once, by the library, and
-a refusal is one ``phasekit:`` line. Strengths are always mean photon
+numbers, a negative one in any spelling (``_Parser``): every limit on them
+(a finite, non-negative strength, a tail budget in (0, 1), the integer
+limits) is checked once, by the library, and a refusal is one
+``phasekit:`` line. Strengths are always mean photon
 numbers, matching the library and every tabulated figure. Output for fixed
 flags (and seed) is byte-identical across runs. Exit codes: 0 success, 2
 argument problems, 3 numerical resource limits.
@@ -21,6 +22,7 @@ import argparse
 import inspect
 import io
 import math
+import re
 import sys
 
 from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, p_err_optimal
@@ -31,6 +33,18 @@ from .receivers import DEFAULT_TAIL_TOL, _limit_pair, best_angle, p_beamsplitter
 from .scan import FIGURE_IDS, figure_table, format_value, write_csv, write_json
 
 __all__ = ["main"]
+
+# every text float() reads as a negative number; argparse's own pattern takes
+# only -1 and -.5 as values, and -1e-3, -5e-324 or -inf as a missing one
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subparsers too, that reads any negative number as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _grid(text: str) -> list[float]:
@@ -63,7 +77,7 @@ def _add_strength_flags(p: argparse.ArgumentParser, reference=None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasekit",
         description="error probabilities for opposite-phase weak pulses "
         "against a finite-energy phase reference",

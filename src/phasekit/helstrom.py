@@ -124,27 +124,19 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
     _checked_tail(tail_tol)
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         # identical states: an exact tie, with nothing to truncate
-        return DiscriminationResult.from_error_probability(
-            0.5,
-            "helstrom_truncated",
-            degenerate=True,
-            n_max=0,
-            tail_tol=tail_tol,
-            truncation_bound=0.0,
-            trace_norm=0.0,
-        )
+        return DiscriminationResult(0.5, "helstrom_truncated", {
+            "degenerate": True, "n_max": 0, "tail_tol": tail_tol, "truncation_bound": 0.0,
+            "trace_norm": 0.0})
     log_w, w, tail_bound = _sector_weights(pair.total, tail_tol)
     n_max = len(log_w) - 1
     errors, half_norms, rounding = _sectors(pair, log_w, w)
     x_next = math.exp(2.0 * (n_max + 1) * _log_abs_r(pair))
-    return DiscriminationResult.from_error_probability(
-        math.fsum(errors),
-        "helstrom_truncated",
-        n_max=n_max,
-        tail_tol=tail_tol,
-        truncation_bound=0.5 * tail_bound * x_next + float(rounding.sum()),
-        trace_norm=2.0 * math.fsum(half_norms),
-    )
+    return DiscriminationResult(math.fsum(errors), "helstrom_truncated", {
+        "n_max": n_max,
+        "tail_tol": tail_tol,
+        "truncation_bound": 0.5 * tail_bound * x_next + float(rounding.sum()),
+        "trace_norm": 2.0 * math.fsum(half_norms),
+    })
 
 
 def d_err_small_alpha(pair: PulsePair) -> float:

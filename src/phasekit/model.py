@@ -26,7 +26,6 @@ from .numerics import NumericalResourceError
 
 __all__ = [
     "QUARTER_PI",
-    "SplitterRangeError",
     "PulsePair",
     "Beamsplitter",
     "DiscriminationResult",
@@ -38,10 +37,6 @@ __all__ = [
 QUARTER_PI = math.pi / 4.0
 
 _EPS = 2.220446049250313e-16
-
-
-class SplitterRangeError(ValueError):
-    """Requested splitter falls outside the closed one-parameter family."""
 
 
 def _checked_strength(name: str, value: float) -> None:
@@ -92,9 +87,8 @@ class Beamsplitter:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.phi <= QUARTER_PI):
-            raise SplitterRangeError(
-                f"splitter angle must lie in [0, pi/4], got {self.phi}"
-            )
+            raise ValueError(f"splitter angle must lie in [0, pi/4], got {self.phi} "
+                             f"({self.phi / math.pi:.12g} pi)")
         if self.phi == 0.0:
             # -0.0 passes the range check; store +0.0 so it never prints as -0
             object.__setattr__(self, "phi", 0.0)
@@ -119,7 +113,7 @@ def kennedy_angle(pair: PulsePair) -> Beamsplitter:
     if pair.total <= 0.0:
         raise ValueError("cancellation angle needs at least one non-empty pulse")
     if pair.beta2 < pair.alpha2:
-        raise SplitterRangeError(
+        raise ValueError(
             "reference weaker than signal puts the cancellation angle beyond pi/4; "
             "swap the signal and reference roles instead"
         )
@@ -171,10 +165,6 @@ class DiscriminationResult:
     @property
     def distinguishability(self) -> float:
         return 1.0 - 2.0 * self.error_probability
-
-    @classmethod
-    def from_error_probability(cls, p: float, method: str, **metadata) -> "DiscriminationResult":
-        return cls(p, method, dict(metadata))
 
 
 def _checked_probability(p: float) -> float:

@@ -39,7 +39,6 @@ from .numerics import NumericalResourceError
 from .receivers import TIE_LOG_BAND, _ml_score, _ml_slopes
 
 __all__ = [
-    "ConfigurationError",
     "DecisionRule",
     "TrialConfig",
     "EstimateResult",
@@ -58,10 +57,6 @@ _INVERSION_MEAN_LIMIT = 30.0
 
 # numpy's own bound on a Poisson mean, from the largest int64
 _SAMPLER_MEAN_LIMIT = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-
-
-class ConfigurationError(ValueError):
-    """A decision rule was paired with a splitter it cannot serve."""
 
 
 class DecisionRule(Enum):
@@ -87,13 +82,11 @@ class TrialConfig:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.rule is DecisionRule.HOMODYNE_COMPARE:
             if abs(self.splitter.phi - QUARTER_PI) > 1e-12:
-                raise ConfigurationError(
-                    "count comparison is only meaningful at the balanced angle pi/4"
-                )
+                raise ValueError("count comparison is only meaningful at the balanced angle pi/4")
         if self.rule is DecisionRule.KENNEDY_SINGLE_PORT:
             pair, splitter = self.pair, self.splitter
             if port_means(pair.alpha, pair.beta, splitter.r, splitter.t)[2] != 0.0:
-                raise ConfigurationError(
+                raise ValueError(
                     "the single-port rule needs port 2 dark under PLUS, i.e. the "
                     "cancellation angle arctan(alpha/beta)"
                 )

@@ -92,14 +92,14 @@ def _one_row_result(kernel, row, tail_tol, method, cut_names, tolerances=(), **m
     """
     (p,), truncation = kernel([row], tail_tol)
     if truncation is None:
-        return DiscriminationResult.from_error_probability(p, method, degenerate=True, **metadata)
+        return DiscriminationResult(p, method, {"degenerate": True, **metadata})
     *cuts, pmfs = truncation
     # a one-row block is exactly as wide as its row's pmfs
     neglected, excess = _mass_accounting(*(block[0] for block in pmfs))
     cut_metadata = {name: row_cuts[0] for name, row_cuts in zip(cut_names, cuts)}
-    return DiscriminationResult.from_error_probability(
-        p, method, **metadata, tail_tol=tail_tol, **cut_metadata, neglected_mass=neglected,
-        error_bound=len(pmfs) * tail_tol + excess, **dict(tolerances))
+    return DiscriminationResult(p, method, {
+        **metadata, "tail_tol": tail_tol, **cut_metadata, "neglected_mass": neglected,
+        "error_bound": len(pmfs) * tail_tol + excess, **dict(tolerances)})
 
 
 def _ml_slopes(
@@ -134,14 +134,14 @@ def p_min_pure(alpha2: float) -> DiscriminationResult:
     _checked_strength("alpha2", alpha2)
     x = math.exp(-4.0 * alpha2)
     p = x / (2.0 * (1.0 + math.sqrt(-math.expm1(-4.0 * alpha2))))
-    return DiscriminationResult.from_error_probability(p, "helstrom_pure")
+    return DiscriminationResult(p, "helstrom_pure")
 
 
 def p_kennedy_asymptotic(alpha2: float) -> DiscriminationResult:
     """Dark-port counting with an arbitrarily strong reference; alpha^2 must be finite."""
     _checked_strength("alpha2", alpha2)
     p = 0.5 * math.exp(-4.0 * alpha2)
-    return DiscriminationResult.from_error_probability(p, "kennedy_asymptotic")
+    return DiscriminationResult(p, "kennedy_asymptotic")
 
 
 def p_homodyne_asymptotic(alpha2: float) -> DiscriminationResult:
@@ -149,28 +149,27 @@ def p_homodyne_asymptotic(alpha2: float) -> DiscriminationResult:
     _checked_strength("alpha2", alpha2)
     # P[Z > 2 alpha] for a standard normal Z
     p = 0.5 * math.erfc(2.0 * math.sqrt(alpha2) / math.sqrt(2.0))
-    return DiscriminationResult.from_error_probability(p, "homodyne_asymptotic")
+    return DiscriminationResult(p, "homodyne_asymptotic")
 
 
 def p_kennedy_generalized(pair: PulsePair) -> DiscriminationResult:
     """Dark-port counting with a finite reference.
 
     Closed form exp(-4 alpha^2 beta^2 / (alpha^2 + beta^2)) / 2, exactly
-    symmetric under swapping the signal and reference strengths. With no
-    light at all the guess is forced random. Where 4 alpha^2 beta^2
+    symmetric under swapping the signal and reference strengths. With either
+    pulse empty both hypotheses give the same clicks: an exact, degenerate
+    tie 1/2. Where 4 alpha^2 beta^2
     overflows, the exponent is taken in the equivalent form 4 lo / (1 + lo / hi)
     of the smaller and larger strength, which cannot overflow.
     """
-    if pair.total == 0.0:
-        return DiscriminationResult.from_error_probability(
-            0.5, "kennedy_generalized", degenerate=True
-        )
+    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
+        return DiscriminationResult(0.5, "kennedy_generalized", {"degenerate": True})
     exponent = 4.0 * pair.alpha2 * pair.beta2 / pair.total
     if not exponent < math.inf:
         lo, hi = sorted((pair.alpha2, pair.beta2))
         exponent = 4.0 * lo / (1.0 + lo / hi)
     p = 0.5 * math.exp(-exponent)
-    return DiscriminationResult.from_error_probability(p, "kennedy_generalized")
+    return DiscriminationResult(p, "kennedy_generalized")
 
 
 def _count_means(pair: PulsePair) -> tuple[float, float]:

@@ -154,7 +154,7 @@ def _sweep_rows(alpha2, beta2, n_angles, tail_tol):
         phi, ken = kennedy_angle(pair).phi, p_kennedy_generalized(pair)
         rows.append({"kind": "ref_kennedy", "phi_over_pi": phi / math.pi,
                      "p_err": ken.error_probability})
-    except ValueError:  # includes SplitterRangeError
+    except ValueError:
         pass
     hom = p_homodyne_generalized(pair, tail_tol)
     rows.append({"kind": "ref_homodyne", "phi_over_pi": 0.25, "p_err": hom.error_probability})

@@ -363,6 +363,8 @@ FLOAT_FLAG_COMMANDS = [
     "figure --id 3 --tail-tol {}",
     "figure --id 5 --cross-check-alpha2 {}",
 ]
+# each grid flag, read as comma-separated floats
+GRID_FLAG_COMMANDS = ["figure --id 1 --alpha2-grid {}", "figure --id 1 --beta2-grid {}"]
 
 
 def _flag(command: str) -> tuple[str, str]:
@@ -374,22 +376,27 @@ def _flag(command: str) -> tuple[str, str]:
 def test_every_float_flag_has_a_command():
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {(name, flag) for name, p in sub.choices.items() for a in p._actions
-             if a.type is float for flag in a.option_strings}
-    assert flags == {_flag(command) for command in FLOAT_FLAG_COMMANDS}
+    for kind, commands in ((float, FLOAT_FLAG_COMMANDS), (cli._grid, GRID_FLAG_COMMANDS)):
+        flags = {(name, flag) for name, p in sub.choices.items() for a in p._actions
+                 if a.type is kind for flag in a.option_strings}
+        assert flags == {_flag(command) for command in commands}
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-@pytest.mark.parametrize("command", FLOAT_FLAG_COMMANDS)
+# a negative number in any spelling is a value, never taken for an option
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-1e-3", "-5e-324", "-inf", "-.5"])
+@pytest.mark.parametrize("command", FLOAT_FLAG_COMMANDS + GRID_FLAG_COMMANDS)
 def test_every_float_flag_refuses_a_bad_value_with_one_line(command, value, capsys):
     # the parser only reads a float; the library refuses it, each strength
-    # and tail budget with the one message of its rule
+    # and tail budget with the one message of its rule, an angle in units of pi too
     assert cli.main(command.format(value).split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("phasekit: ") and captured.err.count("\n") == 1
-    name = _flag(command)[1].removeprefix("--").replace("-", "_")
-    if name != "phi_over_pi":
+    name = _flag(command)[1].removeprefix("--").removesuffix("-grid").replace("-", "_")
+    if name == "phi_over_pi":
+        assert captured.err.startswith("phasekit: splitter angle must lie in [0, pi/4], got ")
+        assert captured.err.endswith(f" ({float(value):.12g} pi)\n")
+    else:
         rule = "must lie in (0, 1)" if name == "tail_tol" else "must be finite and non-negative"
         assert captured.err == f"phasekit: {name} {rule}, got {float(value)}\n"
 

@@ -56,7 +56,7 @@ TRANSCRIPT_DIGESTS = {
     "kennedy --alpha2 0 --beta2 1":
         "2eb32b19f1f7cc00a916a5cd2a9198b220ce09cc4596f1784a26ffb1da888120",
     "kennedy --alpha2 0 --beta2 1 --quote-tolerances":
-        "d0633979883469761ffced02b4fee2b23bed115c43ed38d8d08909094b3ce047",
+        "ee0a295e76ea17f8f0c6e4a5df516d9f706fea04efb1c33b5c10b68080e6512b",
     "kennedy --alpha2 0.1209 --beta2 1":
         "6132ebb3790fc2f195466346e51e63131f051648357779e20c9d0dcf8ec15775",
     "kennedy --alpha2 0.1209 --beta2 1 --quote-tolerances":
@@ -230,21 +230,21 @@ TRANSCRIPT_DIGESTS = {
     "montecarlo --rule ml --phi-over-pi 0.1 --trials 140000 --seed 5 --alpha2 1 --beta2 10 --quote-tolerances":
         "2906acf40186e20cec1bb5d79db4f642b305fd7a411449f2864c87d26f45d403",
     "bsclass --phi-over-pi 0.3 --alpha2 0 --beta2 1":
-        "ce8825f54a117845225b75461e0794d2e93190d5a8ec1e971cdb225b97a0233c",
+        "28b7800b60a6d3edc3a23ea133094a16aa8b392b6297c5120a1615cd622d6b48",
     "bsclass --phi-over-pi 0.3 --alpha2 0 --beta2 1 --quote-tolerances":
-        "ce8825f54a117845225b75461e0794d2e93190d5a8ec1e971cdb225b97a0233c",
+        "28b7800b60a6d3edc3a23ea133094a16aa8b392b6297c5120a1615cd622d6b48",
     "bsclass --phi-over-pi 0.3 --alpha2 0.1209 --beta2 1":
-        "ce8825f54a117845225b75461e0794d2e93190d5a8ec1e971cdb225b97a0233c",
+        "28b7800b60a6d3edc3a23ea133094a16aa8b392b6297c5120a1615cd622d6b48",
     "bsclass --phi-over-pi 0.3 --alpha2 0.1209 --beta2 1 --quote-tolerances":
-        "ce8825f54a117845225b75461e0794d2e93190d5a8ec1e971cdb225b97a0233c",
+        "28b7800b60a6d3edc3a23ea133094a16aa8b392b6297c5120a1615cd622d6b48",
     "bsclass --phi-over-pi 0.3 --alpha2 0.1 --beta2 1000":
-        "ce8825f54a117845225b75461e0794d2e93190d5a8ec1e971cdb225b97a0233c",
+        "28b7800b60a6d3edc3a23ea133094a16aa8b392b6297c5120a1615cd622d6b48",
     "bsclass --phi-over-pi 0.3 --alpha2 0.1 --beta2 1000 --quote-tolerances":
-        "ce8825f54a117845225b75461e0794d2e93190d5a8ec1e971cdb225b97a0233c",
+        "28b7800b60a6d3edc3a23ea133094a16aa8b392b6297c5120a1615cd622d6b48",
     "bsclass --phi-over-pi 0.3 --alpha2 1 --beta2 10":
-        "ce8825f54a117845225b75461e0794d2e93190d5a8ec1e971cdb225b97a0233c",
+        "28b7800b60a6d3edc3a23ea133094a16aa8b392b6297c5120a1615cd622d6b48",
     "bsclass --phi-over-pi 0.3 --alpha2 1 --beta2 10 --quote-tolerances":
-        "ce8825f54a117845225b75461e0794d2e93190d5a8ec1e971cdb225b97a0233c",
+        "28b7800b60a6d3edc3a23ea133094a16aa8b392b6297c5120a1615cd622d6b48",
     "montecarlo --rule homodyne --phi-over-pi 0.2 --trials 20000 --alpha2 0 --beta2 1":
         "d2b386013716c4edc2bd0e5c4f2737bdbe0acd58db89a9435b47229aaf016236",
     "montecarlo --rule homodyne --phi-over-pi 0.2 --trials 20000 --alpha2 0 --beta2 1 --quote-tolerances":

@@ -10,7 +10,6 @@ from phasekit.model import (
     Beamsplitter,
     DiscriminationResult,
     PulsePair,
-    SplitterRangeError,
     homodyne_splitter,
     kennedy_angle,
     port_means,
@@ -37,9 +36,11 @@ def test_pulse_pair_validation():
 def test_beamsplitter_range_is_closed():
     Beamsplitter(0.0)
     Beamsplitter(QUARTER_PI)
-    with pytest.raises(SplitterRangeError):
+    # named in radians and in units of pi
+    with pytest.raises(ValueError, match=r"^splitter angle must lie in \[0, pi/4\], "
+                       r"got -1e-09 \(-3\.18309886184e-10 pi\)$"):
         Beamsplitter(-1e-9)
-    with pytest.raises(SplitterRangeError):
+    with pytest.raises(ValueError, match=r"^splitter angle must lie in \[0, pi/4\]"):
         Beamsplitter(QUARTER_PI + 1e-9)
 
 
@@ -93,7 +94,8 @@ def test_kennedy_angle_where_the_total_strength_overflows():
 
 
 def test_kennedy_angle_requires_reference_at_least_signal():
-    with pytest.raises(SplitterRangeError):
+    with pytest.raises(ValueError, match="^reference weaker than signal puts the cancellation "
+                       "angle beyond pi/4; swap the signal and reference roles instead$"):
         kennedy_angle(PulsePair(1.0, 0.5))
     with pytest.raises(ValueError):
         kennedy_angle(PulsePair(0.0, 0.0))
@@ -260,19 +262,12 @@ def test_pulse_pair_and_closed_forms_accept_the_whole_finite_range(entry, value)
 
 
 def test_discrimination_result_invariants():
-    r = DiscriminationResult.from_error_probability(0.2, "x", tail_tol=1e-12)
+    r = DiscriminationResult(0.2, "x", {"tail_tol": 1e-12})
+    # D is derived from P, never stored apart from it
     assert r.distinguishability == 0.6
     assert r.metadata["tail_tol"] == 1e-12
+    assert DiscriminationResult(0.2, "x").metadata == {}
     # float dust from long sums is absorbed at the boundaries
-    assert DiscriminationResult.from_error_probability(-1e-13, "x").error_probability == 0.0
-    assert DiscriminationResult.from_error_probability(0.5 + 1e-13, "x").error_probability == 0.5
-    with pytest.raises(ValueError):
-        DiscriminationResult.from_error_probability(0.62, "x")
-    with pytest.raises(ValueError):
-        DiscriminationResult.from_error_probability(float("nan"), "x")
-    # D is derived from P, never stored apart from it
-    assert DiscriminationResult(0.2, "x").distinguishability == 0.6
-    # a directly built result checks P the same way
     assert DiscriminationResult(-1e-13, "x").error_probability == 0.0
     assert DiscriminationResult(0.5 + 1e-13, "x").error_probability == 0.5
     with pytest.raises(ValueError):
@@ -284,6 +279,6 @@ def test_discrimination_result_invariants():
 @given(st.floats(min_value=0.0, max_value=0.5))
 @settings(max_examples=60)
 def test_discrimination_result_distinguishability_range(p):
-    r = DiscriminationResult.from_error_probability(p, "x")
+    r = DiscriminationResult(p, "x")
     assert 0.0 <= r.distinguishability <= 1.0
     assert abs(r.distinguishability - (1.0 - 2.0 * p)) <= 1e-14

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from phasekit.model import (
     port_means,
 )
 from phasekit.montecarlo import (
-    ConfigurationError,
     DecisionRule,
     EstimateResult,
     TrialConfig,
@@ -42,6 +42,11 @@ MONTECARLO_REFERENCES = json.loads(
         encoding="utf-8"
     )
 )["montecarlo"]
+
+# TrialConfig's two refusals of a rule at a splitter it cannot serve
+_BALANCED_ONLY = "count comparison is only meaningful at the balanced angle pi/4"
+_DARK_PORT_ONLY = ("the single-port rule needs port 2 dark under PLUS, i.e. the cancellation "
+                   "angle arctan(alpha/beta)")
 
 
 def _means(pair, splitter):
@@ -252,9 +257,9 @@ def test_trial_config_validation():
         TrialConfig(pair, homodyne_splitter(), DecisionRule.ML_JOINT, trials=0)
     with pytest.raises(ValueError):
         TrialConfig(pair, homodyne_splitter(), DecisionRule.ML_JOINT, seed=-1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match=f"^{re.escape(_BALANCED_ONLY)}$"):
         TrialConfig(pair, Beamsplitter(0.3), DecisionRule.HOMODYNE_COMPARE)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match=f"^{re.escape(_DARK_PORT_ONLY)}$"):
         TrialConfig(pair, homodyne_splitter(), DecisionRule.KENNEDY_SINGLE_PORT)
     TrialConfig(pair, kennedy_angle(pair), DecisionRule.KENNEDY_SINGLE_PORT)
     TrialConfig(pair, homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE)
@@ -545,8 +550,9 @@ def _configs_for(pair, phi, trials, seed):
         for rule in DecisionRule:
             try:
                 yield TrialConfig(pair, splitter, rule, trials=trials, seed=seed)
-            except ConfigurationError:
-                continue
+            except ValueError as exc:
+                if str(exc) not in (_BALANCED_ONLY, _DARK_PORT_ONLY):
+                    raise
 
 
 @given(

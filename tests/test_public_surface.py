@@ -7,13 +7,11 @@ import phasekit
 PUBLIC_NAMES = {
     "__version__",
     "Beamsplitter",
-    "ConfigurationError",
     "DecisionRule",
     "DiscriminationResult",
     "EstimateResult",
     "NumericalResourceError",
     "PulsePair",
-    "SplitterRangeError",
     "Table",
     "TrialConfig",
     "best_angle",
@@ -58,7 +56,7 @@ def test_every_exported_name_resolves():
 
 
 def test_package_exports_the_intended_names():
-    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 26
+    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 24
     assert set(phasekit.__all__) == PUBLIC_NAMES
 
 
@@ -90,11 +88,29 @@ def test_model_exports_one_means_path():
         "DiscriminationResult",
         "PulsePair",
         "QUARTER_PI",
-        "SplitterRangeError",
-        "homodyne_splitter",
+            "homodyne_splitter",
         "kennedy_angle",
         "port_means",
     ]
     # port_means is the one function that computes the four port means
     for name in ("OutputMeans", "output_means"):
         assert not hasattr(model, name) and not hasattr(phasekit, name), name
+
+
+def test_numerical_resource_error_is_the_only_exception_class():
+    # a refused input is a plain ValueError, a resource limit a NumericalResourceError
+    defined = {
+        (module.__name__, name)
+        for module in _submodules()
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    }
+    assert defined == {("phasekit.numerics", "NumericalResourceError")}
+    import phasekit.montecarlo as montecarlo
+
+    assert montecarlo.__all__ == ["DecisionRule", "TrialConfig", "EstimateResult", "run_trials"]
+
+
+def test_a_result_has_one_constructor():
+    assert not hasattr(phasekit.DiscriminationResult, "from_error_probability")

@@ -99,11 +99,11 @@ def test_kennedy_generalized_anchor():
 def test_kennedy_generalized_limits():
     strong = p_kennedy_generalized(PulsePair(0.1, 1e7)).error_probability
     assert strong == pytest.approx(p_kennedy_asymptotic(0.1).error_probability, abs=1e-7)
-    res = p_kennedy_generalized(PulsePair(0.1, 0.0))
-    assert res.error_probability == 0.5
-    degenerate = p_kennedy_generalized(PulsePair(0.0, 0.0))
-    assert degenerate.error_probability == 0.5
-    assert degenerate.metadata["degenerate"]
+    # either pulse empty gives both hypotheses the same clicks: an exact, degenerate tie
+    for alpha2, beta2 in ((0.1, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+        tie = p_kennedy_generalized(PulsePair(alpha2, beta2))
+        assert tie.error_probability == 0.5
+        assert tie.metadata == {"degenerate": True}
 
 
 LARGEST = 1.7976931348623157e308

@@ -3,7 +3,8 @@
 Subcommands: kennedy, homodyne, bsclass, optimum, montecarlo, figure.
 ``build_parser`` is the one subcommand table, each subparser carrying its
 handler; ``kennedy`` and ``homodyne`` read their two receiver forms from
-``receivers._limit_pair``, and ``figure`` its ids from ``scan.FIGURE_IDS``.
+``receivers._limit_pair``, and ``figure`` its ids from ``scan.FIGURE_IDS``
+and the options it forwards from ``scan._OPTIONS``.
 Each handler but ``figure`` (which returns its CSV or JSON text) returns its
 fields, output names mapped in order to values, and ``main`` prints one
 ``name = format_value(value)`` line per field. The parser only reads
@@ -19,7 +20,6 @@ argument problems, 3 numerical resource limits.
 from __future__ import annotations
 
 import argparse
-import inspect
 import io
 import math
 import re
@@ -30,7 +30,7 @@ from .model import Beamsplitter, DiscriminationResult, PulsePair, kennedy_angle
 from .montecarlo import DecisionRule, TrialConfig, run_trials
 from .numerics import NumericalResourceError
 from .receivers import DEFAULT_TAIL_TOL, _limit_pair, best_angle, p_beamsplitter_ml
-from .scan import FIGURE_IDS, figure_table, format_value, write_csv, write_json
+from .scan import FIGURE_IDS, _OPTIONS, figure_table, format_value, write_csv, write_json
 
 __all__ = ["main"]
 
@@ -196,8 +196,7 @@ def _cmd_montecarlo(args) -> dict:
 
 def _cmd_figure(args) -> str:
     # every figure flag but --id, --format and --out is the figure_table option of its name
-    options = inspect.signature(figure_table).parameters
-    table = figure_table(args.id, **{k: v for k, v in vars(args).items() if k in options})
+    table = figure_table(args.id, **{k: getattr(args, k) for k in _OPTIONS})
     text = io.StringIO()
     (write_csv if args.format == "csv" else write_json)(table, text)
     if args.out is None:

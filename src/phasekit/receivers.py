@@ -124,6 +124,12 @@ def _ml_score(slope: float, counts: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, slope, 0.0) * counts
 
 
+def _no_signal_tie(alpha2: float) -> dict:
+    """Metadata of a signal-only form (``p_min_pure``, both asymptotic forms): with no
+    signal both hypotheses are the same state, an exact, ``degenerate`` tie 1/2."""
+    return {"degenerate": True} if alpha2 == 0.0 else {}
+
+
 def p_min_pure(alpha2: float) -> DiscriminationResult:
     """Minimum error probability for the two pure signal states alone.
 
@@ -134,14 +140,14 @@ def p_min_pure(alpha2: float) -> DiscriminationResult:
     _checked_strength("alpha2", alpha2)
     x = math.exp(-4.0 * alpha2)
     p = x / (2.0 * (1.0 + math.sqrt(-math.expm1(-4.0 * alpha2))))
-    return DiscriminationResult(p, "helstrom_pure")
+    return DiscriminationResult(p, "helstrom_pure", _no_signal_tie(alpha2))
 
 
 def p_kennedy_asymptotic(alpha2: float) -> DiscriminationResult:
     """Dark-port counting with an arbitrarily strong reference; alpha^2 must be finite."""
     _checked_strength("alpha2", alpha2)
     p = 0.5 * math.exp(-4.0 * alpha2)
-    return DiscriminationResult(p, "kennedy_asymptotic")
+    return DiscriminationResult(p, "kennedy_asymptotic", _no_signal_tie(alpha2))
 
 
 def p_homodyne_asymptotic(alpha2: float) -> DiscriminationResult:
@@ -149,7 +155,7 @@ def p_homodyne_asymptotic(alpha2: float) -> DiscriminationResult:
     _checked_strength("alpha2", alpha2)
     # P[Z > 2 alpha] for a standard normal Z
     p = 0.5 * math.erfc(2.0 * math.sqrt(alpha2) / math.sqrt(2.0))
-    return DiscriminationResult(p, "homodyne_asymptotic")
+    return DiscriminationResult(p, "homodyne_asymptotic", _no_signal_tie(alpha2))
 
 
 def p_kennedy_generalized(pair: PulsePair) -> DiscriminationResult:
@@ -337,25 +343,9 @@ def p_beamsplitter_ml(
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def best_angle(
-    pair: PulsePair, grid_points: int = 64, tail_tol: float = DEFAULT_TAIL_TOL
-) -> tuple[Beamsplitter, DiscriminationResult]:
-    """Minimise the maximum-likelihood error over the splitter family.
-
-    A uniform grid over [0, pi/4] locates the rough minimum; golden-section
-    refinement narrows the bracket to 1e-6 rad. The error curve has kinks
-    where decision regions change, so the search is derivative-free and the
-    reported optimum is the best of every angle actually evaluated. Each
-    angle's P comes from ``_angle_errors`` alone: the whole grid in one
-    call, each golden-section step as one angle. Only the winning angle goes
-    through ``p_beamsplitter_ml``, and its result (the same P) is returned
-    with ``grid_points`` and ``angle_tol`` added to the metadata.
-    """
-    if grid_points < 16:
-        raise ValueError(f"grid_points must be at least 16, got {grid_points}")
-    phis = _angle_grid(grid_points)
-    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
-        return homodyne_splitter(), p_beamsplitter_ml(pair, homodyne_splitter(), tail_tol)
+def _searched_angle(pair: PulsePair, phis: list[float], tail_tol: float) -> float:
+    """The best of every angle evaluated: the grid ``phis`` in one ``_angle_errors``
+    call, then golden-section steps around its minimum, one angle each, to ``ANGLE_TOL``."""
 
     def evaluate(phi: float) -> float:
         (p,) = _angle_errors(pair, [phi], tail_tol)
@@ -365,7 +355,7 @@ def best_angle(
     grid = _angle_errors(pair, phis, tail_tol)
     evaluated = dict(zip(phis, grid))
     idx = int(np.argmin(grid))
-    a, b = phis[max(idx - 1, 0)], phis[min(idx + 1, grid_points - 1)]
+    a, b = phis[max(idx - 1, 0)], phis[min(idx + 1, len(phis) - 1)]
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = evaluate(c), evaluate(d)
@@ -378,9 +368,30 @@ def best_angle(
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = evaluate(d)
+    return min(evaluated, key=lambda phi: (evaluated[phi], phi))
 
-    best_phi = min(evaluated, key=lambda phi: (evaluated[phi], phi))
-    splitter = Beamsplitter(best_phi)
+
+def best_angle(
+    pair: PulsePair, grid_points: int = 64, tail_tol: float = DEFAULT_TAIL_TOL
+) -> tuple[Beamsplitter, DiscriminationResult]:
+    """Minimise the maximum-likelihood error over the splitter family.
+
+    A uniform grid over [0, pi/4] locates the rough minimum; golden-section
+    refinement narrows the bracket to 1e-6 rad (``_searched_angle``). The
+    error curve has kinks where decision regions change, so the search is
+    derivative-free and the reported optimum is the best of every angle
+    actually evaluated. With either pulse empty every angle ties at 1/2 and
+    the balanced splitter is reported unsearched. Only the reported angle
+    goes through ``p_beamsplitter_ml``, and its result (the same P) is
+    returned with ``grid_points`` and ``angle_tol`` added to the metadata.
+    """
+    if grid_points < 16:
+        raise ValueError(f"grid_points must be at least 16, got {grid_points}")
+    phis = _angle_grid(grid_points)
+    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
+        splitter = homodyne_splitter()
+    else:
+        splitter = Beamsplitter(_searched_angle(pair, phis, tail_tol))
     result = p_beamsplitter_ml(pair, splitter, tail_tol)
     # the result was built here and owns its metadata dict
     result.metadata.update(grid_points=grid_points, angle_tol=ANGLE_TOL)

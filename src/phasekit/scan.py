@@ -1,17 +1,18 @@
 """Parameter sweeps behind the five numbered figure tables, with CSV/JSON output.
 
-``_FIGURES`` is the one figure table: each figure's row builder, the
-options it takes and their defaults, which are also the check that rejects
-any other option. ``figure_table`` builds every table from it; figures 1-2
-read their receiver pairs from ``receivers._limit_pair``. The scan layer
-only orchestrates library calls and forms ratios; it never builds port
-means. A grid of truncated sums is one ``receivers`` grid call: figure 2's
-signal strengths at each reference strength go to ``_count_errors``, and
+``_FIGURES`` is the one figure table: each figure's row builder, the options
+it takes and their defaults, which are also the check that rejects any other
+option. ``figure_table(fig_id, **options)`` builds every table from it, and
+``_OPTIONS``, every option some figure takes, names the CLI's figure flags;
+figures 1-2 read their receiver pairs from ``receivers._limit_pair``. The
+scan layer only orchestrates library calls and forms ratios; it never builds
+port means. A grid of truncated sums is one ``receivers`` grid call: figure
+2's signal strengths at each reference strength go to ``_count_errors``, and
 the figure 3-4 angles to ``_angle_errors``. Every row is still bit for bit
 the public receiver or optimum-bound function's result at its point.
-Undefined ratios (no signal, so zero
-distinguishability on both sides, or a baseline so small that the ratio
-overflows) are emitted as an explicit null, never as NaN or inf text.
+Undefined ratios (no signal, so zero distinguishability on both sides, or a
+baseline so small that the ratio overflows) are emitted as an explicit null,
+never as NaN or inf text.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .receivers import (DEFAULT_TAIL_TOL, _angle_errors, _angle_grid, _count_err
 
 __all__ = [
     "Table",
-    "default_alpha2_grid",
     "figure_table",
     "format_value",
     "write_csv",
@@ -46,11 +46,6 @@ class Table:
     columns: tuple[str, ...]
     rows: list[dict]
     metadata: dict = field(default_factory=dict)
-
-
-def default_alpha2_grid() -> np.ndarray:
-    """64 log-spaced signal strengths covering the weak-pulse regime."""
-    return np.logspace(-3.0, 0.0, 64)
 
 
 def format_value(value) -> str:
@@ -182,8 +177,9 @@ def _optimal_ratio_rows(beta2_grid, cross_check_alpha2, tail_tol):
 
 
 # each figure's row builder, and the figure_table options it takes with their
-# defaults; no other option is accepted
-_RATIO = {"alpha2_grid": default_alpha2_grid(), "beta2_grid": (1.0, 2.0, 4.0, 10.0)}
+# defaults; no other option is accepted. Figures 1-2 default to 64 log-spaced
+# signal strengths covering the weak-pulse regime.
+_RATIO = {"alpha2_grid": np.logspace(-3.0, 0.0, 64), "beta2_grid": (1.0, 2.0, 4.0, 10.0)}
 _SWEEP = {"alpha2": 0.1, "beta2": 1.0, "n_angles": 128, "tail_tol": DEFAULT_TAIL_TOL}
 _SERIES = {"beta2_grid": np.linspace(0.0, 10.0, 41), "cross_check_alpha2": None,
            "tail_tol": OPTIMUM_TAIL_TOL}
@@ -195,41 +191,33 @@ _FIGURES = {
     5: (_optimal_ratio_rows, _SERIES),
 }
 FIGURE_IDS = tuple(_FIGURES)
+# every option some figure takes, each the CLI figure flag of its name
+_OPTIONS = tuple(sorted({k for _, defaults in _FIGURES.values() for k in defaults}))
 
 
-def figure_table(
-    fig_id: int,
-    alpha2_grid=None,
-    beta2_grid=None,
-    alpha2: float | None = None,
-    beta2: float | None = None,
-    n_angles: int | None = None,
-    cross_check_alpha2: float | None = None,
-    tail_tol: float | None = None,
-) -> Table:
+def figure_table(fig_id: int, **options) -> Table:
     """Build the data table behind one numbered figure.
 
-    Options left at None take the figure's default from ``_FIGURES``; an
-    option the figure does not use raises ValueError rather than being
-    dropped. The metadata echoes every option but the grids.
+    Options left out or given as None take the figure's default from
+    ``_FIGURES``; an option the figure does not take raises ValueError
+    naming it rather than being dropped. The metadata names the figure and
+    echoes every option but the grids.
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}, got {fig_id}")
-    given = dict(alpha2_grid=alpha2_grid, beta2_grid=beta2_grid, alpha2=alpha2, beta2=beta2,
-                 n_angles=n_angles, cross_check_alpha2=cross_check_alpha2, tail_tol=tail_tol)
     rows_for, defaults = _FIGURES[fig_id]
-    unused = [k for k, v in given.items() if v is not None and k not in defaults]
+    given = {k: v for k, v in options.items() if v is not None}
+    unused = sorted(given.keys() - defaults.keys())
     if unused:
         raise ValueError(f"figure {fig_id} does not use {', '.join(unused)}")
-    opts = {k: default if given[k] is None else given[k] for k, default in defaults.items()}
     # checked here as well, so that a figure whose rows never read them still refuses them
-    if tail_tol is not None:
-        _checked_tail(tail_tol)
-    if cross_check_alpha2 is not None:
-        _checked_strength("cross_check_alpha2", cross_check_alpha2)
+    if "tail_tol" in given:
+        _checked_tail(given["tail_tol"])
+    if "cross_check_alpha2" in given:
+        _checked_strength("cross_check_alpha2", given["cross_check_alpha2"])
+    opts = {**defaults, **given}
     columns, rows = rows_for(**opts)
-    # figures 3-4 carry no "figure" key, and their pinned JSON bytes depend on it
-    metadata = {} if fig_id in (3, 4) else {"figure": fig_id}
+    metadata = {"figure": fig_id}
     metadata.update((k, v) for k, v in opts.items() if not k.endswith("_grid"))
     metadata["library_version"] = __version__
     return Table(columns, rows, metadata)

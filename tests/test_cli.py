@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasekit import cli
+from phasekit import cli, scan
 from phasekit.numerics import MAX_PHOTON_COUNT
 
 # the benchmark's recorded outputs of its `phasekit` calls at the default seed
@@ -99,6 +99,14 @@ def test_every_subcommand_carries_its_handler():
     assert set(sub.choices) == {"kennedy", "homodyne", "bsclass", "optimum", "montecarlo", "figure"}
     for name, p in sub.choices.items():
         assert callable(p.get_default("handler")), name
+
+
+def test_figure_flags_are_the_figure_table_options():
+    # a flag that no _FIGURES entry takes would be dropped, an option without a flag unreachable
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in sub.choices["figure"]._actions if a.option_strings}
+    assert dests - {"help", "id", "format", "out"} == set(scan._OPTIONS)
 
 
 @pytest.mark.parametrize("receiver", ["kennedy", "homodyne"])
@@ -410,6 +418,31 @@ def test_non_numeric_float_text_is_a_usage_error(command, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--alpha2-grid", "0.1,x", "not a comma-separated number list: '0.1,x'"),
+        ("--beta2-grid", ",", "grid must contain at least one value"),
+    ],
+)
+def test_a_malformed_grid_is_a_usage_error(flag, text, message, capsys):
+    assert cli.main(["figure", "--id", "1", flag, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert f"argument {flag}: {message}\n" in captured.err
+
+
+@pytest.mark.parametrize("raw, shown", [("x", "'x'"), ("-1", "-1")])
+def test_a_bad_thread_cap_exits_2_with_one_line(raw, shown, capsys, monkeypatch):
+    monkeypatch.setenv("PHASEKIT_THREADS", raw)
+    assert cli.main(["montecarlo", "--alpha2", "0.1", "--beta2", "1", "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"phasekit: PHASEKIT_THREADS must be a non-negative integer, got {shown}\n")
+
+
+@pytest.mark.parametrize(
     "command, line",
     [
         ("montecarlo --alpha2 0.1 --beta2 1 --trials 1000", "phi_over_pi = 0"),
@@ -452,7 +485,7 @@ def test_figure_rejects_options_it_does_not_use(capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "alpha2, n_angles, cross_check_alpha2, tail_tol" in captured.err
+    assert "alpha2, cross_check_alpha2, n_angles, tail_tol" in captured.err
     assert cli.main(argv[:7]) == 0
 
 
@@ -519,8 +552,8 @@ def test_output_matches_benchmark_reference(command, capsys):
 FIGURE_JSON_DIGESTS = {
     "--id 1": ("c5591ed1f36e66ad4632c02ffe8d0cd2b52b98f573b5cdaf9614e8c0c2580778", 68264),
     "--id 2": ("41ecdcc6014dcf646d732bc3766623944236bbdc631385b56deb7d2f5e1183a7", 68096),
-    "--id 3": ("821fd12b4243d4e6c322d3ec328169a536e15cf79581ac8935a8c660a4b6564a", 13547),
-    "--id 4": ("4c74cebadc63fd4947d519b4e94ff96a1e3b72ff559899efb0bcf010da15e2d3", 13548),
+    "--id 3": ("b81f1b0293c64a6e8beff8c025f987fed0240a39ad67f26227b34de1b11009a9", 13564),
+    "--id 4": ("d1fba173b51f66fdd2e44184bcb53d610b347d887bf6f35d1d66bf8e4d9b4f45", 13565),
     "--id 5": ("c334a1c2de2157804f22f3acaa6033a60301820d01a66bcd167d49d25f12356d", 4292),
     "--id 5 --cross-check-alpha2 0.01": (
         "598368d1744773b3935e89127f5665888ffa338b1bf5248cd59b95c5795f333b", 4687

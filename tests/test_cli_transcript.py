@@ -72,7 +72,7 @@ TRANSCRIPT_DIGESTS = {
     "kennedy --asymptotic --alpha2 0":
         "2eb32b19f1f7cc00a916a5cd2a9198b220ce09cc4596f1784a26ffb1da888120",
     "kennedy --asymptotic --alpha2 0 --quote-tolerances":
-        "a5828cb48eca5f05a75e5b00c3e14d6036d932d2cde7260ed658ce549cd32c41",
+        "8a4181e0700170944636051a4bc00e9f56902bd68e591beceb68019117af350f",
     "kennedy --asymptotic --alpha2 0.1209":
         "f00430dc7bccd19dcb6e9ab7b239d460f94dcfc7322fb026736973bcfed602dd",
     "kennedy --asymptotic --alpha2 0.1209 --quote-tolerances":
@@ -104,7 +104,7 @@ TRANSCRIPT_DIGESTS = {
     "homodyne --asymptotic --alpha2 0":
         "2eb32b19f1f7cc00a916a5cd2a9198b220ce09cc4596f1784a26ffb1da888120",
     "homodyne --asymptotic --alpha2 0 --quote-tolerances":
-        "949df10e6dfe5be553fe4b12c5cc585e58ffd82571f83f8625f860b6ee264e90",
+        "1aebe3b7b0214b2a3cd2f928868e39d47549422ab09a3dc6a2c65a1cd0bf74c1",
     "homodyne --asymptotic --alpha2 0.1209":
         "19a9d38a986adbace5b49f6568e981c96885ad1824a302a6fe5c7eab8a38f260",
     "homodyne --asymptotic --alpha2 0.1209 --quote-tolerances":
@@ -136,7 +136,7 @@ TRANSCRIPT_DIGESTS = {
     "bsclass --optimize --grid-points 32 --alpha2 0 --beta2 1":
         "43c8ae852c9d1d64546dc1e8efcc2ea1772bfbca449782837082202131849f07",
     "bsclass --optimize --grid-points 32 --alpha2 0 --beta2 1 --quote-tolerances":
-        "b95220225a0f50568232f6d6132a4239181bcbc21f170e4eac0bd20b94207dbc",
+        "2e319bdb2ec6cc38c804d61bfff84fb0de16be8c638779858c8ef8011ed2dfab",
     "bsclass --optimize --grid-points 32 --alpha2 0.1209 --beta2 1":
         "d442efe77e03d6dca334ef8947f9d9940097a6eb1fd2785d63507bfab8cb8b1a",
     "bsclass --optimize --grid-points 32 --alpha2 0.1209 --beta2 1 --quote-tolerances":

@@ -304,6 +304,16 @@ def test_run_trials_independent_of_thread_cap(monkeypatch):
     assert serial == threaded
 
 
+@pytest.mark.parametrize("raw, shown", [("x", "'x'"), ("-1", "-1")])
+def test_run_trials_refuses_a_bad_thread_cap(monkeypatch, raw, shown):
+    cfg = TrialConfig(PulsePair(0.1, 1.0), homodyne_splitter(), DecisionRule.ML_JOINT,
+                      trials=10)
+    monkeypatch.setenv("PHASEKIT_THREADS", raw)
+    with pytest.raises(ValueError) as info:
+        run_trials(cfg)
+    assert str(info.value) == f"PHASEKIT_THREADS must be a non-negative integer, got {shown}"
+
+
 @pytest.mark.parametrize(
     "pair,splitter,rule,trials",
     [

@@ -23,7 +23,7 @@ from phasekit.numerics import (
 )
 from phasekit.receivers import (_count_error, _ml_error, best_angle, p_beamsplitter_ml,
                                 p_homodyne_asymptotic, p_homodyne_generalized)
-from phasekit.scan import default_alpha2_grid, figure_table
+from phasekit.scan import figure_table
 
 mp.mp.dps = 40
 
@@ -253,7 +253,8 @@ def test_each_sum_builds_each_weight_vector_once(monkeypatch):
     assert blocks == [127, 127, 1]
     assert len(builds) <= 4 * 127 + 2
     blocks.clear()
-    figure_table(2, alpha2_grid=default_alpha2_grid(), beta2_grid=[1.0, 10.0])
+    # the default 64-point signal grid at each reference strength
+    figure_table(2, beta2_grid=[1.0, 10.0])
     assert blocks == [64, 64]
     blocks.clear()
     best_angle(pair, grid_points=64)

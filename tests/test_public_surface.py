@@ -66,6 +66,8 @@ def test_figure_table_is_the_only_table_builder():
     for name in ("figure_kennedy_ratios", "figure_homodyne_ratios", "figure_angle_sweep",
                  "figure_optimal_ratio"):
         assert not hasattr(phasekit, name) and not hasattr(scan, name), name
+    # the default grids are written in _FIGURES, not exported beside it
+    assert scan.__all__ == ["Table", "figure_table", "format_value", "write_csv", "write_json"]
 
 
 def test_numerics_exports_one_path_per_job():

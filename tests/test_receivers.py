@@ -106,6 +106,16 @@ def test_kennedy_generalized_limits():
         assert tie.metadata == {"degenerate": True}
 
 
+@pytest.mark.parametrize("form", [p_min_pure, p_kennedy_asymptotic, p_homodyne_asymptotic])
+def test_signal_only_forms_mark_their_exact_tie(form):
+    # no signal is the same exact tie as at any finite reference; a signal
+    # too weak to move P from 1/2 in floats is not a tie
+    assert form(0.0).error_probability == 0.5
+    assert form(0.0).metadata == {"degenerate": True}
+    assert form(1e-300).error_probability == 0.5
+    assert form(1e-300).metadata == {}
+
+
 LARGEST = 1.7976931348623157e308
 
 
@@ -531,7 +541,7 @@ def test_best_angle_result_is_the_public_result_at_its_angle(alpha2, beta2, grid
     at_angle = p_beamsplitter_ml(pair, splitter)
     assert result.method == at_angle.method
     assert result.error_probability.hex() == at_angle.error_probability.hex()
-    extra = {"grid_points": grid_points, "angle_tol": ANGLE_TOL} if alpha2 and beta2 else {}
+    extra = {"grid_points": grid_points, "angle_tol": ANGLE_TOL}
     assert list(result.metadata.items()) == [*at_angle.metadata.items(), *extra.items()]
     assert result == DiscriminationResult(
         at_angle.error_probability, at_angle.method, {**at_angle.metadata, **extra}

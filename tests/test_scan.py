@@ -17,7 +17,6 @@ from phasekit.receivers import (
 )
 from phasekit.scan import (
     Table,
-    default_alpha2_grid,
     figure_table,
     format_value,
     write_csv,
@@ -33,7 +32,8 @@ FIGURE_REFERENCES = json.loads(
 
 
 def test_default_grid_shape():
-    grid = default_alpha2_grid()
+    # figure 1's default signal grid, read back from its alpha2 column
+    grid = [row["alpha2"] for row in figure_table(1, beta2_grid=[1.0]).rows]
     assert len(grid) == 64
     assert grid[0] == pytest.approx(1e-3)
     assert grid[-1] == pytest.approx(1.0)
@@ -203,9 +203,9 @@ def test_figure_table_dispatch():
     assert figure_table(1, alpha2_grid=[0.1], beta2_grid=[1.0]).metadata["figure"] == 1
     assert figure_table(5, beta2_grid=[1.0]).metadata["figure"] == 5
     t3 = figure_table(3, alpha2_grid=None, n_angles=64)
-    assert t3.metadata["beta2"] == 1.0
+    assert t3.metadata["figure"] == 3 and t3.metadata["beta2"] == 1.0
     t4 = figure_table(4, n_angles=64)
-    assert t4.metadata["beta2"] == 10.0
+    assert t4.metadata["figure"] == 4 and t4.metadata["beta2"] == 10.0
     with pytest.raises(ValueError):
         figure_table(6)
 
@@ -214,11 +214,13 @@ def test_figure_table_dispatch():
     "fig_id,options,unused",
     [
         (1, dict(tail_tol=0.5, n_angles=100, alpha2=7.0, cross_check_alpha2=0.3),
-         "alpha2, n_angles, cross_check_alpha2, tail_tol"),
+         "alpha2, cross_check_alpha2, n_angles, tail_tol"),
         (2, dict(beta2=1.0), "beta2"),
         (3, dict(alpha2_grid=[0.1], beta2_grid=[1.0]), "alpha2_grid, beta2_grid"),
         (4, dict(cross_check_alpha2=0.1), "cross_check_alpha2"),
         (5, dict(alpha2_grid=[0.1], n_angles=8), "alpha2_grid, n_angles"),
+        # a name no figure takes, misspelt, is refused the same way
+        (1, dict(alpha_grid=[0.1]), "alpha_grid"),
     ],
 )
 def test_figure_table_rejects_options_the_figure_does_not_use(fig_id, options, unused):

@@ -10,8 +10,10 @@ is therefore a weighted sum of pure-state Helstrom terms,
     P_err = 1/2 * sum over N of w_N * x_N / (1 + sqrt(1 - x_N)),
 
 a sum of positive terms, so a tiny P keeps full relative precision. One
-Poisson search (``numerics._poisson_search``) sizes the sum, gives its
-weights and bounds the mass it drops.
+Poisson search row (``numerics._poisson_search``) sizes the sum, gives its
+weights and bounds the mass it drops. A list of pairs (figure 5's columns)
+takes one search per ``numerics._row_blocks`` block, in ``_optimal_rows``
+and ``_series_rows``; the two public functions are their one-row calls.
 
 As alpha -> 0 each sector's half trace norm w_N sqrt(1 - x_N) becomes
 linear in alpha, and the sum D = sum over N of w_N sqrt(1 - x_N) tends to
@@ -36,7 +38,7 @@ import math
 import numpy as np
 
 from .model import DiscriminationResult, PulsePair
-from .numerics import NEG_INF, _checked_tail, _poisson_search
+from .numerics import NEG_INF, _checked_tail, _poisson_search, _row_blocks
 
 __all__ = [
     "DEFAULT_TAIL_TOL",
@@ -67,15 +69,15 @@ def _log_abs_r(pair: PulsePair) -> float:
     return NEG_INF
 
 
-def _sector_weights(total: float, tail_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """ln w_N and w_N for N = 0 .. n_max, and a bound on the Poisson mass beyond n_max.
+def _searched_rows(pairs, mean: str, tail_mass: float):
+    """Each pair's search row on its attribute ``mean``, or None where either pulse is empty.
 
-    All three are read off one search's vector; n_max stops at its end where
-    the margin would run past it.
-    """
-    cuts, (log_w,), (w,), (tails,), (log_rest,) = _poisson_search((total,), tail_tol)
-    n_max = min(cuts[0] + TRUNCATION_SAFETY_MARGIN, len(w) - 1)
-    return log_w[: n_max + 1], w[: n_max + 1], float(tails[n_max + 1]) + math.exp(log_rest)
+    One ``_poisson_search`` per ``_row_blocks`` block, run as its first row is reached
+    (one block held at a time); every row is a one-row search, bit for bit."""
+    live = [getattr(pair, mean) for pair in pairs if pair.alpha2 != 0.0 and pair.beta2 != 0.0]
+    rows = (row for block in _row_blocks(live)
+            for row in zip(*_poisson_search(live[block], tail_mass)))
+    return (next(rows) if pair.alpha2 != 0.0 and pair.beta2 != 0.0 else None for pair in pairs)
 
 
 def _sectors(pair: PulsePair, log_w: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -105,6 +107,28 @@ def _sectors(pair: PulsePair, log_w: np.ndarray, w: np.ndarray) -> tuple[np.ndar
     return errors, w * root, 2.0 * _EPS * errors * log_scale
 
 
+def _optimal_rows(pairs, tail_tol: float) -> list[DiscriminationResult]:
+    """``p_err_optimal`` at each pair, from one Poisson search per row block."""
+    _checked_tail(tail_tol)
+    results = []
+    for pair, row in zip(pairs, _searched_rows(pairs, "total", tail_tol)):
+        if row is None:
+            # identical states: an exact tie, with nothing to truncate
+            results.append(DiscriminationResult(0.5, "helstrom_truncated", {"degenerate": True,
+                "n_max": 0, "tail_tol": tail_tol, "truncation_bound": 0.0, "trace_norm": 0.0}))
+            continue
+        cut, log_w, w, tails, log_rest, upper = row
+        n_max = min(cut + TRUNCATION_SAFETY_MARGIN, upper)
+        errors, half_norms, rounding = _sectors(pair, log_w[: n_max + 1], w[: n_max + 1])
+        tail_bound = float(tails[n_max + 1]) + math.exp(log_rest)
+        x_next = math.exp(2.0 * (n_max + 1) * _log_abs_r(pair))
+        results.append(DiscriminationResult(math.fsum(errors), "helstrom_truncated", {
+            "n_max": n_max, "tail_tol": tail_tol,
+            "truncation_bound": 0.5 * tail_bound * x_next + float(rounding.sum()),
+            "trace_norm": 2.0 * math.fsum(half_norms)}))
+    return results
+
+
 def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> DiscriminationResult:
     """Minimum error probability as a sum of per-sector pure-state terms.
 
@@ -121,22 +145,7 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
     beta^2 = 0 the states are identical, and the exact tie 1/2 comes back
     with n_max = 0 and no cutoff sized.
     """
-    _checked_tail(tail_tol)
-    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
-        # identical states: an exact tie, with nothing to truncate
-        return DiscriminationResult(0.5, "helstrom_truncated", {
-            "degenerate": True, "n_max": 0, "tail_tol": tail_tol, "truncation_bound": 0.0,
-            "trace_norm": 0.0})
-    log_w, w, tail_bound = _sector_weights(pair.total, tail_tol)
-    n_max = len(log_w) - 1
-    errors, half_norms, rounding = _sectors(pair, log_w, w)
-    x_next = math.exp(2.0 * (n_max + 1) * _log_abs_r(pair))
-    return DiscriminationResult(math.fsum(errors), "helstrom_truncated", {
-        "n_max": n_max,
-        "tail_tol": tail_tol,
-        "truncation_bound": 0.5 * tail_bound * x_next + float(rounding.sum()),
-        "trace_norm": 2.0 * math.fsum(half_norms),
-    })
+    return _optimal_rows([pair], tail_tol)[0]
 
 
 def d_err_small_alpha(pair: PulsePair) -> float:
@@ -146,8 +155,17 @@ def d_err_small_alpha(pair: PulsePair) -> float:
     the infinite-reference value, which is what the optimal-measurement
     sweep tabulates.
     """
-    if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
-        return 0.0
-    (n_cut,), _, (weights,), _, _ = _poisson_search((pair.beta2,), 1e-16)
-    terms = weights[: n_cut + 1] / np.sqrt(np.arange(1.0, n_cut + 2.0))
-    return 2.0 * pair.alpha * pair.beta * float(terms.sum())
+    return _series_rows([pair])[0]
+
+
+def _series_rows(pairs) -> list[float]:
+    """``d_err_small_alpha`` at each pair, from one Poisson search per row block."""
+    values = []
+    for pair, row in zip(pairs, _searched_rows(pairs, "beta2", 1e-16)):
+        value = 0.0  # no signal
+        if row is not None:
+            n_cut, _, weights = row[:3]
+            terms = weights[: n_cut + 1] / np.sqrt(np.arange(1.0, n_cut + 2.0))
+            value = 2.0 * pair.alpha * pair.beta * float(terms.sum())
+        values.append(value)
+    return values

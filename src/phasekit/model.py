@@ -20,6 +20,7 @@ arctan(alpha/beta).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .numerics import NumericalResourceError
@@ -43,6 +44,14 @@ def _checked_strength(name: str, value: float) -> None:
     """A mean photon number as every entry point takes it, refused unless finite and >= 0."""
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
+def _checked_integer(name: str, value) -> None:
+    """The one rule for an integer limit (a count or a seed): any int, a bool too."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,7 @@ from enum import Enum
 import numpy as np
 
 from ._parallel import parallel_map
-from .model import (
-    QUARTER_PI,
-    Beamsplitter,
-    PulsePair,
-    port_means,
-)
+from .model import QUARTER_PI, Beamsplitter, PulsePair, _checked_integer, port_means
 from .numerics import NumericalResourceError
 from .receivers import TIE_LOG_BAND, _ml_score, _ml_slopes
 
@@ -76,6 +71,8 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _checked_integer("trials", self.trials)
+        _checked_integer("seed", self.seed)
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):

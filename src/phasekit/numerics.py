@@ -7,14 +7,14 @@ grid point) is one block, each row zero-padded past its own end, and every
 row holds bit for bit the vector a one-row call gives. A log-pmf block
 subtracts the means and a prefix of the shared ln n! table in place, with no
 gather. The cutoff search is the only place a Poisson tail is summed, from
-the far end of each row over the padding's exact zeros; every cutoff, the
-optimum's sector weights and the weak-signal series' weights come from one
-search's block. Each receiver port has a bright and a dark mean, and
-``_pmf_rows`` gives a grid's cutoffs and the two pmf blocks from one search
-on the bright column; ``_row_blocks`` splits a grid so that no block passes a
-fixed element budget. All of these are private to the package and pure
-functions of their inputs; the shared factorial table is only ever replaced
-by a larger one.
+the far end of each row over the padding's exact zeros; every cutoff, and
+the optimum's and the weak-signal series' weights over a grid of pairs, come
+from one search per block, which also returns each row's end. Each receiver
+port has a bright and a dark mean, and ``_pmf_rows`` gives a grid's cutoffs
+and the two pmf blocks from one search on the bright column; ``_row_blocks``
+splits every grid so that no block passes a fixed element budget. All of
+these are private to the package and pure functions of their inputs; the
+shared factorial table is only ever replaced by a larger one.
 
 The module exports only ``MAX_PHOTON_COUNT``, the one ceiling on every
 truncated sum in the package, and ``NumericalResourceError``, which the
@@ -144,9 +144,9 @@ def _poisson_search(means: list[float], tail_mass: float):
     longest, -inf (log-pmf) and 0 (pmf) past their upper, so a one-row block
     is exactly the vector. Returns per-row cuts (the smallest cut with
     P[X > cut] < tail_mass), the log-pmf, pmf and tails blocks, with
-    tails[i, n] = P[n <= X <= upper_i] (0 from upper_i + 1 on), and per-row
-    ln of the bound on P[X > upper_i]; every row is bit for bit a search on
-    its mean alone.
+    tails[i, n] = P[n <= X <= upper_i] (0 from upper_i + 1 on), per-row
+    ln of the bound on P[X > upper_i], and the per-row uppers; every row is
+    bit for bit a search on its mean alone.
     """
     log_floor = math.log(tail_mass) - 30.0
     uppers, log_rests = [], []
@@ -175,7 +175,7 @@ def _poisson_search(means: list[float], tail_mass: float):
     tails = np.zeros((len(uppers), widest + 2))
     pmf[:, ::-1].cumsum(axis=1, out=tails[:, -2::-1])
     cuts = (tails < tail_mass).argmax(axis=1) - 1
-    return cuts.tolist(), logs, pmf, tails, log_rests
+    return cuts.tolist(), logs, pmf, tails, log_rests, uppers
 
 
 def _pmf_rows(bright, dark, tail_mass: float) -> tuple[list[int], tuple[np.ndarray, np.ndarray]]:
@@ -187,7 +187,7 @@ def _pmf_rows(bright, dark, tail_mass: float) -> tuple[list[int], tuple[np.ndarr
     built at the widest cutoff. Both blocks are 0 past each row's own
     cutoff, and every row is bit for bit a one-row call.
     """
-    cuts, _, pmf, _, _ = _poisson_search(bright, tail_mass)
+    cuts, _, pmf, _, _, _ = _poisson_search(bright, tail_mass)
     width, past = max(cuts) + 1, _past(cuts)
     blocks = pmf[:, :width], np.exp(_log_pmf_rows(width - 1, dark))
     if past is not None:

@@ -33,8 +33,8 @@ import math
 
 import numpy as np
 
-from .model import (Beamsplitter, DiscriminationResult, PulsePair, _checked_probability,
-                    _checked_strength, _square, homodyne_splitter, port_means)
+from .model import (Beamsplitter, DiscriminationResult, PulsePair, _checked_integer,
+                    _checked_probability, _checked_strength, _square, homodyne_splitter, port_means)
 from .numerics import (MAX_PHOTON_COUNT, NumericalResourceError, _checked_tail, _pmf_rows,
                        _row_blocks)
 
@@ -385,6 +385,7 @@ def best_angle(
     goes through ``p_beamsplitter_ml``, and its result (the same P) is
     returned with ``grid_points`` and ``angle_tol`` added to the metadata.
     """
+    _checked_integer("grid_points", grid_points)
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
     phis = _angle_grid(grid_points)

@@ -6,10 +6,11 @@ option. ``figure_table(fig_id, **options)`` builds every table from it, and
 ``_OPTIONS``, every option some figure takes, names the CLI's figure flags;
 figures 1-2 read their receiver pairs from ``receivers._limit_pair``. The
 scan layer only orchestrates library calls and forms ratios; it never builds
-port means. A grid of truncated sums is one ``receivers`` grid call: figure
-2's signal strengths at each reference strength go to ``_count_errors``, and
-the figure 3-4 angles to ``_angle_errors``. Every row is still bit for bit
-the public receiver or optimum-bound function's result at its point.
+port means. A grid of truncated sums is one grid call: figure 2's signal
+strengths at each reference strength go to ``receivers._count_errors``, the
+figure 3-4 angles to ``_angle_errors`` and figure 5's two columns to
+``helstrom._series_rows`` and ``_optimal_rows``. Every row is still bit for
+bit the public receiver or optimum-bound function's result at its point.
 Undefined ratios (no signal, so zero distinguishability on both sides, or a
 baseline so small that the ratio overflows) are emitted as an explicit null,
 never as NaN or inf text.
@@ -20,14 +21,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import IO
 
 import numpy as np
 
 from . import __version__
-from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, d_err_small_alpha, p_err_optimal
-from .model import PulsePair, _checked_strength, kennedy_angle
+from .helstrom import DEFAULT_TAIL_TOL as OPTIMUM_TAIL_TOL, _optimal_rows, _series_rows
+from .model import PulsePair, _checked_integer, _checked_strength, kennedy_angle
 from .numerics import _checked_tail
 from .receivers import (DEFAULT_TAIL_TOL, _angle_errors, _angle_grid, _count_errors,
                         _limit_pair, p_homodyne_generalized, p_kennedy_generalized)
@@ -50,6 +51,8 @@ class Table:
 
 def format_value(value) -> str:
     """Canonical text form: 12 significant digits, empty for null."""
+    if type(value) is float:
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, str):
@@ -68,9 +71,9 @@ def _json_value(value):
 
 
 def write_csv(table: Table, stream: IO[str]) -> None:
-    stream.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        stream.write(",".join(format_value(row[c]) for c in table.columns) + "\n")
+    lines = [",".join(table.columns)]
+    lines += [",".join([format_value(row[c]) for c in table.columns]) for row in table.rows]
+    stream.write("\n".join(lines) + "\n")
 
 
 def write_json(table: Table, stream: IO[str]) -> None:
@@ -101,6 +104,7 @@ def _ratio_rows(receiver: str, tag: str, alpha2_grid, beta2_grid, tail_tol=None)
     ``generalized`` gives; the dark port's closed form goes pair by pair.
     """
     asymptotic, generalized = _limit_pair(receiver)
+    asymptotic = cache(asymptotic)  # once per alpha2 of the table
     columns = (
         "alpha2",
         "beta2",
@@ -138,6 +142,7 @@ def _sweep_rows(alpha2, beta2, n_angles, tail_tol):
     pi/4).
     """
     pair = PulsePair(alpha2, beta2)
+    _checked_integer("n_angles", n_angles)
     if n_angles < 64:
         raise ValueError(f"n_angles must be at least 64, got {n_angles}")
     phis = _angle_grid(n_angles)
@@ -163,17 +168,17 @@ def _optimal_ratio_rows(beta2_grid, cross_check_alpha2, tail_tol):
     the signal strength; a positive ``cross_check_alpha2`` adds a column that
     recomputes the ratio from the full truncated trace norm at that alpha^2.
     """
-
-    def one(beta2: float) -> dict:
-        series = d_err_small_alpha(PulsePair(1.0, beta2)) / 2.0
-        exact = None
-        if cross_check_alpha2:
-            res = p_err_optimal(PulsePair(cross_check_alpha2, beta2), tail_tol)
-            # half the trace norm is D, without the cancellation in 1 - 2P
-            exact = res.metadata["trace_norm"] / 2.0 / (2.0 * math.sqrt(cross_check_alpha2))
-        return {"beta2": beta2, "d_ratio_series": series, "d_ratio_exact": exact}
-
-    return ("beta2", "d_ratio_series", "d_ratio_exact"), [one(float(b2)) for b2 in beta2_grid]
+    beta2s = [float(b2) for b2 in beta2_grid]
+    # every beta2 is checked here, before either column searches
+    series = [d / 2.0 for d in _series_rows([PulsePair(1.0, b2) for b2 in beta2s])]
+    exact = [None] * len(beta2s)
+    if cross_check_alpha2:
+        checks = _optimal_rows([PulsePair(cross_check_alpha2, b2) for b2 in beta2s], tail_tol)
+        # half the trace norm is D, without the cancellation in 1 - 2P
+        exact = [res.metadata["trace_norm"] / 2.0 / (2.0 * math.sqrt(cross_check_alpha2))
+                 for res in checks]
+    columns = ("beta2", "d_ratio_series", "d_ratio_exact")
+    return columns, [dict(zip(columns, row)) for row in zip(beta2s, series, exact)]
 
 
 # each figure's row builder, and the figure_table options it takes with their

@@ -265,6 +265,25 @@ def test_trial_config_validation():
     TrialConfig(pair, homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE)
 
 
+@pytest.mark.parametrize("field, value", [("trials", 1000.5), ("trials", 1000.0), ("trials", "10"),
+                                          ("seed", 1.5), ("seed", np.float64(2.0))])
+def test_trial_config_refuses_a_non_integer_limit(field, value):
+    # refused where the config is made, not by a TypeError once run_trials starts
+    pair = PulsePair(0.1, 1.0)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        TrialConfig(pair, homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE, **{field: value})
+
+
+def test_trial_config_takes_any_integer_type():
+    # a bool and a numpy integer are integers; the result is the int run's
+    pair = PulsePair(0.1, 1.0)
+    cfg = TrialConfig(pair, homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE,
+                      trials=np.int64(100), seed=True)
+    plain = TrialConfig(pair, homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE,
+                        trials=100, seed=1)
+    assert run_trials(cfg).errors == run_trials(plain).errors
+
+
 def test_run_trials_refuses_a_mean_past_the_generator_sampler():
     # numpy's Poisson sampler takes 9.2e18 and refuses 9.3e18
     below = TrialConfig(PulsePair(0.0, 2 * 9.2e18), homodyne_splitter(),

@@ -257,6 +257,11 @@ def test_each_sum_builds_each_weight_vector_once(monkeypatch):
     figure_table(2, beta2_grid=[1.0, 10.0])
     assert blocks == [64, 64]
     blocks.clear()
+    # figure 5's two columns, each one block over the 40 positive beta2;
+    # beta2 = 0 is an exact tie and searches nothing
+    figure_table(5, cross_check_alpha2=0.01)
+    assert blocks == [40, 40]
+    blocks.clear()
     best_angle(pair, grid_points=64)
     # the grid's two blocks, then one row per port for each golden-section
     # step and for the winner's result
@@ -269,12 +274,14 @@ def test_search_rows_are_the_one_row_searches_bit_for_bit(tail_mass):
     # rows of very different length, a dark row and a subnormal mean; at
     # 1e-100 some rows double their first margin and others do not
     means = [1e-3, 0.0, 1.0, 5e-324, 250.0, 7.5, 1e-300]
-    cuts, logs, pmf, tails, log_rests = numerics._poisson_search(means, tail_mass)
+    cuts, logs, pmf, tails, log_rests, uppers = numerics._poisson_search(means, tail_mass)
     doubled = set()
     for i, mean in enumerate(means):
-        (cut,), (log1,), (pmf1,), (tails1,), (rest,) = numerics._poisson_search([mean], tail_mass)
+        (cut,), (log1,), (pmf1,), (tails1,), (rest,), (upper,) = numerics._poisson_search(
+            [mean], tail_mass)
         n = len(log1)
-        assert cuts[i] == cut and log_rests[i] == rest
+        # each row's end is the last entry of its one-row vector
+        assert cuts[i] == cut and log_rests[i] == rest and uppers[i] == upper == n - 1
         assert logs[i, :n].tobytes() == log1.tobytes() and (logs[i, n:] == -math.inf).all()
         assert pmf[i, :n].tobytes() == pmf1.tobytes() and not pmf[i, n:].any()
         assert tails[i, : n + 1].tobytes() == tails1.tobytes() and not tails[i, n + 1 :].any()
@@ -352,7 +359,7 @@ def test_pmf_rows_is_one_search_on_the_bright_mean(means, tail_mass):
 
 @pytest.mark.parametrize("mean", [0.1, 1.0, 10.0])
 def test_poisson_pmf_sums_to_one(mean):
-    (cut,), _, (pmf,), _, _ = _poisson_search([mean], 1e-14)
+    (cut,), _, (pmf,), _, _, _ = _poisson_search([mean], 1e-14)
     total = float(pmf[: cut + 1].sum())
     assert 1.0 - 1e-12 <= total <= 1.0
 
@@ -372,9 +379,11 @@ def test_optimum_tail_bound_matches_brute_force():
         (1e3, 1e-10, False),
         (1e4, 1e-14, False),
     ]:
-        log_w, _, bound = helstrom._sector_weights(total, tail_tol)
-        n_max = len(log_w) - 1
-        (cut,), (search_log_w,) = numerics._poisson_search([total], tail_tol)[:2]
+        # n_max and the tail bound as the optimum reads them off its search row
+        (cut,), (search_log_w,), _, (tails,), (log_rest,), (upper,) = numerics._poisson_search(
+            [total], tail_tol)
+        n_max = min(cut + helstrom.TRUNCATION_SAFETY_MARGIN, upper)
+        log_w, bound = search_log_w[: n_max + 1], float(tails[n_max + 1]) + math.exp(log_rest)
         if short:
             assert n_max == len(search_log_w) - 1 < cut + helstrom.TRUNCATION_SAFETY_MARGIN
         else:
@@ -421,7 +430,7 @@ def test_gaussian_upper_tail_reference_points(x):
 @pytest.mark.parametrize("mean", [0.0, 1e-300, 0.3, 7.5, 250.0, 9e3])
 @pytest.mark.parametrize("tail_mass", [0.1, 1e-12, 1e-100])
 def test_search_tails_are_the_reversed_cumsum_bit_for_bit(mean, tail_mass):
-    _, _, (pmf,), (tails,), _ = numerics._poisson_search([mean], tail_mass)
+    _, _, (pmf,), (tails,), _, _ = numerics._poisson_search([mean], tail_mass)
     expected = np.append(pmf[::-1].cumsum()[::-1], 0.0)
     assert tails.dtype == expected.dtype and tails.tobytes() == expected.tobytes()
 

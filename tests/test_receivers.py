@@ -373,6 +373,10 @@ def test_ml_approaches_gaussian_limit_at_any_interior_angle():
 def test_best_angle_validation_and_degenerate():
     with pytest.raises(ValueError):
         best_angle(PulsePair(0.1, 1.0), grid_points=8)
+    # a non-integer is named, not passed on to numpy's linspace
+    for points in (20.5, 64.0, "64"):
+        with pytest.raises(ValueError, match="^grid_points must be an integer, got "):
+            best_angle(PulsePair(0.1, 1.0), grid_points=points)
     splitter, res = best_angle(PulsePair(0.0, 1.0))
     assert res.error_probability == 0.5
 

@@ -3,10 +3,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from phasekit.helstrom import d_err_small_alpha
+import phasekit.helstrom as helstrom
+import phasekit.receivers as receivers
+from phasekit.helstrom import d_err_small_alpha, p_err_optimal
 from phasekit.model import PulsePair, kennedy_angle
+from phasekit.numerics import _BLOCK_ELEMENTS
 from phasekit.receivers import (
     _limit_pair,
     p_beamsplitter_ml,
@@ -133,6 +137,12 @@ def test_angle_sweep_validates_resolution():
         figure_table(3, alpha2=0.1, beta2=1.0, n_angles=32)
 
 
+@pytest.mark.parametrize("n_angles", [100.0, 64.5, "128"])
+def test_angle_sweep_refuses_a_non_integer_resolution(n_angles):
+    with pytest.raises(ValueError, match="^n_angles must be an integer, got "):
+        figure_table(3, n_angles=n_angles)
+
+
 def test_angle_sweep_skips_cancellation_ref_when_absent():
     table = figure_table(3, alpha2=1.0, beta2=0.5, n_angles=64)
     assert not [r for r in table.rows if r["kind"] == "ref_kennedy"]
@@ -155,7 +165,95 @@ def test_optimal_ratio_cross_check_column():
         assert row["d_ratio_exact"] == pytest.approx(row["d_ratio_series"], rel=2e-4)
 
 
+@pytest.mark.parametrize("beta2_grid", [None, [0, 0.5, 10, 1e3, 5e4, 2e5]])
+def test_optimal_ratio_rows_are_the_one_row_calls_bit_for_bit(beta2_grid, monkeypatch):
+    # figure 5's columns come from row blocks; each row is the public one-row
+    # result at its beta2, to the last bit; every block stays within the
+    # element budget unless it is a single row
+    shapes = []
+    search = helstrom._poisson_search
+
+    def recorded(means, tail_mass):
+        found = search(means, tail_mass)
+        shapes.append(found[1].shape)
+        return found
+
+    monkeypatch.setattr(helstrom, "_poisson_search", recorded)
+    alpha2 = 0.01
+    table = figure_table(5, beta2_grid=beta2_grid, cross_check_alpha2=alpha2)
+    assert shapes and all(rows * width <= _BLOCK_ELEMENTS or rows == 1 for rows, width in shapes)
+    if beta2_grid is not None:
+        # the series column, then the optimum's: more than one block each
+        assert [rows for rows, _ in shapes] == [3, 1, 1, 3, 1, 1]
+    monkeypatch.undo()
+    for row in table.rows:
+        beta2 = row["beta2"]
+        series = d_err_small_alpha(PulsePair(1.0, beta2)) / 2.0
+        res = p_err_optimal(PulsePair(alpha2, beta2))
+        exact = res.metadata["trace_norm"] / 2.0 / (2.0 * math.sqrt(alpha2))
+        assert row["d_ratio_series"].hex() == series.hex()
+        assert row["d_ratio_exact"].hex() == exact.hex()
+
+
+def test_optimal_ratio_rows_check_every_beta2_before_searching():
+    # a refused beta2 is an argument error even after a row past the ceiling
+    with pytest.raises(ValueError, match="^beta2 must be finite and non-negative, got -1.0$"):
+        figure_table(5, beta2_grid=[2e6, -1.0])
+
+
+def test_ratio_table_computes_each_baseline_once(monkeypatch):
+    # figure 1's strong-reference baseline once per alpha2, not per (alpha2, beta2)
+    calls = []
+    asymptotic = receivers.p_kennedy_asymptotic
+
+    def counted(alpha2):
+        calls.append(alpha2)
+        return asymptotic(alpha2)
+
+    # _limit_pair reads the module's globals at each call
+    monkeypatch.setattr(receivers, "p_kennedy_asymptotic", counted)
+    table = figure_table(1)
+    assert len(table.rows) == 256
+    assert sorted(calls) == sorted(row["alpha2"] for row in table.rows if row["beta2"] == 1.0)
+    assert len(calls) == 64
+
+
 # -------------------------------------------------------------------- output
+
+
+def _format_value_before(value) -> str:
+    """The rule ``format_value`` follows, as it read before its float fast path."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.12g}"
+
+
+@pytest.mark.parametrize("value", [
+    -0.0, 0.0, 5e-324, 1e300, -1e-300, math.inf, -math.inf, math.nan, 1.0 / 3.0,
+    np.float64(0.1), np.float64(-0.0), np.float32(0.1), np.float32(1e-40),
+    7, -(2**70), np.int64(-3), True, False, None, "ref_kennedy", "",
+])
+def test_format_value_keeps_its_rule_for_every_type(value):
+    assert format_value(value) == _format_value_before(value)
+
+
+def test_write_csv_writes_the_table_at_once():
+    class Recorded(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    table = figure_table(5, beta2_grid=[0.0, 1.0])
+    stream = Recorded()
+    write_csv(table, stream)
+    assert stream.writes == 1
+    assert stream.getvalue() == "beta2,d_ratio_series,d_ratio_exact\n0,0,\n1,0.773192656379,\n"
 
 
 def test_format_value():

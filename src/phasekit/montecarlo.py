@@ -6,12 +6,15 @@ with the analytic receiver's straight boundary a*n + b*m, so both routes
 share one rule and one tie band; the count comparison is the same score at
 unit slopes, n - m. ``_draw_counts`` is the one Poisson sampler and draws a
 whole block of counts at once: when every mean in the block is below 30,
-each count inverts a single uniform draw against the Poisson CDF through a
-guide table built once per run (indexed search, Chen & Asau 1974). One
-lookup gives the count, or -1 for the few bins that hold a CDF step, which
-a binary search settles. Otherwise the block falls back to the generator's
-own Poisson sampler, which refuses means above about 9.2e18; ``run_trials``
-refuses such a mean before any block draws.
+each count inverts one raw 64-bit word of the stream, as the uniform
+``Generator.random`` makes of it, against the Poisson CDF through a guide
+table built once per run (indexed search, Chen & Asau 1974). The word's top
+16 bits are its guide bin; one lookup gives the count, or -1 for the few
+bins that hold a CDF step, which a binary search settles. Otherwise the
+block falls back to the generator's own Poisson sampler, which refuses
+means above about 9.2e18; ``run_trials`` refuses such a mean before any
+block draws. A port the rule never reads gets no table, and a block that
+would invert it advances the stream past its words instead.
 Streams come from numpy's PCG64 seeded through ``SeedSequence(seed).spawn``,
 one child per fixed-size trial block, so runs are reproducible bit for bit
 and block results merge by plain addition regardless of scheduling. They are
@@ -126,14 +129,14 @@ def _inversion_cap(top: float) -> int:
 # no block's cap exceeds this, so one CDF length serves all of them
 _CDF_LENGTH = _inversion_cap(_INVERSION_MEAN_LIMIT)
 
-# uniforms are multiples of 2**-53, so u * _GUIDE_BINS floors exactly
+# a raw word's top 16 bits are floor(u * _GUIDE_BINS) for its uniform u
 _GUIDE_BINS = 1 << 16
 
 
 class _InversionTable:
     """Poisson CDFs of two means, each with a guide for indexed search.
 
-    Row r (0 for PLUS, 1 for MINUS) holds ``means[r]`` and the CDF
+    Row r (0 for PLUS, 1 for MINUS) holds the CDF of ``means[r]``,
     ``cum[r, 0 .. _CDF_LENGTH - 1]``. With guide(b) the number of
     ``cum[r, k]`` below b / _GUIDE_BINS, a uniform in bin b inverts to
     guide(b) unless a CDF step falls inside the bin (guide(b + 1) differs),
@@ -148,8 +151,7 @@ class _InversionTable:
     """
 
     def __init__(self, means) -> None:
-        self.means = np.asarray(means, dtype=float)
-        col = self.means[:, None]
+        col = np.asarray(means, dtype=float)[:, None]
         with np.errstate(under="ignore"):
             pmf = np.cumprod(
                 np.concatenate((np.exp(-col), col / np.arange(1, _CDF_LENGTH)), axis=1),
@@ -166,53 +168,61 @@ class _InversionTable:
         )
         self.lookup = np.where(guide[:, 1:] == guide[:, :-1], guide[:, :-1], -1).ravel()
 
-    def invert(self, u: np.ndarray, minus: np.ndarray, cap: int) -> np.ndarray:
-        """min(first k with u <= cum[row, k], cap) for each uniform of ``u``.
+    def invert(self, words: np.ndarray, minus: np.ndarray, cap: int) -> np.ndarray:
+        """min(first k with u <= cum[row, k], cap) for each raw word of ``words``.
 
-        ``u`` is one-dimensional. Uniforms where the boolean array ``minus``
-        is true read row 1, the others row 0. A bin without a step lies
-        below the CDF value 1 - 1 / _GUIDE_BINS, which every mean below 30
-        passes within 55 counts, so only the searched bins can reach
+        ``words`` is one-dimensional; a raw word w stands for the uniform
+        u = (w >> 11) * 2**-53 that ``Generator.random`` makes of it, which is
+        rebuilt only in the searched bins. Words where the boolean array
+        ``minus`` is true read row 1, the others row 0. A bin without a step
+        lies below the CDF value 1 - 1 / _GUIDE_BINS, which every mean below
+        30 passes within 55 counts, so only the searched bins can reach
         ``cap``, which is never below ``_inversion_cap(0)`` = 250.
         """
-        b = (u * _GUIDE_BINS).astype(np.intp)
+        b = (words >> 48).view(np.int64)
         b += minus * _GUIDE_BINS
         counts = self.lookup.take(b)
         step = np.flatnonzero(counts < 0)
         if step.size:
+            u = (words[step] >> 11) * 2.0**-53
             step_minus = minus[step]
-            for cum, at in zip(self.cum, (step[~step_minus], step[step_minus])):
-                counts[at] = np.minimum(np.searchsorted(cum, u[at]), cap)
+            for cum, at in zip(self.cum, (~step_minus, step_minus)):
+                counts[step[at]] = np.minimum(np.searchsorted(cum, u[at]), cap)
         return counts
 
 
 def _draw_counts(
     rng: np.random.Generator,
-    table: _InversionTable,
+    means: np.ndarray,
+    table: _InversionTable | None,
     minus: np.ndarray,
     held: tuple[bool, bool],
-) -> np.ndarray:
+) -> np.ndarray | None:
     """One port's counts for a block; ``held`` says whether the block holds
-    PLUS and MINUS trials, and the largest mean among those picks the sampler
-    and the cap."""
-    top = float(max(mean for mean, h in zip(table.means, held) if h))
-    if top < _INVERSION_MEAN_LIMIT:
-        return table.invert(rng.random(minus.size), minus, _inversion_cap(top))
-    return rng.poisson(table.means[minus.view(np.uint8)])
+    PLUS and MINUS trials, and the largest of the two ``means`` among those
+    picks the sampler and the cap. A port to invert without a table is never
+    read: inversion takes one word per trial, so the stream skips as many."""
+    top = float(max(mean for mean, h in zip(means, held) if h))
+    if top >= _INVERSION_MEAN_LIMIT:
+        return rng.poisson(means[minus.view(np.uint8)])
+    if table is None:
+        rng.bit_generator.advance(minus.size)
+        return None
+    return table.invert(rng.bit_generator.random_raw(minus.size), minus, _inversion_cap(top))
 
 
 def _simulate_block(
     cfg: TrialConfig,
     slopes: tuple[float, float],
-    tables: tuple[_InversionTable, _InversionTable],
+    ports: list[tuple[np.ndarray, _InversionTable | None]],
     rng: np.random.Generator,
     size: int,
 ) -> int:
-    minus = rng.random(size) >= 0.5
+    # a raw word is at least 2**63 exactly when its uniform is at least 0.5
+    minus = rng.bit_generator.random_raw(size) >= 1 << 63
     n_minus = int(np.count_nonzero(minus))
     held = (n_minus < size, n_minus > 0)
-    counts1 = _draw_counts(rng, tables[0], minus, held)
-    counts2 = _draw_counts(rng, tables[1], minus, held)
+    counts1, counts2 = [_draw_counts(rng, *port, minus, held) for port in ports]
 
     if cfg.rule is DecisionRule.KENNEDY_SINGLE_PORT:
         # the single-port rule never ties; a PLUS guess is wrong exactly on
@@ -247,14 +257,18 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
         )
     # the count comparison scores n - m, the same boundary at unit slopes
     slopes = (1.0, -1.0) if cfg.rule is DecisionRule.HOMODYNE_COMPARE else _ml_slopes(*means)
-    # one table per port, row 0 for PLUS trials and row 1 for MINUS trials;
-    # blocks only read them, so every block sees the same CDFs
-    tables = (_InversionTable(means[:2]), _InversionTable(means[2:]))
+    # each port's PLUS and MINUS means, with a table only if the rule reads the
+    # port and some block can invert it; every block reads the same CDFs
+    reads = (cfg.rule is not DecisionRule.KENNEDY_SINGLE_PORT, True)
+    ports = [
+        (pm, _InversionTable(pm) if read and min(pm) < _INVERSION_MEAN_LIMIT else None)
+        for pm, read in zip((np.array(means[:2]), np.array(means[2:])), reads)
+    ]
 
     def run_block(block) -> int:
         child, first = block
         rng = np.random.Generator(np.random.PCG64(child))
-        return _simulate_block(cfg, slopes, tables, rng, min(BLOCK_TRIALS, cfg.trials - first))
+        return _simulate_block(cfg, slopes, ports, rng, min(BLOCK_TRIALS, cfg.trials - first))
 
     root = np.random.SeedSequence(cfg.seed)
     errors = 0

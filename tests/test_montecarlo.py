@@ -59,7 +59,8 @@ def _means(pair, splitter):
 def _draw_constant(mean, rng, size):
     """A block of ``size`` counts that all have one mean, as run_trials draws a
     port whose mean is the same under both hypotheses."""
-    return _draw_counts(rng, _InversionTable([mean, mean]), np.zeros(size, dtype=bool),
+    means = np.array([mean, mean])
+    return _draw_counts(rng, means, _InversionTable(means), np.zeros(size, dtype=bool),
                         (True, False))
 
 
@@ -110,15 +111,24 @@ def _sequential_cdf_search(u, mean):
     return counts
 
 
-class _FixedUniforms:
-    """Stands in for a Generator whose next uniforms are known."""
+class _FixedWords:
+    """Stands in for a Generator whose next raw words stand for known uniforms.
+
+    Each uniform u, a multiple of 2**-53, becomes the word w with
+    (w >> 11) * 2**-53 = u; the low 11 bits, which ``Generator.random``
+    drops, hold arbitrary bits.
+    """
 
     def __init__(self, u):
-        self.u = u
+        scaled = u * 2.0**53
+        assert np.array_equal(scaled, np.floor(scaled))
+        low = np.arange(u.size, dtype=np.uint64) * 0x9E5 % 2048
+        self.words = scaled.astype(np.uint64) << 11 | low
+        self.bit_generator = self
 
-    def random(self, size):
-        assert np.prod(size) == self.u.size
-        return self.u
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words
 
 
 _LARGEST_UNIFORM = 1.0 - 2.0**-53
@@ -126,7 +136,12 @@ _LARGEST_UNIFORM = 1.0 - 2.0**-53
 
 def _edge_uniforms(*means):
     """0, the largest uniform, steps of 1/4096, and every CDF value of each
-    mean with its two float neighbours, all inside [0, 1)."""
+    mean with its two float neighbours, all inside [0, 1).
+
+    A uniform is a multiple of 2**-53, and below 0.5 floats are finer than
+    that, so each point stands as its floor and ceiling on that grid: the
+    two straddle the same CDF step, and the generator can produce both.
+    """
     points = [0.0, _LARGEST_UNIFORM, *(np.arange(4096) / 4096)]
     for mean in means:
         pmf = cum = float(np.exp(-mean))
@@ -134,7 +149,8 @@ def _edge_uniforms(*means):
             points += [cum, math.nextafter(cum, 0.0), math.nextafter(cum, 2.0)]
             pmf *= mean / k
             cum += pmf
-    u = np.array(points)
+    scaled = np.array(points) * 2.0**53
+    u = np.concatenate([np.floor(scaled), np.ceil(scaled)]) * 2.0**-53
     return u[(u >= 0.0) & (u < 1.0)]
 
 
@@ -153,7 +169,7 @@ def test_edge_uniforms_reach_a_saturated_cdf():
 @pytest.mark.parametrize("mean", INVERSION_MEANS)
 def test_sample_poisson_matches_sequential_search(mean):
     u = np.concatenate([_edge_uniforms(mean), np.random.default_rng(17).random(20_000)])
-    got = _draw_constant(mean, _FixedUniforms(u), u.size)
+    got = _draw_constant(mean, _FixedWords(u), u.size)
     np.testing.assert_array_equal(got, _sequential_cdf_search(u, mean))
 
 
@@ -174,9 +190,9 @@ def test_block_draws_match_sequential_search(mean_plus, mean_minus, hypotheses):
         # a block holding one hypothesis caps its counts at that mean's cap
         hyp_plus = np.full(u.size, hypotheses == "plus only")
     mean_vec = np.where(hyp_plus, mean_plus, mean_minus)
-    table = _InversionTable([mean_plus, mean_minus])
+    means = np.array([mean_plus, mean_minus])
     held = (bool(hyp_plus.any()), not hyp_plus.all())
-    got = _draw_counts(_FixedUniforms(u), table, ~hyp_plus, held)
+    got = _draw_counts(_FixedWords(u), means, _InversionTable(means), ~hyp_plus, held)
     np.testing.assert_array_equal(got, _sequential_cdf_search(u, mean_vec))
 
 
@@ -597,12 +613,61 @@ def test_run_trials_counts_errors_like_the_reference_block(alpha2, beta2, phi, t
         assert run_trials(cfg).errors == _reference_errors(cfg), cfg
 
 
+# the single-port rule at the cancellation angle, where port 1's means are
+# 35 (PLUS) and 17.9 (MINUS): a block holding only MINUS trials would invert
+# port 1, which the rule never reads, and any other block samples it
+_KENNEDY_STRADDLE = PulsePair(5.0, 30.0)
+
+
+@pytest.mark.parametrize("trials", [1, 3, montecarlo.BLOCK_TRIALS + 1])
+def test_skipped_port_leaves_the_stream_where_drawing_would(trials):
+    pair = _KENNEDY_STRADDLE
+    splitter = kennedy_angle(pair)
+    n1_plus, n1_minus = _means(pair, splitter)[:2]
+    assert n1_minus < montecarlo._INVERSION_MEAN_LIMIT <= n1_plus
+    for seed in range(20):
+        cfg = TrialConfig(pair, splitter, DecisionRule.KENNEDY_SINGLE_PORT, trials=trials,
+                          seed=seed)
+        assert run_trials(cfg).errors == _reference_errors(cfg), cfg
+
+
+def test_tables_are_built_only_for_ports_a_block_can_invert_and_the_rule_reads(monkeypatch):
+    built = []
+
+    class Recording(_InversionTable):
+        def __init__(self, means):
+            built.append(tuple(means))
+            super().__init__(means)
+
+    monkeypatch.setattr(montecarlo, "_InversionTable", Recording)
+    ml, compare = DecisionRule.ML_JOINT, DecisionRule.HOMODYNE_COMPARE
+    kennedy, interior = DecisionRule.KENNEDY_SINGLE_PORT, Beamsplitter(0.15 * math.pi)
+    cases = [
+        # both ports' means reach 30 under both hypotheses: no table
+        (PulsePair(0.1, 100.0), homodyne_splitter(), compare, ()),
+        # port 1's means 82.0 and 76.9 reach 30, port 2's do not
+        (PulsePair(0.1, 100.0), interior, ml, (1,)),
+        # port 1's means 32.5 and 27.6 straddle 30, so both ports can invert
+        (PulsePair(0.1, 60.0), homodyne_splitter(), compare, (0, 1)),
+        (PulsePair(0.1, 1.0), interior, ml, (0, 1)),
+        # the single-port rule reads port 2 alone, whatever port 1's means
+        (PulsePair(0.1, 1.0), None, kennedy, (1,)),
+        (_KENNEDY_STRADDLE, None, kennedy, (1,)),
+    ]
+    for pair, splitter, rule, ports in cases:
+        splitter = splitter or kennedy_angle(pair)
+        built.clear()
+        run_trials(TrialConfig(pair, splitter, rule, trials=3, seed=1))
+        means = _means(pair, splitter)
+        assert built == [tuple(means[2 * port:2 * port + 2]) for port in ports], (pair, rule)
+
+
 @pytest.mark.parametrize("beta2", [1e12, 1e16])
 def test_huge_means_score_in_memory_set_by_the_block(monkeypatch, beta2):
     # port means up to about 1e16: any table spanning the counts a port can
     # reach would hold millions to hundreds of millions of entries, while a
-    # 3 000-trial run needs its guide tables (about 1 MB) and a few 24 KB
-    # per-trial arrays
+    # 3 000-trial run needs a few 24 KB per-trial arrays and no guide table,
+    # since no port can be inverted
     monkeypatch.setenv("PHASEKIT_THREADS", "1")
     cfg = TrialConfig(PulsePair(1.0, beta2), Beamsplitter(0.15 * math.pi),
                       DecisionRule.ML_JOINT, trials=3_000, seed=4)
@@ -637,6 +702,32 @@ def test_run_matches_benchmark_reference(key):
 
 
 # --------------------------------------------------------- batched streams
+
+
+def _next_draws(rng):
+    return rng.random(5), rng.poisson([0.5, 40.0]), rng.bit_generator.random_raw(2)
+
+
+@pytest.mark.parametrize("size", [1, 3, 1000, montecarlo.BLOCK_TRIALS])
+def test_spawned_streams_keep_the_identities_the_sampler_reads_them_by(size):
+    # blocks read the raw words that Generator.random turns into doubles,
+    # and advance past a port they never read; both rest on these identities
+    # of numpy's PCG64, which a numpy release could change
+    for child in np.random.SeedSequence(2024).spawn(3):
+        drawn, raw, skipped = (np.random.Generator(np.random.PCG64(child)) for _ in range(3))
+        doubles = drawn.random(size)
+        words = raw.bit_generator.random_raw(size)
+        assert words.dtype == np.uint64
+        assert np.array_equal(doubles.view(np.uint64), ((words >> 11) * 2.0**-53).view(np.uint64))
+        # so the hypothesis flag and the guide bin read straight off the word
+        assert np.array_equal(words >= 1 << 63, doubles >= 0.5)
+        assert np.array_equal(words >> 48, np.floor(doubles * montecarlo._GUIDE_BINS))
+        skipped.bit_generator.advance(size)
+        # all three streams now stand at the same place
+        then = _next_draws(drawn)
+        for rng in (raw, skipped):
+            for expected, got in zip(then, _next_draws(rng)):
+                assert np.array_equal(expected, got)
 
 
 def test_batched_spawns_draw_like_one_spawn():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -14,15 +13,18 @@ ENV_VAR = "PHASEKIT_THREADS"
 
 def thread_budget() -> int:
     raw = os.environ.get(ENV_VAR, "").strip()
-    if not raw:
-        return os.cpu_count() or 1
     try:
-        n = int(raw)
+        n = int(raw or 0)
     except ValueError:
         raise ValueError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}") from None
     if n < 0:
         raise ValueError(f"{ENV_VAR} must be a non-negative integer, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
+    if n > 0:
+        return n
+    # the CPUs this process may run on: a cpuset or affinity mask can allow fewer than the host has
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
@@ -31,5 +33,8 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     budget = min(thread_budget(), len(seq))
     if budget <= 1 or len(seq) <= 1:
         return [fn(x) for x in seq]
+    # imported here, so a process that never starts a pool never loads it (nor logging)
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=budget) as pool:
         return list(pool.map(fn, seq))

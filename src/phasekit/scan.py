@@ -18,7 +18,6 @@ never as NaN or inf text.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -77,6 +76,8 @@ def write_csv(table: Table, stream: IO[str]) -> None:
 
 
 def write_json(table: Table, stream: IO[str]) -> None:
+    import json  # its only reader, so a call that writes no JSON never loads it
+
     payload = {
         "metadata": {k: _json_value(v) for k, v in table.metadata.items()},
         "rows": [

@@ -1,6 +1,8 @@
 import argparse
+import gc
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -566,3 +568,52 @@ def test_figure_json_bytes_are_pinned(options, capsys):
     assert cli.main(["figure", *options.split(), "--format", "json"]) == 0
     out = capsys.readouterr().out.encode()
     assert (hashlib.sha256(out).hexdigest(), len(out)) == FIGURE_JSON_DIGESTS[options]
+
+
+# runs ARGS the way `python -m phasekit` does (runpy), then reports on stderr which
+# of the lazily loaded modules the process holds and how many objects it froze
+ENTRY_CHILD = """\
+import gc, runpy, sys
+try:
+    runpy.run_module("phasekit", run_name="__main__", alter_sys=True)
+finally:
+    held = [m for m in ("concurrent.futures", "json", "logging") if m in sys.modules]
+    sys.stderr.write(f"held={','.join(held)} frozen={gc.get_freeze_count()}\\n")
+"""
+
+
+def run_entry(*args, threads="2"):
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_CHILD, *args],
+        capture_output=True,
+        env={**os.environ, "PHASEKIT_THREADS": threads},
+    )
+    assert proc.returncode == 0, proc.stderr
+    held, frozen = proc.stderr.decode().split()
+    return proc.stdout, held.removeprefix("held=").split(","), int(frozen.removeprefix("frozen="))
+
+
+def test_entry_freezes_its_imports_and_loads_no_pool_or_json():
+    stdout, held, frozen = run_entry("kennedy", "--alpha2", "0.1", "--beta2", "1")
+    assert stdout == b"P = 0.347571964199\nD = 0.304856071601\n"
+    assert held == [""]
+    assert frozen > 0
+
+
+def test_entry_prints_the_pinned_outputs_of_a_pool_and_of_json():
+    command = next(c for c in CLI_REFERENCES if c.startswith("phasekit montecarlo"))
+    assert "--trials 100000" in command
+    stdout, held, frozen = run_entry(*shlex.split(command)[1:])
+    assert stdout.decode() == CLI_REFERENCES[command]
+    assert "concurrent.futures" in held and "json" not in held and frozen > 0
+
+    stdout, held, frozen = run_entry("figure", "--id", "1", "--format", "json")
+    assert (hashlib.sha256(stdout).hexdigest(), len(stdout)) == FIGURE_JSON_DIGESTS["--id 1"]
+    assert held == ["json"] and frozen > 0
+
+
+def test_in_process_main_does_not_freeze(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["kennedy", "--alpha2", "0.1", "--beta2", "1"]) == 0
+    assert capsys.readouterr().out == "P = 0.347571964199\nD = 0.304856071601\n"
+    assert gc.get_freeze_count() == before

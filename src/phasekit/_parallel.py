@@ -1,4 +1,9 @@
-"""Thread-pool helper honouring the PHASEKIT_THREADS cap (0 or unset = auto)."""
+"""Thread-pool helper honouring the PHASEKIT_THREADS cap (0 or unset = auto).
+
+A map of fewer than ``POOL_MIN_ITEMS`` items runs on the calling thread: at 2
+threads, a fresh process gained less from pooling 2-4 Monte Carlo blocks (2-7
+ms each) than the pool's import and start cost it (about 5 ms).
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 ENV_VAR = "PHASEKIT_THREADS"
+
+POOL_MIN_ITEMS = 5
 
 
 def thread_budget() -> int:
@@ -31,7 +38,7 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """Map preserving input order; results never depend on scheduling."""
     seq: Sequence[T] = list(items)
     budget = min(thread_budget(), len(seq))
-    if budget <= 1 or len(seq) <= 1:
+    if budget <= 1 or len(seq) < POOL_MIN_ITEMS:
         return [fn(x) for x in seq]
     # imported here, so a process that never starts a pool never loads it (nor logging)
     from concurrent.futures import ThreadPoolExecutor

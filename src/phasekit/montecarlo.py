@@ -8,10 +8,10 @@ unit slopes, n - m. ``_draw_counts`` is the one Poisson sampler and draws a
 whole block of counts at once: when every mean in the block is below 30,
 each count inverts one raw 64-bit word of the stream, as the uniform
 ``Generator.random`` makes of it, against the Poisson CDF through a guide
-table built once per run (indexed search, Chen & Asau 1974). The word's top
-16 bits are its guide bin; one lookup gives the count, or -1 for the few
-bins that hold a CDF step, which a binary search settles. Otherwise the
-block falls back to the generator's own Poisson sampler, which refuses
+table built in place once per run (indexed search, Chen & Asau 1974). The
+word's top 16 bits are its guide bin; one lookup gives the count, or -1 for
+the few bins that hold a CDF step, which a binary search settles. Otherwise
+the block falls back to the generator's own Poisson sampler, which refuses
 means above about 9.2e18; ``run_trials`` refuses such a mean before any
 block draws. A port the rule never reads gets no table, and a block that
 would invert it advances the stream past its words instead.
@@ -19,7 +19,8 @@ Streams come from numpy's PCG64 seeded through ``SeedSequence(seed).spawn``,
 one child per fixed-size trial block, so runs are reproducible bit for bit
 and block results merge by plain addition regardless of scheduling. They are
 spawned and mapped ``SPAWN_BATCH`` blocks at a time, at most one batch held
-at once; each spawn continues the root's child count, so the streams match
+at once, and a batch too short to pay for a thread pool runs on the calling
+thread; each spawn continues the root's child count, so the streams match
 one spawn of every block.
 """
 
@@ -140,9 +141,9 @@ class _InversionTable:
     ``cum[r, 0 .. _CDF_LENGTH - 1]``. With guide(b) the number of
     ``cum[r, k]`` below b / _GUIDE_BINS, a uniform in bin b inverts to
     guide(b) unless a CDF step falls inside the bin (guide(b + 1) differs),
-    in which case a binary search over the row settles it. ``lookup[r *
-    _GUIDE_BINS + b]`` is guide(b) for the bins without a step and -1 for
-    the bins with one, so one gather reads both the count and the flag.
+    in which case a binary search over the row settles it. ``lookup[b, r]``
+    is guide(b) for the bins without a step and -1 for the bins with one,
+    so one gather reads both the count and the flag.
 
     CDF rows follow the float recurrence pmf_0 = exp(-mean), pmf_k =
     pmf_(k-1) * (mean / k), cum_k = cum_(k-1) + pmf_k: cumprod and cumsum
@@ -158,15 +159,15 @@ class _InversionTable:
                 axis=1,
             )
         self.cum = np.cumsum(pmf, axis=1)
-        # cum never decreases, and with G = _GUIDE_BINS, cum < b / G exactly
-        # when floor(cum * G) < b (* G is exact), so guide(b) = k on the bins
-        # from floor(cum[k - 1] * G) + 1 up to floor(cum[k] * G)
-        starts = (self.cum * _GUIDE_BINS).astype(np.intp) + 1
-        counts = np.arange(_CDF_LENGTH + 1, dtype=np.int16)
-        guide = np.stack(
-            [np.repeat(counts, np.diff(row, prepend=0, append=_GUIDE_BINS + 1)) for row in starts]
-        )
-        self.lookup = np.where(guide[:, 1:] == guide[:, :-1], guide[:, :-1], -1).ravel()
+        # with G = _GUIDE_BINS, cum < b / G exactly when floor(cum * G) < b (* G
+        # is exact), so guide(b) counts the k with floor(cum[k] * G) < b and bin
+        # floor(cum[k] * G) holds a step; each row is counted up in place
+        self.lookup = np.zeros((_GUIDE_BINS, 2), dtype=np.int16)
+        for row, cum in zip(self.lookup.T, self.cum):
+            steps = (cum * _GUIDE_BINS).astype(np.intp)
+            np.add.at(row, steps[steps < _GUIDE_BINS - 1] + 1, 1)
+            np.add.accumulate(row, out=row)
+            row[steps[steps < _GUIDE_BINS]] = -1
 
     def invert(self, words: np.ndarray, minus: np.ndarray, cap: int) -> np.ndarray:
         """min(first k with u <= cum[row, k], cap) for each raw word of ``words``.
@@ -179,8 +180,10 @@ class _InversionTable:
         30 passes within 55 counts, so only the searched bins can reach
         ``cap``, which is never below ``_inversion_cap(0)`` = 250.
         """
-        b = (words >> 48).view(np.int64)
-        b += minus * _GUIDE_BINS
+        # flat index 2 b + r: the word's top 17 bits, the lowest set to the row
+        b = (words >> 47).view(np.int64)
+        b &= -2
+        b |= minus
         counts = self.lookup.take(b)
         step = np.flatnonzero(counts < 0)
         if step.size:
@@ -245,9 +248,9 @@ def run_trials(cfg: TrialConfig) -> EstimateResult:
     """Simulate the configured receiver and tally wrong guesses.
 
     Trials are split into blocks of ``BLOCK_TRIALS`` with one spawned RNG
-    stream each, mapped ``SPAWN_BATCH`` blocks at a time; the error count is
-    the plain sum over blocks, so the estimate is identical however the
-    blocks are scheduled.
+    stream each, mapped ``SPAWN_BATCH`` blocks at a time (in a thread pool
+    only from ``POOL_MIN_ITEMS`` blocks on); the error count is the plain sum
+    over blocks, so the estimate is identical however they are scheduled.
     """
     means = port_means(cfg.pair.alpha, cfg.pair.beta, cfg.splitter.r, cfg.splitter.t)
     if (top := max(means)) > _SAMPLER_MEAN_LIMIT:

@@ -600,16 +600,26 @@ def test_entry_freezes_its_imports_and_loads_no_pool_or_json():
     assert frozen > 0
 
 
-def test_entry_prints_the_pinned_outputs_of_a_pool_and_of_json():
+def test_entry_prints_the_pinned_outputs_of_a_short_run_and_of_json():
+    # 2 blocks of trials run on the calling thread, with no pool loaded
     command = next(c for c in CLI_REFERENCES if c.startswith("phasekit montecarlo"))
     assert "--trials 100000" in command
     stdout, held, frozen = run_entry(*shlex.split(command)[1:])
     assert stdout.decode() == CLI_REFERENCES[command]
-    assert "concurrent.futures" in held and "json" not in held and frozen > 0
+    assert held == [""] and frozen > 0
 
     stdout, held, frozen = run_entry("figure", "--id", "1", "--format", "json")
     assert (hashlib.sha256(stdout).hexdigest(), len(stdout)) == FIGURE_JSON_DIGESTS["--id 1"]
     assert held == ["json"] and frozen > 0
+
+
+def test_a_two_block_run_prints_the_same_bytes_at_one_and_two_threads_without_a_pool():
+    argv = ("montecarlo", "--alpha2", "0.1209", "--beta2", "1", "--rule", "homodyne",
+            "--trials", "100000", "--seed", "1")
+    serial, _, _ = run_entry(*argv, threads="1")
+    stdout, held, _ = run_entry(*argv, threads="2")
+    assert stdout == serial and stdout.startswith(b"error_rate = ")
+    assert "concurrent.futures" not in held
 
 
 def test_in_process_main_does_not_freeze(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasekit import montecarlo
+from phasekit._parallel import POOL_MIN_ITEMS
 from phasekit.model import (
     Beamsplitter,
     PulsePair,
@@ -329,41 +331,62 @@ def test_run_trials_reproducible_bit_for_bit():
     assert run_trials(cfg) == run_trials(cfg)
 
 
-def test_run_trials_independent_of_thread_cap(monkeypatch):
+# block counts just below, at and above the smallest one a pool starts for
+AROUND_POOL_MIN = [POOL_MIN_ITEMS - 1, POOL_MIN_ITEMS, POOL_MIN_ITEMS + 1]
+
+
+@pytest.mark.parametrize("blocks", AROUND_POOL_MIN)
+def test_run_trials_independent_of_thread_cap(monkeypatch, blocks):
     cfg = TrialConfig(PulsePair(0.1, 1.0), homodyne_splitter(), DecisionRule.ML_JOINT,
-                      trials=150_000, seed=9)
+                      trials=blocks * montecarlo.BLOCK_TRIALS - 1000, seed=9)
+    workers = set()
+    simulate = montecarlo._simulate_block
+
+    def recording(*args):
+        workers.add(threading.get_ident())
+        return simulate(*args)
+
+    monkeypatch.setattr(montecarlo, "_simulate_block", recording)
     monkeypatch.setenv("PHASEKIT_THREADS", "1")
     serial = run_trials(cfg)
+    assert workers == {threading.get_ident()}
+    workers.clear()
     monkeypatch.setenv("PHASEKIT_THREADS", "4")
     threaded = run_trials(cfg)
     assert serial == threaded
+    # below the pool's minimum every block runs on the calling thread, from it on none does
+    assert (threading.get_ident() in workers) == (blocks < POOL_MIN_ITEMS)
 
 
+@pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("raw, shown", [("x", "'x'"), ("-1", "-1")])
-def test_run_trials_refuses_a_bad_thread_cap(monkeypatch, raw, shown):
+def test_run_trials_refuses_a_bad_thread_cap(monkeypatch, raw, shown, blocks):
+    # a run this short starts no pool, and still reads the cap
+    assert blocks < POOL_MIN_ITEMS
     cfg = TrialConfig(PulsePair(0.1, 1.0), homodyne_splitter(), DecisionRule.ML_JOINT,
-                      trials=10)
+                      trials=(blocks - 1) * montecarlo.BLOCK_TRIALS + 10)
     monkeypatch.setenv("PHASEKIT_THREADS", raw)
     with pytest.raises(ValueError) as info:
         run_trials(cfg)
     assert str(info.value) == f"PHASEKIT_THREADS must be a non-negative integer, got {shown}"
 
 
+@pytest.mark.parametrize("blocks", AROUND_POOL_MIN)
 @pytest.mark.parametrize(
-    "pair,splitter,rule,trials",
+    "pair,splitter,rule,last",
     [
-        (PulsePair(0.1, 100.0), Beamsplitter(0.15 * math.pi), DecisionRule.ML_JOINT, 150_000),
+        (PulsePair(0.1, 100.0), Beamsplitter(0.15 * math.pi), DecisionRule.ML_JOINT, 18_928),
         # port 1 means 32.5 (PLUS) and 27.6 (MINUS) straddle the inversion limit
-        (PulsePair(0.1, 60.0), homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE, 150_000),
+        (PulsePair(0.1, 60.0), homodyne_splitter(), DecisionRule.HOMODYNE_COMPARE, 18_928),
         # the last block holds a single trial
-        (PulsePair(0.1, 100.0), Beamsplitter(0.15 * math.pi), DecisionRule.ML_JOINT,
-         2 * montecarlo.BLOCK_TRIALS + 1),
+        (PulsePair(0.1, 100.0), Beamsplitter(0.15 * math.pi), DecisionRule.ML_JOINT, 1),
     ],
     ids=["ml beta2=100", "straddle", "partial block"],
 )
 def test_run_trials_on_the_generator_sampler_independent_of_thread_cap(
-    monkeypatch, pair, splitter, rule, trials
+    monkeypatch, pair, splitter, rule, last, blocks
 ):
+    trials = (blocks - 1) * montecarlo.BLOCK_TRIALS + last
     cfg = TrialConfig(pair, splitter, rule, trials=trials, seed=9)
     assert _means(pair, splitter)[0] >= montecarlo._INVERSION_MEAN_LIMIT
     monkeypatch.setenv("PHASEKIT_THREADS", "1")
@@ -678,6 +701,36 @@ def test_huge_means_score_in_memory_set_by_the_block(monkeypatch, beta2):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+    assert errors == _reference_errors(cfg)
+
+
+def test_inversion_table_builds_its_lookup_in_place():
+    # beyond what the table keeps, building it holds at most one guide row
+    tracemalloc.start()
+    try:
+        table = _InversionTable([0.1, 29.99])
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.lookup.size == 2 * montecarlo._GUIDE_BINS
+    assert peak <= retained + (montecarlo._GUIDE_BINS + 1) * np.dtype(np.int16).itemsize
+
+
+def test_a_two_block_run_holds_one_block_of_temporaries(monkeypatch):
+    # two blocks run in turn on the calling thread even with two threads
+    # allowed; the traced peak was 1.90 MB on numpy 2.4 (two 0.26 MB guide
+    # tables and the largest block step, two 0.5 MB float scores), and the
+    # bound leaves 5% for other numpy versions
+    monkeypatch.setenv("PHASEKIT_THREADS", "2")
+    cfg = TrialConfig(PulsePair(0.1209, 1.0), homodyne_splitter(),
+                      DecisionRule.HOMODYNE_COMPARE, trials=2 * montecarlo.BLOCK_TRIALS, seed=1)
+    tracemalloc.start()
+    try:
+        errors = run_trials(cfg).errors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 2**20
     assert errors == _reference_errors(cfg)
 
 

@@ -21,6 +21,19 @@ def test_pool_keeps_input_order(monkeypatch):
     assert workers and threading.get_ident() not in workers
 
 
+@pytest.mark.parametrize("items", [2, _parallel.POOL_MIN_ITEMS - 1])
+def test_a_short_map_runs_on_the_calling_thread(monkeypatch, items):
+    monkeypatch.setenv(_parallel.ENV_VAR, "2")
+    workers = set()
+
+    def square(x):
+        workers.add(threading.get_ident())
+        return x * x
+
+    assert _parallel.parallel_map(square, range(items)) == [x * x for x in range(items)]
+    assert workers == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_an_item_that_raises_propagates(monkeypatch, threads):
     monkeypatch.setenv(_parallel.ENV_VAR, threads)
@@ -31,7 +44,7 @@ def test_an_item_that_raises_propagates(monkeypatch, threads):
         return x
 
     with pytest.raises(ValueError, match="item 3"):
-        _parallel.parallel_map(fail_on_three, range(6))
+        _parallel.parallel_map(fail_on_three, range(_parallel.POOL_MIN_ITEMS + 1))
 
 
 # unset and 0 mean one thread per CPU this process may run on; a set cap is kept as it is

@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .model import DiscriminationResult, PulsePair
+from .model import _EPS, DiscriminationResult, PulsePair
 from .numerics import NEG_INF, _checked_tail, _poisson_search, _row_blocks
 
 __all__ = [
@@ -54,8 +54,6 @@ DEFAULT_TAIL_TOL = 1e-10
 # far below tail_tol, at the cost of ten short terms; it stops early at the
 # end of the cutoff search's vector, past which less than e^-30 * tail_tol lies
 TRUNCATION_SAFETY_MARGIN = 10
-
-_EPS = np.finfo(float).eps
 
 
 def _log_abs_r(pair: PulsePair) -> float:
@@ -122,9 +120,11 @@ def _optimal_rows(pairs, tail_tol: float) -> list[DiscriminationResult]:
         errors, half_norms, rounding = _sectors(pair, log_w[: n_max + 1], w[: n_max + 1])
         tail_bound = float(tails[n_max + 1]) + math.exp(log_rest)
         x_next = math.exp(2.0 * (n_max + 1) * _log_abs_r(pair))
+        # a subnormal term rounds by up to ulp(0.0) in exp, and half that in each step after
+        subnormal = 2.0 * (n_max + 1) * math.ulp(0.0)
         results.append(DiscriminationResult(math.fsum(errors), "helstrom_truncated", {
             "n_max": n_max, "tail_tol": tail_tol,
-            "truncation_bound": 0.5 * tail_bound * x_next + float(rounding.sum()),
+            "truncation_bound": 0.5 * tail_bound * x_next + float(rounding.sum()) + subnormal,
             "trace_norm": 2.0 * math.fsum(half_norms)}))
     return results
 
@@ -138,12 +138,12 @@ def p_err_optimal(pair: PulsePair, tail_tol: float = DEFAULT_TAIL_TOL) -> Discri
     sector N would add at most w_N x_N / 2, and x_N never grows with N.
     ``metadata['truncation_bound']`` therefore bounds the error in P by half
     the dropped Poisson mass times x_(n_max+1), plus the float rounding of
-    the log-space terms. ``metadata['trace_norm']`` is the trace norm of the
-    truncated state difference. One Poisson search gives the cutoff, the
-    weights and the dropped mass, at a cost linear in n_max; the photon-count
-    ceiling admits alpha^2 + beta^2 up to about 1.03e6. At alpha^2 = 0 or
-    beta^2 = 0 the states are identical, and the exact tie 1/2 comes back
-    with n_max = 0 and no cutoff sized.
+    the log-space and subnormal terms. ``metadata['trace_norm']`` is the
+    trace norm of the truncated state difference. One Poisson search gives
+    the cutoff, the weights and the dropped mass, at a cost linear in n_max;
+    the photon-count ceiling admits alpha^2 + beta^2 up to about 1.03e6. At
+    alpha^2 = 0 or beta^2 = 0 the states are identical, and the exact tie
+    1/2 comes back with n_max = 0 and no cutoff sized.
     """
     return _optimal_rows([pair], tail_tol)[0]
 

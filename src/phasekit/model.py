@@ -46,12 +46,14 @@ def _checked_strength(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
-def _checked_integer(name: str, value) -> None:
-    """The one rule for an integer limit (a count or a seed): any int, a bool too."""
+def _checked_integer(name: str, value, least: int | None = None) -> None:
+    """The one rule for an integer limit (a count or a seed): any int, a bool too, >= ``least``."""
     try:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

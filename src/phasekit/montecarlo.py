@@ -75,10 +75,8 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _checked_integer("trials", self.trials)
+        _checked_integer("trials", self.trials, least=1)
         _checked_integer("seed", self.seed)
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.rule is DecisionRule.HOMODYNE_COMPARE:

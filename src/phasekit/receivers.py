@@ -385,9 +385,7 @@ def best_angle(
     goes through ``p_beamsplitter_ml``, and its result (the same P) is
     returned with ``grid_points`` and ``angle_tol`` added to the metadata.
     """
-    _checked_integer("grid_points", grid_points)
-    if grid_points < 16:
-        raise ValueError(f"grid_points must be at least 16, got {grid_points}")
+    _checked_integer("grid_points", grid_points, least=16)
     phis = _angle_grid(grid_points)
     if pair.alpha2 == 0.0 or pair.beta2 == 0.0:
         splitter = homodyne_splitter()

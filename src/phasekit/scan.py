@@ -143,9 +143,7 @@ def _sweep_rows(alpha2, beta2, n_angles, tail_tol):
     pi/4).
     """
     pair = PulsePair(alpha2, beta2)
-    _checked_integer("n_angles", n_angles)
-    if n_angles < 64:
-        raise ValueError(f"n_angles must be at least 64, got {n_angles}")
+    _checked_integer("n_angles", n_angles, least=64)
     phis = _angle_grid(n_angles)
     rows = [
         {"kind": "sweep", "phi_over_pi": phi / math.pi, "p_err": p}

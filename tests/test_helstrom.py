@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_optimal, oracle_small_alpha_series
@@ -336,6 +336,9 @@ def test_p_err_optimal_symmetric_under_swap(alpha2, beta2):
 
 @given(wide_strengths, wide_strengths)
 @settings(max_examples=200, deadline=None)
+# every sector term is subnormal, where float rounding is absolute
+@example(alpha2=1e4, beta2=10.0**2.265625)
+@example(alpha2=10.0**2.4375, beta2=10.0**2.75)
 def test_p_err_optimal_lies_between_half_and_all_of_the_dark_port(alpha2, beta2):
     # P_opt = P_ken * E[1 / (1 + sqrt(1 - r^(2N)))], an expectation in [1/2, 1]
     pair = PulsePair(alpha2, beta2)

@@ -1,22 +1,20 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import phasekit
 
-# the package's exported names; a new export is a deliberate change here
+# the package's exported names, the analytic library; a new export is a
+# deliberate change here
 PUBLIC_NAMES = {
     "__version__",
     "Beamsplitter",
-    "DecisionRule",
     "DiscriminationResult",
-    "EstimateResult",
     "NumericalResourceError",
     "PulsePair",
-    "Table",
-    "TrialConfig",
     "best_angle",
     "d_err_small_alpha",
-    "figure_table",
     "homodyne_splitter",
     "kennedy_angle",
     "p_beamsplitter_ml",
@@ -26,9 +24,12 @@ PUBLIC_NAMES = {
     "p_kennedy_asymptotic",
     "p_kennedy_generalized",
     "p_min_pure",
-    "run_trials",
-    "write_csv",
-    "write_json",
+}
+
+# the Monte Carlo and figure-table names, each imported from its one module
+MOVED_NAMES = {
+    "phasekit.montecarlo": ("DecisionRule", "EstimateResult", "TrialConfig", "run_trials"),
+    "phasekit.scan": ("Table", "figure_table", "write_csv", "write_json"),
 }
 
 
@@ -56,8 +57,32 @@ def test_every_exported_name_resolves():
 
 
 def test_package_exports_the_intended_names():
-    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 24
+    assert len(phasekit.__all__) == len(set(phasekit.__all__)) == 16
     assert set(phasekit.__all__) == PUBLIC_NAMES
+
+
+def test_import_loads_only_the_analytic_layer():
+    # a fresh interpreter, since this one has imported every module already
+    moved = [name for names in MOVED_NAMES.values() for name in names]
+    code = (
+        "import phasekit, sys\n"
+        "print(sorted(m for m in sys.modules if m.startswith('phasekit')))\n"
+        f"print([n for n in {moved!r} if hasattr(phasekit, n)])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == [
+        "['phasekit', 'phasekit.helstrom', 'phasekit.model', 'phasekit.numerics', "
+        "'phasekit.receivers']",
+        "[]",
+    ]
+
+
+def test_each_moved_name_resolves_from_its_module():
+    for module_name, names in MOVED_NAMES.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert name in module.__all__ and hasattr(module, name), f"{module_name}.{name}"
 
 
 def test_figure_table_is_the_only_table_builder():

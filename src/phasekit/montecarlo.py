@@ -14,14 +14,16 @@ the few bins that hold a CDF step, which a binary search settles. Otherwise
 the block falls back to the generator's own Poisson sampler, which refuses
 means above about 9.2e18; ``run_trials`` refuses such a mean before any
 block draws. A port the rule never reads gets no table, and a block that
-would invert it advances the stream past its words instead.
+would invert it advances the stream past its words instead. A block frees
+each port's counts as soon as they are scored.
 Streams come from numpy's PCG64 seeded through ``SeedSequence(seed).spawn``,
 one child per fixed-size trial block, so runs are reproducible bit for bit
 and block results merge by plain addition regardless of scheduling. They are
 spawned and mapped ``SPAWN_BATCH`` blocks at a time, at most one batch held
-at once, and a batch too short to pay for a thread pool runs on the calling
-thread; each spawn continues the root's child count, so the streams match
-one spawn of every block.
+at once; a batch too short to pay for a thread pool runs on the calling
+thread, a longer one on ``_parallel``'s plain threads, each holding one
+block's temporaries at a time. Each spawn continues the root's child count,
+so the streams match one spawn of every block.
 """
 
 from __future__ import annotations
@@ -232,7 +234,11 @@ def _simulate_block(
     # a dark port's count is 0 on every trial it could contradict, so
     # inf + -inf never occurs
     diff = _ml_score(slopes[0], counts1)
+    # each port's counts are freed once scored, so at finite slopes forming
+    # port 2's score holds three block-sized arrays, not four
+    del counts1
     diff += _ml_score(slopes[1], counts2)
+    del counts2
     guess_plus = diff > TIE_LOG_BAND
     tied = np.flatnonzero(np.abs(diff, out=diff) <= TIE_LOG_BAND)
     if tied.size:

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasekit import cli, scan
+from phasekit import cli, montecarlo, scan
+from phasekit._parallel import POOL_MIN_ITEMS
 from phasekit.numerics import MAX_PHOTON_COUNT
 
 # the benchmark's recorded outputs of its `phasekit` calls at the default seed
@@ -613,13 +614,17 @@ def test_entry_prints_the_pinned_outputs_of_a_short_run_and_of_json():
     assert held == ["json"] and frozen > 0
 
 
-def test_a_two_block_run_prints_the_same_bytes_at_one_and_two_threads_without_a_pool():
+# 2 blocks run on the calling thread at any cap; 7 on two pool threads at a cap
+# of 2; neither loads an executor or logging
+@pytest.mark.parametrize("trials, pooled", [(100_000, False), (400_000, True)])
+def test_a_run_prints_the_same_bytes_at_one_and_two_threads_without_an_executor(trials, pooled):
+    assert (-(-trials // montecarlo.BLOCK_TRIALS) >= POOL_MIN_ITEMS) == pooled
     argv = ("montecarlo", "--alpha2", "0.1209", "--beta2", "1", "--rule", "homodyne",
-            "--trials", "100000", "--seed", "1")
+            "--trials", str(trials), "--seed", "1")
     serial, _, _ = run_entry(*argv, threads="1")
     stdout, held, _ = run_entry(*argv, threads="2")
     assert stdout == serial and stdout.startswith(b"error_rate = ")
-    assert "concurrent.futures" not in held
+    assert "concurrent.futures" not in held and "logging" not in held
 
 
 def test_in_process_main_does_not_freeze(capsys):
